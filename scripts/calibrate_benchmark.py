@@ -50,7 +50,6 @@ def main():
     ku0 = kappa_unit(domain, datum, args.a0, h_max, args.h_tip)
     ku1 = kappa_unit(domain, datum, args.a1, h_max, args.h_tip)
     amp = args.kappa0 / ku0
-    c1 = (ku0 / ku1) ** 2 * args.kappa0**2 / args.kappa0**2
     c1 = 1.0 / (amp * ku1) ** 2 - 1.0
     print()
     print(f"kappa_unit(a0={args.a0}) = {ku0:.4f}")

@@ -127,8 +127,6 @@ def replay_state(path: str) -> EvolutionState:
     snaps = payload["snapshots"]["steps"]
     cracks = [CrackSet.from_json(s["components"], m=cfg["m"]) for s in snaps]
     from .evolution import _Evaluator
-    from .energy import EnergyRecord
-    from .geometry import length as crack_length
 
     state = EvolutionState(
         domain=domain,
@@ -141,18 +139,16 @@ def replay_state(path: str) -> EvolutionState:
         initial_crack=k_init,
         loading_config=cfg["loading"],
     )
-    ev = _Evaluator(domain, loading, h_max, h_tip)
+    ev = state.evaluator = _Evaluator(domain, loading, h_max, h_tip)
     times = grid.times()
     if len(times) != len(cracks):
         raise ConfigError("state file steps do not match the time grid")
     for i, (t, crack) in enumerate(zip(times, cracks)):
-        total, u, bulk = ev.energy_and_field(crack, t)
-        power = ev.power(u, crack, t)
+        energy, u = ev.record(crack, t)
+        ev.end_step(keep=crack)
         state.cracks.append(crack)
         state.fields.append(u)
-        state.energies.append(
-            EnergyRecord(time=t, bulk=bulk, surface=crack_length(crack), power=power)
-        )
+        state.energies.append(energy)
         rec = payload["steps"][i]
         state.grew.append(bool(rec["grew"]))
         state.candidates_evaluated.append(int(rec.get("candidates", 0)))

@@ -1,8 +1,8 @@
 """Total energy of a crack configuration and its localized/derivative forms.
 
 Total energy = bulk (Dirichlet energy of the minimizer) + surface (length
-of the crack). Evaluation memoizes scalar results keyed by the exact
-inputs; callers that need the minimizing field solve afresh.
+of the crack). Every function here meshes and solves afresh; the memoized
+per-run evaluation that evolutions use is `evolution._Evaluator`.
 """
 
 from __future__ import annotations
@@ -49,28 +49,6 @@ class EnergyRecord:
         }
 
 
-# insert-or-get on a plain dict is atomic under the GIL, safe for
-# concurrent candidate evaluation
-_ENERGY_CACHE: dict[tuple, tuple[float, float]] = {}
-
-
-def clear_energy_cache() -> None:
-    _ENERGY_CACHE.clear()
-
-
-def _cache_key(domain, crack, g, h_max, h_tip):
-    if not g.tag:
-        return None
-    return (
-        domain.boundary,
-        domain.dirichlet_arcs,
-        crack.fingerprint(),
-        g.tag,
-        float(h_max),
-        float(h_tip),
-    )
-
-
 def total_energy(
     domain: DomainSpec,
     crack: CrackSet,
@@ -84,30 +62,8 @@ def total_energy(
     """Mesh, solve, and return the energy record with the minimizing field."""
     mesh = triangulate(domain, crack, h_max, h_tip)
     u = solve(mesh, g)
-    bulk = bulk_energy(u)
-    surf = length(crack)
-    key = _cache_key(domain, crack, g, h_max, h_tip)
-    if key is not None:
-        _ENERGY_CACHE.setdefault(key, (bulk, surf))
-    return EnergyRecord(time=time, bulk=bulk, surface=surf, power=power), u
-
-
-def energy_value(
-    domain: DomainSpec,
-    crack: CrackSet,
-    g: BoundaryDatum,
-    h_max: float,
-    h_tip: float,
-    *,
-    time: float = 0.0,
-) -> EnergyRecord:
-    """Memoized scalar variant of total_energy (no field returned)."""
-    key = _cache_key(domain, crack, g, h_max, h_tip)
-    if key is not None and key in _ENERGY_CACHE:
-        bulk, surf = _ENERGY_CACHE[key]
-        return EnergyRecord(time=time, bulk=bulk, surface=surf)
-    rec, _ = total_energy(domain, crack, g, h_max, h_tip, time=time)
-    return rec
+    rec = EnergyRecord(time=time, bulk=bulk_energy(u), surface=length(crack), power=power)
+    return rec, u
 
 
 def energy_power(u: ScalarField, gdot: BoundaryDatum | ScalarField) -> float:

@@ -10,8 +10,10 @@ proportional-loading comparison inequality.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,18 +35,21 @@ from .sif import (
     fit_sif,
     safe_fit_window,
 )
-from .solver import BoundaryDatum, ScalarField, bulk_energy, scale_datum, solve
-from .energy import EnergyRecord, energy_value
+from .solver import (
+    BoundaryDatum,
+    ScalarField,
+    combine_datums,
+    gram_matrix,
+    scale_datum,
+    solve_many,
+)
+from .energy import EnergyRecord
 
 KINK_REPORT_RAD = math.radians(10.0)
 
 
 class NotProportional(Exception):
     """Audit requires a proportional nondecreasing loading program."""
-
-
-class BudgetExceeded(Exception):
-    """Candidate count over the configured cap (reported, not fatal)."""
 
 
 # ---------------------------------------------------------------------------
@@ -161,29 +166,43 @@ class LoadingProgram:
         else:
             raise ValueError(f"unknown loading mode {self.mode!r}")
 
+    def _interval(self, t: float):
+        """Sample interval that t falls in (the right one at a sample time)."""
+        ts = [s for s, _ in self.samples]
+        k = min(max(np.searchsorted(ts, t, side="right") - 1, 0), len(ts) - 2)
+        t0, t1 = ts[k], ts[k + 1]
+        return int(k), (t - t0) / (t1 - t0), t1 - t0
+
+    def basis(self) -> tuple[BoundaryDatum, ...]:
+        """Basis data g_1..g_S with g(t) = sum_j c_j(t) g_j."""
+        if self.mode == "proportional":
+            return (self.datum,)
+        return tuple(g for _, g in self.samples)
+
+    def coeffs(self, t: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(c(t), c'(t)) over `basis()`: (phi, phi') or hat-function weights."""
+        if self.mode == "proportional":
+            return (self.profile.value(t),), (self.profile.derivative(t),)
+        k, w, dt = self._interval(t)
+        c = [0.0] * len(self.samples)
+        cdot = [0.0] * len(self.samples)
+        c[k], c[k + 1] = 1.0 - w, w
+        cdot[k], cdot[k + 1] = -1.0 / dt, 1.0 / dt
+        return tuple(c), tuple(cdot)
+
     def datum_at(self, t: float) -> BoundaryDatum:
         if self.mode == "proportional":
             return scale_datum(self.datum, self.profile.value(t))
-        from .solver import combine_datums
-
-        ts = [s for s, _ in self.samples]
-        k = min(max(np.searchsorted(ts, t, side="right") - 1, 0), len(ts) - 2)
-        t0, g0 = self.samples[k]
-        t1, g1 = self.samples[k + 1]
-        w = (t - t0) / (t1 - t0)
+        k, w, _ = self._interval(t)
+        g0, g1 = self.samples[k][1], self.samples[k + 1][1]
         return combine_datums(g0, g1, 1.0 - w, w, tag=f"{g0.tag}|{g1.tag}@{t!r}")
 
     def datum_dot_at(self, t: float) -> BoundaryDatum:
-        """Time derivative: exact for analytic profiles, midpoint FD for samples."""
+        """Time derivative: exact for analytic profiles, the interval slope for samples."""
         if self.mode == "proportional":
             return scale_datum(self.datum, self.profile.derivative(t))
-        from .solver import combine_datums
-
-        ts = [s for s, _ in self.samples]
-        k = min(max(np.searchsorted(ts, t, side="right") - 1, 0), len(ts) - 2)
-        t0, g0 = self.samples[k]
-        t1, g1 = self.samples[k + 1]
-        dt = t1 - t0
+        k, _, dt = self._interval(t)
+        g0, g1 = self.samples[k][1], self.samples[k + 1][1]
         return combine_datums(g0, g1, -1.0 / dt, 1.0 / dt, tag=f"d({g0.tag}|{g1.tag})")
 
 
@@ -293,6 +312,8 @@ class EvolutionState:
     audit: dict | None = None
     lambda_diagnostic: dict | None = None
     loading_config: dict | None = None  # JSON round-trip source, set by the CLI
+    # the run's memoized evaluator, reused by the audits; never serialized
+    evaluator: _Evaluator | None = field(default=None, repr=False, compare=False)
 
     # ---- serialization ----
 
@@ -370,75 +391,87 @@ class EvolutionState:
 
 
 # ---------------------------------------------------------------------------
-# energy evaluation with the proportional fast path
+# energy evaluation through the Gram matrix of the loading basis
 # ---------------------------------------------------------------------------
 
 
-class _Evaluator:
-    """Per-run energy/field evaluation with memoization.
+def _quad(G, a, b) -> float:
+    """a^T G b summed term by term; with one basis datum exactly a[0] * b[0] * G[0][0]."""
+    terms = [a[j] * b[k] * G[j][k] for j in range(len(a)) for k in range(len(b))]
+    return functools.reduce(operator.add, terms)
 
-    For proportional loading g(t) = phi(t) h, linearity of the solve gives
-    E(g_i, K) = phi_i^2 * bulk(h, K) + length(K) and u_i = phi_i * v_K;
-    one solve per distinct crack. Otherwise every (datum, crack) pair is
-    solved directly (still memoized by datum tag).
+
+class _Evaluator:
+    """Per-run energy/field evaluation, memoized per crack.
+
+    Every loading is g(t) = sum_j c_j(t) g_j over a fixed basis
+    (`LoadingProgram.basis`) and the solve is linear, so one mesh and S
+    solves u_j per crack give, with G_jk = (grad u_j | grad u_k),
+    bulk(t) = c^T G c, the exact discrete power 2 c^T G c' and
+    u(t) = sum_j c_j u_j. The Gram matrix is kept for the whole run, the
+    basis fields of the cracks meshed in a step only until `end_step`: a
+    winner meshed in its own step is not meshed twice, and memory does not
+    grow with the run.
     """
 
-    def __init__(self, domain, loading, h_max, h_tip, use_scaling=True):
+    def __init__(self, domain, loading, h_max, h_tip):
         self.domain = domain
         self.loading = loading
         self.h_max = h_max
         self.h_tip = h_tip
-        self.proportional = loading.mode == "proportional" and use_scaling
-        self._unit: dict[tuple, float] = {}
-        self._unit_fields: dict[tuple, ScalarField] = {}
+        self._basis = loading.basis()
+        self._gram: dict[tuple, tuple] = {}
+        self._fields: dict[tuple, list[ScalarField]] = {}
         self.solves = 0
 
-    def _unit_solve(self, crack: CrackSet, keep_field: bool) -> tuple[float, ScalarField | None]:
+    def _solved(self, crack: CrackSet, need_fields: bool = False) -> tuple:
         key = crack.fingerprint()
-        if key in self._unit and (not keep_field or key in self._unit_fields):
-            return self._unit[key], self._unit_fields.get(key)
-        mesh = triangulate(self.domain, crack, self.h_max, self.h_tip)
-        u = solve(mesh, self.loading.datum)
-        self.solves += 1
-        b = bulk_energy(u)
-        self._unit[key] = b
-        if keep_field:
-            self._unit_fields[key] = u
-        return b, u
+        if key not in self._gram or (need_fields and key not in self._fields):
+            mesh = triangulate(self.domain, crack, self.h_max, self.h_tip)
+            fields = solve_many(mesh, self._basis)
+            self.solves += len(fields)
+            self._gram[key] = gram_matrix(fields)
+            self._fields[key] = fields
+        return key
 
     def energy(self, crack: CrackSet, t: float) -> float:
-        if self.proportional:
-            phi = self.loading.profile.value(t)
-            b, _ = self._unit_solve(crack, keep_field=False)
-            return phi * phi * b + length(crack)
-        rec = energy_value(
-            self.domain, crack, self.loading.datum_at(t), self.h_max, self.h_tip
+        G = self._gram[self._solved(crack)]
+        c, _ = self.loading.coeffs(t)
+        return _quad(G, c, c) + length(crack)
+
+    def record(self, crack: CrackSet, t: float) -> tuple[EnergyRecord, ScalarField]:
+        """Energy record at t, with the power, and the minimizing field u(t)."""
+        key = self._solved(crack, need_fields=True)
+        G, fields = self._gram[key], self._fields[key]
+        c, cdot = self.loading.coeffs(t)
+        u = functools.reduce(
+            operator.add, [cj * f.nodal_values for cj, f in zip(c, fields)]
         )
-        self.solves += 1
-        return rec.total
+        rec = EnergyRecord(
+            time=t,
+            bulk=_quad(G, c, c),
+            surface=length(crack),
+            power=2.0 * _quad(G, c, cdot),
+        )
+        return rec, ScalarField(fields[0].mesh, u)
 
-    def energy_and_field(self, crack: CrackSet, t: float):
-        if self.proportional:
-            phi = self.loading.profile.value(t)
-            b, u = self._unit_solve(crack, keep_field=True)
-            field = ScalarField(u.mesh, phi * u.nodal_values)
-            return phi * phi * b + length(crack), field, phi * phi * b
-        mesh = triangulate(self.domain, crack, self.h_max, self.h_tip)
-        u = solve(mesh, self.loading.datum_at(t))
-        self.solves += 1
-        b = bulk_energy(u)
-        return b + length(crack), u, b
+    def balance_increment(self, crack: CrackSet, t0: float, t1: float) -> float:
+        """2 (grad u(t0) | grad(u(t1) - u(t0))) on one crack."""
+        G = self._gram[self._solved(crack)]
+        c0, _ = self.loading.coeffs(t0)
+        c1, _ = self.loading.coeffs(t1)
+        return 2.0 * _quad(G, c0, [b - a for a, b in zip(c0, c1)])
 
-    def power(self, u: ScalarField, crack: CrackSet, t: float) -> float:
-        from .energy import energy_power
+    def end_step(self, keep: CrackSet | None = None) -> None:
+        """Drop the basis fields of every crack but `keep` (the next step's base)."""
+        key = keep.fingerprint() if keep is not None else None
+        self._fields = {k: v for k, v in self._fields.items() if k == key}
 
-        if self.proportional:
-            # 2 (grad u | grad gdot) = 2 phi phidot |grad v|^2 by Galerkin
-            phi = self.loading.profile.value(t)
-            phid = self.loading.profile.derivative(t)
-            b, _ = self._unit_solve(crack, keep_field=False)
-            return 2.0 * phi * phid * b
-        return energy_power(u, self.loading.datum_dot_at(t))
+
+def _evaluator_of(state: EvolutionState) -> _Evaluator:
+    if state.evaluator is not None:
+        return state.evaluator
+    return _Evaluator(state.domain, state.loading, state.h_max, state.h_tip)
 
 
 # ---------------------------------------------------------------------------
@@ -611,22 +644,6 @@ def _match_tip(crack: CrackSet, proto: Tip) -> Tip:
     raise GeometryViolation("tip vanished from the crack")
 
 
-def step_minimize(state: EvolutionState, i: int, policy: CandidatePolicy) -> CrackSet:
-    """Minimizer of E(g_i, .) over the candidate family containing K_{i-1}."""
-    if i > 0:
-        base = state.cracks[i - 1]
-    else:
-        base = state.initial_crack or (state.cracks[0] if state.cracks else None)
-    if base is None:
-        raise ValueError("state has no cracks")
-    ev = _Evaluator(state.domain, state.loading, state.h_max, state.h_tip)
-    t = state.grid.times()[i]
-    out = _minimize_step(
-        state.domain, base, policy, state.h_tip, lambda K: ev.energy(K, t)
-    )
-    return out.crack
-
-
 # ---------------------------------------------------------------------------
 # the full run
 # ---------------------------------------------------------------------------
@@ -641,7 +658,6 @@ def run_evolution(
     h_max: float,
     h_tip: float,
     *,
-    use_scaling: bool = True,
     with_sif: bool = True,
     with_audit: bool = True,
 ) -> EvolutionState:
@@ -660,7 +676,7 @@ def run_evolution(
         m=k0.m,
         initial_crack=k0,
     )
-    ev = _Evaluator(domain, loading, h_max, h_tip, use_scaling=use_scaling)
+    ev = state.evaluator = _Evaluator(domain, loading, h_max, h_tip)
     times = grid.times()
     current = k0
     sigma = {(t.component_id, t.end): 0.0 for t in _active_tips(domain, k0)}
@@ -677,13 +693,11 @@ def run_evolution(
             if abs(ang) > KINK_REPORT_RAD:
                 state.kink_steps.add(i)
 
-        total, u, bulk = ev.energy_and_field(current, t)
-        power = ev.power(u, current, t)
+        rec, u = ev.record(current, t)
+        ev.end_step(keep=current)
         state.cracks.append(current)
         state.fields.append(u)
-        state.energies.append(
-            EnergyRecord(time=t, bulk=bulk, surface=length(current), power=power)
-        )
+        state.energies.append(rec)
         state.grew.append(out.grew)
         state.candidates_evaluated.append(out.n_candidates)
         state.sigma_history.append(dict(sigma))
@@ -758,30 +772,15 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
 
     # the defect of the one-sided balance inequality, with the power
     # integrated against the piecewise-constant-in-time solution: the
-    # exact per-interval term is 2 (grad u_i | grad(g_{i+1} - g_i)),
-    # whose quadratic remainder is the first-order term that must decay
-    from .energy import energy_power
-
+    # exact per-interval term is 2 (grad u(t_i) | grad(u(t_{i+1}) - u(t_i))),
+    # both solved on K_i, whose quadratic remainder is the first-order term
+    # that must decay
+    ev = _evaluator_of(state)
     Fl = [0.0]
     for i in range(1, n):
-        dt = times[i] - times[i - 1]
-        if state.loading.mode == "proportional":
-            dphi = state.loading.profile.value(times[i]) - state.loading.profile.value(
-                times[i - 1]
-            )
-            phi_prev = state.loading.profile.value(times[i - 1])
-            b_prev = state.energies[i - 1].bulk
-            inc = (
-                2.0 * (b_prev / phi_prev) * dphi if phi_prev != 0.0 else 0.0
-            )  # 2 phi_{i-1} b_unit dphi with b_prev = phi^2 b_unit
-        else:
-            from .solver import combine_datums
-
-            g_next = state.loading.datum_at(times[i])
-            g_prev = state.loading.datum_at(times[i - 1])
-            ginc = combine_datums(g_next, g_prev, 1.0 / dt, -1.0 / dt)
-            inc = energy_power(state.fields[i - 1], ginc) * dt
-        Fl.append(Fl[-1] + inc)
+        Fl.append(
+            Fl[-1] + ev.balance_increment(state.cracks[i - 1], times[i - 1], times[i])
+        )
     drift_l = [totals[i] - Fl[i] for i in range(n)]
     one_sided_defect = max(
         (drift_l[j] - drift_l[i] for i in range(n) for j in range(i, n)),
@@ -794,7 +793,6 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
     }
 
     # (b)/(c): sampled re-minimization at the recorded data
-    ev = _Evaluator(state.domain, state.loading, state.h_max, state.h_tip)
     if minimality_samples <= 0:
         steps = []
     else:
@@ -821,6 +819,7 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
         )
         e_chosen = ev.energy(state.cracks[i], times[i])
         e_best = ev.energy(out.crack, times[i])
+        ev.end_step()
         gap = e_chosen - e_best
         tol = 1e-9 * max(1.0, abs(e_best))
         min_rows.append({"step": i, "gap": gap})
@@ -843,6 +842,7 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
         )
         e_here = ev.energy(state.cracks[i], times[i])
         gain = e_here - ev.energy(out.crack, times[i])
+        ev.end_step()
         tol = 1e-6 * abs(e_here)
         stat_rows.append({"step": i, "gain": gain, "tol": tol})
         if gain > tol:
@@ -869,7 +869,7 @@ def audit_monotone_loading(
     times = state.grid.times()
     if not state.loading.profile.nondecreasing_on(times):
         raise NotProportional("profile is not nondecreasing and nonnegative")
-    ev = _Evaluator(state.domain, state.loading, state.h_max, state.h_tip)
+    ev = _evaluator_of(state)
     rng = np.random.default_rng(seed)
     n = len(times)
     tol = tol_factor * abs(state.energies[-1].total)

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -231,6 +232,10 @@ class CrackSet:
     def fingerprint(self) -> tuple:
         return tuple(c.vertices for c in self.components)
 
+    @cached_property
+    def _length(self) -> float:
+        return _union_length(self)
+
     def to_json(self) -> list:
         return [[[x, y] for x, y in c.vertices] for c in self.components]
 
@@ -257,7 +262,14 @@ def _line_key(a: Point, b: Point):
 
 
 def length(crack: CrackSet) -> float:
-    """Total H^1 measure of the union; exactly-collinear overlaps counted once."""
+    """Total H^1 measure of the union; exactly-collinear overlaps counted once.
+
+    Memoized on the crack set, which is immutable.
+    """
+    return crack._length
+
+
+def _union_length(crack: CrackSet) -> float:
     segs = crack.segments()
     if not segs:
         return 0.0

@@ -255,11 +255,8 @@ def crack_touches_dirichlet(domain: DomainSpec, crack: CrackSet) -> list[Point]:
     for k, (a, b) in enumerate(domain.edges()):
         if domain.edge_tag(k) != "dirichlet":
             continue
-        for corner in (a,):
-            if corner in hits:
-                continue
-            if any(_on_segment(corner, *s) for s in crack_segs):
-                hits.append(corner)
+        if a not in hits and any(_on_segment(a, *s) for s in crack_segs):
+            hits.append(a)
     seen = set()
     out = []
     for p in hits:

@@ -203,11 +203,11 @@ def release_rate_fd(
     Surface contributes +1 per unit length exactly; the bulk term tends
     to -kappa^2 as dsigma -> 0.
     """
-    from .energy import energy_value
+    from .energy import total_energy
 
     extended = extend_tip(crack, tip, 0.0, dsigma, domain=domain)
-    e0 = energy_value(domain, crack, g, h_max, h_tip)
-    e1 = energy_value(domain, extended, g, h_max, h_tip)
+    e0, _ = total_energy(domain, crack, g, h_max, h_tip)
+    e1, _ = total_energy(domain, extended, g, h_max, h_tip)
     return (e1.total - e0.total) / dsigma
 
 

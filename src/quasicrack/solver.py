@@ -197,42 +197,67 @@ def solve(mesh: CrackMesh, g: BoundaryDatum) -> ScalarField:
     boundary misses the constrained set get one node pinned to zero (the
     continuum solution there is an arbitrary constant).
     """
+    return solve_many(mesh, (g,))[0]
+
+
+def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
+    """`solve` for several data on one mesh, sharing assembly and pinning.
+
+    Each returned field is bitwise equal to `solve(mesh, g)` for its datum.
+    """
     n = mesh.n_nodes
-    gvals = g.sample(mesh)
+    samples = [g.sample(mesh) for g in data]
     constrained = np.zeros(n, dtype=bool)
     idx = np.fromiter(mesh.dirichlet_nodes, dtype=np.int64, count=len(mesh.dirichlet_nodes))
     if len(idx):
         constrained[idx] = True
 
     labels = _node_components(mesh)
-    values = np.zeros(n)
-    values[constrained] = gvals[constrained]
+    columns = []
+    for gvals in samples:
+        values = np.zeros(n)
+        values[constrained] = gvals[constrained]
+        columns.append(values)
     for comp in np.unique(labels):
         members = labels == comp
         if not np.any(constrained & members):
             pin = int(np.flatnonzero(members).min())
             constrained[pin] = True
-            values[pin] = 0.0
+            for values in columns:
+                values[pin] = 0.0
 
-    K = stiffness_matrix(mesh)
     free = ~constrained
     nf = int(free.sum())
     if nf == 0:
-        return ScalarField(mesh, values)
-    Kff = K[free][:, free]
-    rhs = -K[free][:, constrained] @ values[constrained]
-    x0 = gvals[free]
+        return [ScalarField(mesh, values) for values in columns]
+    K = stiffness_matrix(mesh)
+    Kf = K[free]
+    Kff = Kf[:, free]
+    Kfc = Kf[:, constrained]
     diag = np.asarray(Kff.diagonal())
     if np.any(diag <= 0):
         raise SolveFailure("singular stiffness diagonal (beyond pinning rule)")
     M = LinearOperator((nf, nf), matvec=lambda v: v / diag)
-    x, info = cg(
-        Kff, rhs, x0=x0, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER_FACTOR * nf, M=M
-    )
-    if info != 0:
-        raise SolveFailure(f"conjugate gradient did not converge (info={info})")
-    values[free] = x
-    return ScalarField(mesh, values)
+    for gvals, values in zip(samples, columns):
+        rhs = -Kfc @ values[constrained]
+        x, info = cg(
+            Kff, rhs, x0=gvals[free], rtol=CG_RTOL, atol=0.0,
+            maxiter=CG_MAXITER_FACTOR * nf, M=M,
+        )
+        if info != 0:
+            raise SolveFailure(f"conjugate gradient did not converge (info={info})")
+        values[free] = x
+    return [ScalarField(mesh, values) for values in columns]
+
+
+def gram_matrix(fields) -> tuple[tuple[float, ...], ...]:
+    """G_jk = (grad u_j | grad u_k) for fields on one mesh; G_jj == bulk_energy(u_j)."""
+    grads = [gradient(u) for u in fields]
+    G = [[0.0] * len(grads) for _ in grads]
+    for j, gj in enumerate(grads):
+        for k in range(j, len(grads)):
+            G[j][k] = G[k][j] = inner_product(gj, grads[k])
+    return tuple(tuple(row) for row in G)
 
 
 def residual_norm(u: ScalarField, g: BoundaryDatum) -> float:
@@ -391,15 +416,4 @@ def interpolate_at(u: ScalarField, pts, locator: TriangleLocator | None = None):
     for k, p in enumerate(pts):
         ti, bary = loc.locate(p)
         out[k] = float(bary @ u.nodal_values[u.mesh.triangles[ti]])
-    return out
-
-
-def gradient_at(u: ScalarField, pts, locator: TriangleLocator | None = None):
-    """Per-point gradient of u (constant on each containing triangle)."""
-    g = gradient(u)
-    loc = locator or TriangleLocator(u.mesh)
-    out = np.empty((len(pts), 2))
-    for k, p in enumerate(pts):
-        ti, _ = loc.locate(p)
-        out[k] = g.values[ti]
     return out

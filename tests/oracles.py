@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: Hausdorff distances
 come from dense point sampling with a KD-tree, not from the
-branch-and-bound implementation.
+branch-and-bound implementation; energies and powers come from a direct
+solve of the datum g(t), not from the evaluator's Gram matrix.
 """
 
 import math
@@ -60,3 +61,15 @@ def random_crackset(rng, *, max_components: int = 3, max_vertices: int = 5):
         except Exception:
             continue
     raise RuntimeError("could not generate a random crack set")
+
+
+def direct_energy_and_power(domain, crack, loading, t, h_max, h_tip):
+    """(bulk, power) at time t from one direct solve of g(t) on a fresh mesh.
+
+    The power is 2 (grad u | grad gdot) against the nodal samples of
+    gdot(t), the finite-difference form the Gram path must reproduce.
+    """
+    from quasicrack.energy import energy_power, total_energy
+
+    rec, u = total_energy(domain, crack, loading.datum_at(t), h_max, h_tip)
+    return rec.bulk, energy_power(u, loading.datum_dot_at(t))

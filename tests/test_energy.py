@@ -15,14 +15,12 @@ from quasicrack.domain import DomainSpec
 from quasicrack.energy import (
     BallSpec,
     EnergyRecord,
-    clear_energy_cache,
     energy_power,
-    energy_value,
     local_energy,
     total_energy,
     trace_of,
-    _ENERGY_CACHE,
 )
+from quasicrack.evolution import LoadingProgram, Profile, _Evaluator
 from quasicrack.geometry import CrackSet, Polyline, length
 from quasicrack.mesh import triangulate
 from quasicrack.solver import BoundaryDatum, ScalarField, bulk_energy, combine_datums, solve
@@ -109,19 +107,29 @@ def test_bulk_monotone_in_crack():
     assert bulks[2] <= bulks[1] + 1e-12
 
 
-def test_memoization_by_tag():
-    clear_energy_cache()
+def test_memoization_by_tag(monkeypatch):
+    # the evaluator meshes a crack once, whether or not its datum is tagged
+    import quasicrack.evolution as evolution
+
+    built = []
+
+    def counting_triangulate(*args):
+        built.append(args[1])
+        return triangulate(*args)
+
+    monkeypatch.setattr(evolution, "triangulate", counting_triangulate)
     crack = CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1)
-    rec1 = energy_value(SQUARE, crack, linear_datum(1.0, 0.0), 0.1, 0.02)
-    n_after_first = len(_ENERGY_CACHE)
-    rec2 = energy_value(SQUARE, crack, linear_datum(1.0, 0.0), 0.1, 0.02)
-    assert len(_ENERGY_CACHE) == n_after_first
-    assert rec1.total == rec2.total
-    # untagged datum is never cached
-    clear_energy_cache()
-    untagged = BoundaryDatum(lambda x, y: x, tag="")
-    energy_value(SQUARE, crack, untagged, 0.1, 0.02)
-    assert len(_ENERGY_CACHE) == 0
+    for datum in (linear_datum(1.0, 0.0), BoundaryDatum(lambda x, y: x, tag="")):
+        loading = LoadingProgram(
+            "proportional", datum=datum, profile=Profile("constant", (1.0,))
+        )
+        ev = _Evaluator(SQUARE, loading, 0.1, 0.02)
+        built.clear()
+        e1 = ev.energy(crack, 0.0)
+        assert len(built) == 1
+        e2 = ev.energy(crack, 0.0)
+        assert len(built) == 1
+        assert e1 == e2
 
 
 def test_local_energy_no_crack_linear():

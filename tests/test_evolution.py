@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from quasicrack.cases import (
     growth_benchmark_config,
@@ -16,9 +18,7 @@ from quasicrack.cases import (
 )
 from quasicrack.domain import DomainSpec
 from quasicrack.evolution import (
-    BudgetExceeded,
     CandidatePolicy,
-    EvolutionState,
     LoadingProgram,
     NotProportional,
     Profile,
@@ -28,9 +28,10 @@ from quasicrack.evolution import (
     audit_conditions,
     audit_monotone_loading,
     run_evolution,
-    step_minimize,
 )
 from quasicrack.geometry import CrackSet, Polyline, contains, crack_tips, length
+
+from oracles import direct_energy_and_power
 
 TAPER = dict(length_x=3.0, h0=0.35, h1=0.725)
 
@@ -120,11 +121,9 @@ def test_zero_datum_keeps_crack():
         "proportional", datum=zero_datum(), profile=Profile("constant", (0.0,))
     )
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 4)
-    state = EvolutionState(
-        domain=dom, grid=TimeGrid(0.5), policy=policy, loading=loading,
-        h_max=1 / 8, h_tip=1 / 32, m=1, cracks=[k0],
-    )
-    assert step_minimize(state, 0, policy).fingerprint() == k0.fingerprint()
+    ev = _Evaluator(dom, loading, 1 / 8, 1 / 32)
+    out = _minimize_step(dom, k0, policy, 1 / 32, lambda K: ev.energy(K, 0.0))
+    assert out.crack.fingerprint() == k0.fingerprint()
 
 
 def test_subcritical_no_extension_beats_rest():
@@ -266,22 +265,67 @@ def test_subcritical_t_squared_law():
 
 
 def test_scaling_path_matches_direct_solves():
+    # every recorded energy and power against a direct solve of g(t)
     dom, k0, h = taper_setup()
     loading = LoadingProgram(
         "proportional", datum=h, profile=Profile("linear", (0.3,))
     )
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 8)
-    fast = run_evolution(
+    state = run_evolution(
         dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32,
         with_sif=False, with_audit=False,
     )
-    slow = run_evolution(
-        dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32,
-        use_scaling=False, with_sif=False, with_audit=False,
+    for t, crack, rec in zip(state.grid.times(), state.cracks, state.energies):
+        bulk, power = direct_energy_and_power(dom, crack, loading, t, 1 / 8, 1 / 32)
+        assert rec.total == pytest.approx(bulk + length(crack), abs=1e-9)
+        assert rec.power == pytest.approx(power, abs=1e-9)
+
+
+SQUARE = DomainSpec.all_dirichlet(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+BASIS_FUNCS = (
+    lambda x, y: x,
+    lambda x, y: y * y - x,
+    lambda x, y: x * y,
+    lambda x, y: math.sin(x) + y,
+    lambda x, y: x * x - y * y,
+)
+
+
+@given(
+    slit=st.floats(0.05, 0.6),
+    amps=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5),
+    t=st.floats(0.0, 1.0),
+)
+def test_gram_bulk_and_power_match_direct_solve(slit, amps, t):
+    from quasicrack.solver import BoundaryDatum, scale_datum
+
+    crack = CrackSet((Polyline(((0.2, 0.5), (0.2 + slit, 0.5))),), 1)
+    n = len(amps)
+    samples = tuple(
+        (k / (n - 1), scale_datum(BoundaryDatum(BASIS_FUNCS[k], tag=f"f{k}"), a))
+        for k, a in enumerate(amps)
     )
-    for a, b in zip(fast.energies, slow.energies):
-        assert a.total == pytest.approx(b.total, abs=1e-9)
-        assert a.power == pytest.approx(b.power, abs=1e-9)
+    loading = LoadingProgram("sampled", samples=samples)
+    rec, _ = _Evaluator(SQUARE, loading, 0.1, 0.025).record(crack, t)
+    bulk, power = direct_energy_and_power(SQUARE, crack, loading, t, 0.1, 0.025)
+    assert rec.bulk == pytest.approx(bulk, rel=1e-9, abs=1e-9)
+    assert rec.power == pytest.approx(power, rel=1e-9, abs=1e-9)
+
+
+def test_audit_same_with_shared_and_fresh_evaluator():
+    dom, k0, h = taper_setup()
+    loading = LoadingProgram(
+        "proportional", datum=h, profile=Profile("linear", (0.6,))
+    )
+    policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 4)
+    state = run_evolution(
+        dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32,
+        with_sif=False, with_audit=False,
+    )
+    assert any(state.grew) and state.evaluator is not None
+    fresh = dataclasses.replace(state, evaluator=None)
+    for audit in (audit_conditions, lambda s: audit_monotone_loading(s, n_pairs=4)):
+        assert json.dumps(audit(state)) == json.dumps(audit(fresh))
 
 
 def test_onset_monotone_in_amplitude():

@@ -22,6 +22,7 @@ from quasicrack.solver import (
     residual_norm,
     scale_datum,
     solve,
+    solve_many,
     tangential_jump_max,
 )
 
@@ -140,6 +141,19 @@ def test_floating_component_pinned():
     vals = u.nodal_values[lower_boundary]
     expect = 1.0 + mesh.nodes[lower_boundary, 0]
     assert np.max(np.abs(vals - expect)) <= 1e-9
+
+
+def test_solve_many_columns_bitwise_equal_solve():
+    # shared assembly and pinning, on a mesh with a floating component
+    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))
+    crack = CrackSet((Polyline(((0.0, 0.5), (1.0, 0.5))),), 1)
+    mesh = triangulate(dom, crack, 0.1, 0.02)
+    data = (
+        BoundaryDatum(lambda x, y: 1.0 + x, tag="lift"),
+        BoundaryDatum(lambda x, y: math.sin(3.0 * x), tag="wave"),
+    )
+    for g, u in zip(data, solve_many(mesh, data)):
+        assert u.nodal_values.tobytes() == solve(mesh, g).nodal_values.tobytes()
 
 
 def test_harmonic_conjugate_of_linear(square_mesh):
