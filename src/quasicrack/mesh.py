@@ -5,6 +5,10 @@ protection radii), deterministic multi-level hex lattice fill, Delaunay
 (qhull), required-edge verification with one repair pass, then the crack
 "unzip": interior crack nodes are duplicated into plus/minus face copies
 while tips stay single shared nodes.
+
+Edge topology (required-edge checks, free crack faces, boundary tagging,
+and the solver's Euler and edge-jump checks) comes from one sorted table,
+`edge_table`.
 """
 
 from __future__ import annotations
@@ -98,21 +102,6 @@ class CrackMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def crack_node_ids(self) -> frozenset[int]:
-        ids = set()
-        for ch in self.crack_chains:
-            ids.update(ch.node_ids)
-            ids.update(ch.minus_ids)
-        return frozenset(ids)
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        t = self.triangles
-        edges = set()
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            for u, v in zip(t[:, a], t[:, b]):
-                edges.add((min(u, v), max(u, v)))
-        return edges
-
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in degrees."""
         p = self.nodes[self.triangles]
@@ -163,6 +152,44 @@ class CrackMesh:
         out.append(f"CELL_TYPES {self.n_triangles}")
         out.extend("5" for _ in range(self.n_triangles))
         return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# edge topology
+# ---------------------------------------------------------------------------
+
+
+def edge_table(triangles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique edges of a triangle list, with their triangle counts and owners.
+
+    Returns `edges` (E, 2), lower node id first, in lexicographic order;
+    `counts` (E,), the number of triangles on each edge; and `owners`
+    (E, 2), the two lowest triangle ids on each edge, -1 where there is
+    no second.
+    """
+    t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    # triangle k's edges (0,1), (1,2), (2,0) sit at 3k..3k+2
+    pairs = np.stack([t.ravel(), t[:, [1, 2, 0]].ravel()], axis=1)
+    keys = _edge_keys(pairs, int(t.max(initial=0)) + 1)
+    order = np.argsort(keys, kind="stable")  # stable: owners in triangle order
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(keys)))
+    owner = order // 3
+    owners = np.full((len(starts), 2), -1, dtype=np.int64)
+    owners[:, 0] = owner[starts]
+    shared = counts > 1
+    owners[shared, 1] = owner[starts[shared] + 1]
+    edges = np.sort(pairs[order[starts]], axis=1)
+    return edges, counts, owners
+
+
+def _edge_keys(pairs, n: int) -> np.ndarray:
+    """Orientation-free int64 key lo * n + hi of each node pair (ids < n)."""
+    p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.minimum(p[:, 0], p[:, 1]) * n + np.maximum(p[:, 0], p[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +284,7 @@ def crack_touches_dirichlet(domain: DomainSpec, crack: CrackSet) -> list[Point]:
             continue
         if a not in hits and any(_on_segment(a, *s) for s in crack_segs):
             hits.append(a)
-    seen = set()
-    out = []
-    for p in hits:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return sorted(out)
+    return sorted(set(hits))
 
 
 def _classify_ends(domain: DomainSpec, crack: CrackSet):
@@ -565,17 +586,16 @@ def _delaunay_with_required(
 ) -> np.ndarray:
     if len(pts_arr) < 3:
         raise MeshFailure("not enough points to triangulate")
-    keep_mask = np.ones(len(pts_arr), dtype=bool)
+    n = len(pts_arr)
+    req = np.array(list(required), dtype=np.int64).reshape(-1, 2)
+    keep_mask = np.ones(n, dtype=bool)
     for attempt in range(2):
         idx_map = np.flatnonzero(keep_mask)
         dela = Delaunay(pts_arr[keep_mask])
         tris = idx_map[dela.simplices]
-        edges = set()
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            for u, v in zip(tris[:, a], tris[:, b]):
-                edges.add((min(u, v), max(u, v)))
-        missing = [e for e in required if e not in edges]
-        if not missing:
+        edges = edge_table(tris)[0]
+        missing = req[~np.isin(_edge_keys(req, n), _edge_keys(edges, n))]
+        if not len(missing):
             return tris
         if attempt == 1:
             raise MeshFailure(f"{len(missing)} required edges missing after repair")
@@ -629,21 +649,15 @@ def _unzip_and_finalize(
     n_orig = len(pts_arr)
     coords: list[Point] = [(float(x), float(y)) for x, y in pts_arr]
     new_coords: list[Point] = []
-    dup_of: dict[int, int] = {}
 
-    # incidence for crack nodes only
-    crack_node_set = {u for ids in chain_ids for u in ids}
-    incident: dict[int, list[int]] = {u: [] for u in crack_node_set}
-    for ti, tri in enumerate(tris):
-        for u in tri:
-            if u in incident:
-                incident[u].append(ti)
+    # incidence for crack nodes only (row-major: increasing triangle ids)
+    crack_nodes = sorted({u for ids in chain_ids for u in ids})
+    incident: dict[int, list[int]] = {u: [] for u in crack_nodes}
+    for ti, col in zip(*np.nonzero(np.isin(tris, crack_nodes))):
+        incident[int(tris[ti, col])].append(int(ti))
 
-    edge_count: dict[tuple[int, int], int] = {}
-    for tri in tris:
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            e = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            edge_count[e] = edge_count.get(e, 0) + 1
+    edges, counts, _ = edge_table(tris)
+    two_sided = _edge_keys(edges[counts == 2], n_orig)
 
     tip_nodes: list[int] = []
     chains: list[CrackChain] = []
@@ -656,10 +670,8 @@ def _unzip_and_finalize(
             )
             continue
         k = len(ids) - 1
-        for u, v in zip(ids, ids[1:]):
-            e = (min(u, v), max(u, v))
-            if edge_count.get(e, 0) != 2:
-                raise MeshFailure("interior crack edge lacks two triangles")
+        if not np.all(np.isin(_edge_keys(list(zip(ids, ids[1:])), n_orig), two_sided)):
+            raise MeshFailure("interior crack edge lacks two triangles")
         minus_ids = list(ids)
         for i, v in enumerate(ids):
             at_end = i == 0 or i == k
@@ -697,7 +709,6 @@ def _unzip_and_finalize(
             dup = n_orig + len(new_coords)
             new_coords.append((float(pv[0]), float(pv[1])))
             coords.append((float(pv[0]), float(pv[1])))
-            dup_of[v] = dup
             minus_ids[i] = dup
             for ti in right:
                 row = tris[ti]
@@ -710,21 +721,16 @@ def _unzip_and_finalize(
         pts_arr = np.vstack([pts_arr, np.array(new_coords, float)])
 
     # consistency: plus edges and minus edges each have exactly one triangle now
-    edge_tris: dict[tuple[int, int], list[int]] = {}
-    for ti, tri in enumerate(tris):
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            e = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            edge_tris.setdefault(e, []).append(ti)
+    edges, counts, _ = edge_table(tris)
+    free = [tuple(e) for e in edges[counts == 1].tolist()]
 
     face_edges: set[tuple[int, int]] = set()
     face_pairs: list[FacePair] = []
     for ch in chains:
         if ch.start_kind == "point":
             continue
-        for u, v in zip(ch.node_ids, ch.node_ids[1:]):
-            face_edges.add((min(u, v), max(u, v)))
-        for u, v in zip(ch.minus_ids, ch.minus_ids[1:]):
-            face_edges.add((min(u, v), max(u, v)))
+        for ids in (ch.node_ids, ch.minus_ids):
+            face_edges.update((min(u, v), max(u, v)) for u, v in zip(ids, ids[1:]))
         for plus, minus in zip(ch.node_ids, ch.minus_ids):
             if plus != minus:
                 face_pairs.append(
@@ -734,18 +740,15 @@ def _unzip_and_finalize(
                         minus,
                     )
                 )
-    for e in face_edges:
-        if len(edge_tris.get(e, [])) != 1:
-            raise MeshFailure("crack face edge not free after unzip")
+    if not face_edges.issubset(free):
+        raise MeshFailure("crack face edge not free after unzip")
+    if np.any(counts > 2):
+        raise MeshFailure("non-manifold edge")
 
     # boundary tagging from single-triangle edges
     boundary_edges: list[tuple[int, int, str]] = []
     poly_edges = domain.edges()
-    for e, owners in sorted(edge_tris.items()):
-        if len(owners) != 1:
-            if len(owners) > 2:
-                raise MeshFailure("non-manifold edge")
-            continue
+    for e in free:
         if e in face_edges:
             boundary_edges.append((e[0], e[1], "crack_face"))
             continue

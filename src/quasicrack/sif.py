@@ -145,15 +145,11 @@ def fit_sif(u: ScalarField, tip: Tip, r1: float, r2: float) -> SifEstimate:
     )
 
 
-def default_fit_window(mesh_h_tip: float) -> tuple[float, float]:
-    return (4.0 * mesh_h_tip, 16.0 * mesh_h_tip)
-
-
 def safe_fit_window(
     domain: DomainSpec, crack: CrackSet, tip: Tip, h_tip: float
 ) -> tuple[float, float]:
-    """Default window shrunk clear of the boundary and other crack parts."""
-    r1, r2 = default_fit_window(h_tip)
+    """Default window [4, 16] h_tip shrunk clear of the boundary and other crack parts."""
+    r1, r2 = 4.0 * h_tip, 16.0 * h_tip
     clearance = domain.signed_distance_to_boundary(tip.position)
     for ci, comp in enumerate(crack.components):
         if ci == tip.component_id:
@@ -203,12 +199,21 @@ def release_rate_fd(
     Surface contributes +1 per unit length exactly; the bulk term tends
     to -kappa^2 as dsigma -> 0.
     """
+    return _release_rates(domain, crack, g, tip, (dsigma,), h_max, h_tip)[0]
+
+
+def _release_rates(domain, crack, g, tip, dsigmas, h_max, h_tip) -> list[float]:
+    """[E(K extended straight by ds) - E(K)] / ds for each ds; E(K) meshed once."""
     from .energy import total_energy
 
-    extended = extend_tip(crack, tip, 0.0, dsigma, domain=domain)
-    e0, _ = total_energy(domain, crack, g, h_max, h_tip)
-    e1, _ = total_energy(domain, extended, g, h_max, h_tip)
-    return (e1.total - e0.total) / dsigma
+    def energy(k: CrackSet) -> float:
+        return total_energy(domain, k, g, h_max, h_tip)[0].total
+
+    e0 = energy(crack)
+    return [
+        (energy(extend_tip(crack, tip, 0.0, ds, domain=domain)) - e0) / ds
+        for ds in dsigmas
+    ]
 
 
 def release_rate_richardson(
@@ -221,8 +226,9 @@ def release_rate_richardson(
     factors: tuple[float, float] = (4.0, 8.0),
 ) -> float:
     """Richardson extrapolation of the forward difference over two steps."""
-    d1 = release_rate_fd(domain, crack, g, tip, factors[0] * h_tip, h_max, h_tip)
-    d2 = release_rate_fd(domain, crack, g, tip, factors[1] * h_tip, h_max, h_tip)
+    d1, d2 = _release_rates(
+        domain, crack, g, tip, (factors[0] * h_tip, factors[1] * h_tip), h_max, h_tip
+    )
     w = factors[1] / factors[0]
     return (w * d1 - d2) / (w - 1.0)
 

@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .mesh import CrackMesh, TriangleLocator
+from .mesh import CrackMesh, TriangleLocator, edge_table
 
 CG_RTOL = 1e-10
 CG_MAXITER_FACTOR = 20
@@ -160,23 +160,33 @@ def bulk_energy(u: ScalarField) -> float:
 
 def stiffness_matrix(mesh: CrackMesh) -> csr_matrix:
     """Assemble the P1 stiffness matrix sum_T area * grad phi_i . grad phi_j."""
-    t = mesh.triangles
-    n = mesh.n_nodes
-    a = mesh.areas
+    return _assemble(mesh.triangles, mesh.areas, mesh.grad_x, mesh.grad_y, mesh.n_nodes)
+
+
+def _assemble(triangles, areas, grad_x, grad_y, n: int) -> csr_matrix:
+    """P1 stiffness on n nodes from per-triangle areas and basis gradients."""
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
+            rows.append(triangles[:, i])
+            cols.append(triangles[:, j])
             vals.append(
-                a * (mesh.grad_x[:, i] * mesh.grad_x[:, j]
-                     + mesh.grad_y[:, i] * mesh.grad_y[:, j])
+                areas * (grad_x[:, i] * grad_x[:, j] + grad_y[:, i] * grad_y[:, j])
             )
     K = coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     )
     return K.tocsr()
+
+
+def _dirichlet_mask(mesh: CrackMesh) -> np.ndarray:
+    """Boolean mask of the constrained (Dirichlet, not released) nodes."""
+    constrained = np.zeros(mesh.n_nodes, dtype=bool)
+    idx = np.fromiter(mesh.dirichlet_nodes, dtype=np.int64, count=len(mesh.dirichlet_nodes))
+    if len(idx):
+        constrained[idx] = True
+    return constrained
 
 
 def _node_components(mesh: CrackMesh) -> np.ndarray:
@@ -207,10 +217,7 @@ def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
     """
     n = mesh.n_nodes
     samples = [g.sample(mesh) for g in data]
-    constrained = np.zeros(n, dtype=bool)
-    idx = np.fromiter(mesh.dirichlet_nodes, dtype=np.int64, count=len(mesh.dirichlet_nodes))
-    if len(idx):
-        constrained[idx] = True
+    constrained = _dirichlet_mask(mesh)
 
     labels = _node_components(mesh)
     columns = []
@@ -265,11 +272,8 @@ def residual_norm(u: ScalarField, g: BoundaryDatum) -> float:
     mesh = u.mesh
     K = stiffness_matrix(mesh)
     r = K @ u.nodal_values
-    constrained = np.zeros(mesh.n_nodes, dtype=bool)
-    idx = np.fromiter(mesh.dirichlet_nodes, dtype=np.int64, count=len(mesh.dirichlet_nodes))
-    if len(idx):
-        constrained[idx] = True
-    return float(np.max(np.abs(r[~constrained]))) if np.any(~constrained) else 0.0
+    free = ~_dirichlet_mask(mesh)
+    return float(np.max(np.abs(r[free]))) if np.any(free) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +315,7 @@ def harmonic_conjugate(
     ltris = local[merged]
 
     # Euler check certifies the merged region is a disk
-    edges = set()
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        for e in zip(ltris[:, a], ltris[:, b]):
-            edges.add((min(e), max(e)))
-    euler = len(used) - len(edges) + len(ltris)
+    euler = len(used) - len(edge_table(ltris)[0]) + len(ltris)
     if euler != 1:
         raise RegionNotSimplyConnected(
             f"region Euler characteristic {euler} != 1 after face merge"
@@ -330,16 +330,7 @@ def harmonic_conjugate(
     gy = mesh.grad_y[tri_idx]
 
     nloc = len(used)
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(ltris[:, i])
-            cols.append(ltris[:, j])
-            vals.append(areas * (gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]))
-    K = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nloc, nloc),
-    ).tocsr()
+    K = _assemble(ltris, areas, gx, gy, nloc)
     b = np.zeros(nloc)
     for i in range(3):
         np.add.at(
@@ -389,24 +380,19 @@ def tangential_jump_max(
         from .geometry import _TargetSet
 
         tgt = _TargetSet(away_from)
-    edge_owner: dict[tuple[int, int], list[int]] = {}
-    for ti, tri in enumerate(mesh.triangles):
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            e = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            edge_owner.setdefault(e, []).append(ti)
-    worst = 0.0
-    for (i, j), owners in edge_owner.items():
-        if len(owners) != 2:
-            continue
-        if tgt is not None:
-            mid = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
-            if tgt.dist(float(mid[0]), float(mid[1])) < clearance:
-                continue
-        t = mesh.nodes[j] - mesh.nodes[i]
-        t = t / np.linalg.norm(t)
-        rot = [np.array([-g.values[o, 1], g.values[o, 0]]) for o in owners]
-        worst = max(worst, abs(float((rot[0] - rot[1]) @ t)))
-    return worst
+    edges, counts, owners = edge_table(mesh.triangles)
+    edges, owners = edges[counts == 2], owners[counts == 2]
+    if tgt is not None:
+        mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+        far = [tgt.dist(x, y) >= clearance for x, y in mid.tolist()]
+        edges, owners = edges[far], owners[far]
+    if not len(edges):
+        return 0.0
+    t = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
+    t /= np.linalg.norm(t, axis=1)[:, None]
+    rot = np.stack([-g.values[:, 1], g.values[:, 0]], axis=1)
+    jump = ((rot[owners[:, 0]] - rot[owners[:, 1]]) * t).sum(axis=1)
+    return float(np.max(np.abs(jump)))
 
 
 def interpolate_at(u: ScalarField, pts, locator: TriangleLocator | None = None):

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: Hausdorff distances
 come from dense point sampling with a KD-tree, not from the
 branch-and-bound implementation; energies and powers come from a direct
-solve of the datum g(t), not from the evaluator's Gram matrix.
+solve of the datum g(t), not from the evaluator's Gram matrix; edge
+topology and edge jumps come from per-triangle Python loops, not from the
+sorted `edge_table`.
 """
 
 import math
@@ -73,3 +75,36 @@ def direct_energy_and_power(domain, crack, loading, t, h_max, h_tip):
 
     rec, u = total_energy(domain, crack, loading.datum_at(t), h_max, h_tip)
     return rec.bulk, energy_power(u, loading.datum_dot_at(t))
+
+
+def edge_owners_loop(triangles) -> dict:
+    """{(lo, hi): [triangle ids]} in first-seen order, one Python loop per edge."""
+    edge_tris: dict = {}
+    for ti, tri in enumerate(np.asarray(triangles).tolist()):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            e = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            edge_tris.setdefault(e, []).append(ti)
+    return edge_tris
+
+
+def tangential_jump_max_loop(u, *, away_from=None, clearance: float = 0.0) -> float:
+    """Max |(R grad u)_1 - (R grad u)_2| . t over interior edges, edge by edge."""
+    from quasicrack.geometry import _TargetSet
+    from quasicrack.solver import gradient
+
+    mesh = u.mesh
+    g = gradient(u).values
+    tgt = _TargetSet(away_from) if away_from is not None and clearance > 0.0 else None
+    worst = 0.0
+    for (i, j), owners in edge_owners_loop(mesh.triangles).items():
+        if len(owners) != 2:
+            continue
+        if tgt is not None:
+            mid = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
+            if tgt.dist(float(mid[0]), float(mid[1])) < clearance:
+                continue
+        t = mesh.nodes[j] - mesh.nodes[i]
+        t = t / np.linalg.norm(t)
+        rot = [np.array([-g[o, 1], g[o, 0]]) for o in owners]
+        worst = max(worst, abs(float((rot[0] - rot[1]) @ t)))
+    return worst

@@ -2,10 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
+from oracles import edge_owners_loop
 from quasicrack.domain import DomainSpec, regular_polygon_disk
 from quasicrack.geometry import CrackSet, Polyline
-from quasicrack.mesh import CrackMesh, MeshFailure, crack_touches_dirichlet, triangulate
+from quasicrack.mesh import (
+    CrackMesh,
+    MeshFailure,
+    crack_touches_dirichlet,
+    edge_table,
+    triangulate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +60,7 @@ def test_area_sum_invariant(slit_disk_mesh):
 def test_euler_characteristic_boundary_slit(slit_disk_mesh):
     # cutting a disk open along a slit from the boundary keeps a disk
     _, _, mesh = slit_disk_mesh
-    V, E, F = mesh.n_nodes, len(mesh.edge_set()), mesh.n_triangles
+    V, E, F = mesh.n_nodes, len(edge_table(mesh.triangles)[0]), mesh.n_triangles
     assert V - E + F == 1
 
 
@@ -60,7 +70,7 @@ def test_euler_characteristic_interior_slit():
     crack = CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1)
     mesh = triangulate(dom, crack, 0.1, 0.02)
     assert len(mesh.tip_nodes) == 2
-    V, E, F = mesh.n_nodes, len(mesh.edge_set()), mesh.n_triangles
+    V, E, F = mesh.n_nodes, len(edge_table(mesh.triangles)[0]), mesh.n_triangles
     assert V - E + F == 0
 
 
@@ -154,3 +164,41 @@ def test_text_export_roundtrip_counts(slit_disk_mesh):
     vtk = mesh.to_vtk()
     assert vtk.startswith("# vtk DataFile")
     assert f"POINTS {mesh.n_nodes} double" in vtk
+
+
+def _assert_edge_table_matches_loop(triangles):
+    edges, counts, owners = edge_table(triangles)
+    ref = sorted(edge_owners_loop(triangles).items())
+    assert edges.tolist() == [list(e) for e, _ in ref]
+    assert counts.tolist() == [len(o) for _, o in ref]
+    assert owners.tolist() == [(o + [-1])[:2] for _, o in ref]
+
+
+@given(st.integers(3, 80), st.integers(0, 2**32 - 1))
+def test_edge_table_matches_loop_on_delaunay(n_points, seed):
+    rng = np.random.default_rng(seed)
+    tris = Delaunay(rng.uniform(0.0, 1.0, size=(n_points, 2))).simplices
+    _assert_edge_table_matches_loop(tris)
+    # shuffled rows and rotated corners: owners follow triangle order
+    tris = np.roll(tris[rng.permutation(len(tris))], int(rng.integers(3)), axis=1)
+    _assert_edge_table_matches_loop(tris)
+
+
+@given(
+    st.floats(0.2, 0.8),
+    st.floats(0.2, 0.8),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.1, 0.4),
+)
+def test_edge_table_matches_loop_on_slit_meshes(x, y, angle, ell):
+    ex, ey = x + ell * math.cos(angle), y + ell * math.sin(angle)
+    assume(0.1 <= ex <= 0.9 and 0.1 <= ey <= 0.9)
+    crack = CrackSet((Polyline(((x, y), (ex, ey))),), 1)
+    try:
+        mesh = triangulate(DomainSpec.unit_square(), crack, 0.1, 0.025)
+    except MeshFailure:
+        assume(False)
+    _assert_edge_table_matches_loop(mesh.triangles)
+    # an interior slit cut open is an annulus
+    V, E, F = mesh.n_nodes, len(edge_table(mesh.triangles)[0]), mesh.n_triangles
+    assert V - E + F == 0

@@ -122,6 +122,25 @@ def test_release_rate_cross_validation(slit_setup):
     assert abs(fd - (1.0 - k_fit**2)) <= 0.1
 
 
+def test_richardson_meshes_base_crack_once(slit_setup, monkeypatch):
+    import quasicrack.energy
+
+    domain, crack, tip, _ = slit_setup
+    g = mode3_datum(0.5)
+    meshes = []
+
+    def counting(*args, **kwargs):
+        meshes.append(args[1])
+        return triangulate(*args, **kwargs)
+
+    monkeypatch.setattr(quasicrack.energy, "triangulate", counting)
+    fd = release_rate_richardson(domain, crack, g, tip, 1 / 8, 1 / 64)
+    assert len(meshes) == 3 and meshes.count(crack) == 1
+    d1 = release_rate_fd(domain, crack, g, tip, 4 / 64, 1 / 8, 1 / 64)
+    d2 = release_rate_fd(domain, crack, g, tip, 8 / 64, 1 / 8, 1 / 64)
+    assert fd == (2.0 * d1 - d2) / (2.0 - 1.0)
+
+
 def test_estimator_consistency_improves():
     domain = slit_disk_domain()
     crack = slit_disk_crack()

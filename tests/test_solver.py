@@ -26,6 +26,8 @@ from quasicrack.solver import (
     tangential_jump_max,
 )
 
+from oracles import tangential_jump_max_loop
+
 
 @pytest.fixture(scope="module")
 def square_mesh():
@@ -235,6 +237,18 @@ def test_tangential_jump_decreases_under_refinement():
             tangential_jump_max(solve(mesh, g), away_from=crack, clearance=0.4)
         )
     assert jumps[1] < jumps[0]
+
+
+@pytest.mark.parametrize("clearance", [0.0, 0.2, 0.4])
+def test_tangential_jump_matches_loop(clearance):
+    domain = slit_disk_domain()
+    crack = slit_disk_crack()
+    u = solve(triangulate(domain, crack, 1 / 8, 1 / 32), mode3_datum(1.0))
+    got = tangential_jump_max(u, away_from=crack, clearance=clearance)
+    ref = tangential_jump_max_loop(u, away_from=crack, clearance=clearance)
+    assert got == pytest.approx(ref, rel=1e-12)
+    if clearance == 0.0:
+        assert tangential_jump_max(u) == pytest.approx(ref, rel=1e-12)
 
 
 def test_field_exports(square_mesh):
