@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,9 @@ from .evolution import (
     EvolutionState,
     LoadingProgram,
     Profile,
+    StepRecord,
     TimeGrid,
+    _Evaluator,
     audit_conditions,
     audit_monotone_loading,
     run_evolution,
@@ -90,8 +93,8 @@ def cmd_run(args) -> int:
     if out.get("fields_dir"):
         fdir = outdir / out["fields_dir"]
         fdir.mkdir(parents=True, exist_ok=True)
-        for i, u in enumerate(state.fields):
-            (fdir / f"step_{i:04d}.csv").write_text(u.to_csv())
+        for i in range(len(state.steps)):
+            (fdir / f"step_{i:04d}.csv").write_text(state.field(i).to_csv())
     (outdir / out.get("snapshots", "cracks.json")).write_text(
         json.dumps(state.snapshots_json(), sort_keys=True, indent=1)
     )
@@ -118,16 +121,14 @@ def cmd_run(args) -> int:
 
 
 def replay_state(path: str) -> EvolutionState:
-    """Rebuild a full state (fields re-solved) from a saved state file."""
+    """Rebuild a saved state, with every step's energy re-solved.
+
+    Everything else is restored as saved, so saving the result writes the
+    same bytes; fields are re-solved on request (`EvolutionState.field`).
+    """
     payload = json.loads(Path(path).read_text())
     cfg = payload["config"]
-    domain, k_init, loading, grid, policy, h_max, h_tip = load_config(
-        {**cfg, "initial_crack": cfg["initial_crack"]}
-    )
-    snaps = payload["snapshots"]["steps"]
-    cracks = [CrackSet.from_json(s["components"], m=cfg["m"]) for s in snaps]
-    from .evolution import _Evaluator
-
+    domain, k_init, loading, grid, policy, h_max, h_tip = load_config(cfg)
     state = EvolutionState(
         domain=domain,
         grid=grid,
@@ -137,34 +138,21 @@ def replay_state(path: str) -> EvolutionState:
         h_tip=h_tip,
         m=cfg["m"],
         initial_crack=k_init,
+        events=payload.get("events", []),
+        audit=payload.get("audit"),
+        lambda_diagnostic=payload.get("lambda_diagnostic"),
         loading_config=cfg["loading"],
     )
     ev = state.evaluator = _Evaluator(domain, loading, h_max, h_tip)
     times = grid.times()
-    if len(times) != len(cracks):
+    snaps = payload["snapshots"]["steps"]
+    if not len(times) == len(snaps) == len(payload["steps"]):
         raise ConfigError("state file steps do not match the time grid")
-    for i, (t, crack) in enumerate(zip(times, cracks)):
-        energy, u = ev.record(crack, t)
+    for t, snap, rec in zip(times, snaps, payload["steps"]):
+        crack = CrackSet.from_json(snap["components"], m=cfg["m"])
+        energy, _ = ev.record(crack, t)
         ev.end_step(keep=crack)
-        state.cracks.append(crack)
-        state.fields.append(u)
-        state.energies.append(energy)
-        rec = payload["steps"][i]
-        state.grew.append(bool(rec["grew"]))
-        state.candidates_evaluated.append(int(rec.get("candidates", 0)))
-        sig = {}
-        sifs = {}
-        resids = {}
-        for tip_rec in rec.get("tips", []):
-            comp_s, end = tip_rec["tip"].split(":")
-            key = (int(comp_s), end)
-            sig[key] = tip_rec["sigma"]
-            sifs[key] = tip_rec.get("kappa")
-            resids[key] = tip_rec.get("fit_residual")
-        state.sigma_history.append(sig)
-        state.sif_history.append(sifs)
-        state.sif_residuals.append(resids)
-    state.sigma0 = {k: 0.0 for k in (state.sigma_history[0] or {})}
+        state.steps.append(replace(StepRecord.from_json(rec, crack), energy=energy))
     return state
 
 

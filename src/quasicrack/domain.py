@@ -69,17 +69,10 @@ class DomainSpec:
     # derived geometry
     # ------------------------------------------------------------------
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.boundary)
-
     def edges(self) -> list[tuple[Point, Point]]:
         v = self.boundary
         n = len(v)
         return [(v[i], v[(i + 1) % n]) for i in range(n)]
-
-    def dirichlet_edge_indices(self) -> frozenset[int]:
-        return self._dirichlet_edges  # type: ignore[attr-defined]
 
     def edge_tag(self, k: int) -> str:
         return "dirichlet" if k in self._dirichlet_edges else "neumann"  # type: ignore[attr-defined]

@@ -6,6 +6,10 @@ candidate is always present), so irreversibility and monotone surface
 energy hold by construction. Audits re-verify per-step minimality, the
 discrete energy balance, stationarity at frozen datum, and the
 proportional-loading comparison inequality.
+
+Each step is one `StepRecord`, the only writer and reader of the per-step
+JSON format. The state keeps no displacement fields; `EvolutionState.field`
+re-solves one on request, bitwise equal to the run's.
 """
 
 from __future__ import annotations
@@ -55,6 +59,14 @@ class NotProportional(Exception):
 # ---------------------------------------------------------------------------
 # loading programs
 # ---------------------------------------------------------------------------
+
+# parameter names of the analytic profiles, in `Profile.params` order
+_PROFILE_PARAMS = {
+    "linear": ("rate",),
+    "affine_sqrt": ("amp", "c0", "c1"),
+    "power_sqrt": ("amp", "c0", "c1", "p"),
+    "constant": ("value",),
+}
 
 
 @dataclass(frozen=True)
@@ -112,36 +124,19 @@ class Profile:
         if self.kind == "pw_linear":
             ts, vs = self.params
             return {"type": "pw_linear", "ts": list(ts), "values": list(vs)}
-        names = {
-            "linear": ("rate",),
-            "affine_sqrt": ("amp", "c0", "c1"),
-            "power_sqrt": ("amp", "c0", "c1", "p"),
-            "constant": ("value",),
-        }[self.kind]
-        return {"type": self.kind, **dict(zip(names, self.params))}
+        return {"type": self.kind, **dict(zip(_PROFILE_PARAMS[self.kind], self.params))}
 
     @classmethod
     def from_json(cls, cfg: dict) -> "Profile":
         kind = cfg["type"]
-        if kind == "linear":
-            return cls("linear", (float(cfg.get("rate", 1.0)),))
-        if kind == "affine_sqrt":
-            return cls(
-                "affine_sqrt",
-                (float(cfg["amp"]), float(cfg["c0"]), float(cfg["c1"])),
-            )
-        if kind == "power_sqrt":
-            return cls(
-                "power_sqrt",
-                (float(cfg["amp"]), float(cfg["c0"]), float(cfg["c1"]), float(cfg["p"])),
-            )
-        if kind == "constant":
-            return cls("constant", (float(cfg["value"]),))
         if kind == "pw_linear":
             return cls(
                 "pw_linear", (tuple(map(float, cfg["ts"])), tuple(map(float, cfg["values"])))
             )
-        raise ValueError(f"unknown profile type {kind!r}")
+        if kind not in _PROFILE_PARAMS:
+            raise ValueError(f"unknown profile type {kind!r}")
+        cfg = {"rate": 1.0, **cfg}  # a linear profile's rate defaults to 1
+        return cls(kind, tuple(float(cfg[name]) for name in _PROFILE_PARAMS[kind]))
 
 
 @dataclass(frozen=True)
@@ -288,6 +283,59 @@ class CandidatePolicy:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """One time step t_i: the crack K_i, its energy and its per-tip history.
+
+    `tips` maps every tip active in K_{-1} to (sigma, kappa, fit_residual):
+    the length added at that tip so far, and the fitted SIF and the fit's
+    residual (None when no fit was made). `kinked` marks a winner with a
+    kink above KINK_REPORT_RAD; only the run knows it, it is not saved.
+    """
+
+    step: int
+    crack: CrackSet
+    energy: EnergyRecord
+    grew: bool
+    candidates: int
+    tips: dict  # (component_id, end) -> (sigma, kappa, fit_residual)
+    kinked: bool = False
+
+    def to_json(self) -> dict:
+        tips = [
+            {
+                "tip": f"{comp}:{end}",
+                "sigma": sigma,
+                "kappa": kappa,
+                "release_rate": None if kappa is None else 1.0 - kappa * kappa,
+                "fit_residual": resid,
+            }
+            for (comp, end), (sigma, kappa, resid) in sorted(self.tips.items())
+        ]
+        return {
+            "step": self.step,
+            **self.energy.to_json(),
+            "grew": self.grew,
+            "candidates": self.candidates,
+            "tips": tips,
+        }
+
+    @classmethod
+    def from_json(cls, rec: dict, crack: CrackSet) -> "StepRecord":
+        tips = {}
+        for tip in rec.get("tips", []):
+            comp, end = tip["tip"].split(":")
+            tips[int(comp), end] = (tip["sigma"], tip.get("kappa"), tip.get("fit_residual"))
+        return cls(
+            step=int(rec["step"]),
+            crack=crack,
+            energy=EnergyRecord(rec["t"], rec["bulk"], rec["surface"], rec["power"]),
+            grew=bool(rec["grew"]),
+            candidates=int(rec.get("candidates", 0)),
+            tips=tips,
+        )
+
+
 @dataclass
 class EvolutionState:
     domain: DomainSpec
@@ -298,16 +346,7 @@ class EvolutionState:
     h_tip: float
     m: int
     initial_crack: CrackSet | None = None  # K_{-1}, before the step-0 minimization
-    cracks: list[CrackSet] = field(default_factory=list)
-    fields: list[ScalarField] = field(default_factory=list)
-    energies: list[EnergyRecord] = field(default_factory=list)
-    grew: list[bool] = field(default_factory=list)
-    candidates_evaluated: list[int] = field(default_factory=list)
-    sigma0: dict = field(default_factory=dict)
-    sigma_history: list[dict] = field(default_factory=list)
-    sif_history: list[dict] = field(default_factory=list)
-    sif_residuals: list[dict] = field(default_factory=list)
-    kink_steps: set = field(default_factory=set)
+    steps: list[StepRecord] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
     audit: dict | None = None
     lambda_diagnostic: dict | None = None
@@ -315,46 +354,41 @@ class EvolutionState:
     # the run's memoized evaluator, reused by the audits; never serialized
     evaluator: _Evaluator | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def cracks(self) -> list[CrackSet]:
+        return [s.crack for s in self.steps]
+
+    @property
+    def energies(self) -> list[EnergyRecord]:
+        return [s.energy for s in self.steps]
+
+    @property
+    def grew(self) -> list[bool]:
+        return [s.grew for s in self.steps]
+
+    @property
+    def candidates_evaluated(self) -> list[int]:
+        return [s.candidates for s in self.steps]
+
+    def field(self, i: int) -> ScalarField:
+        """The minimizing displacement u_i, re-solved (bitwise equal to the run's)."""
+        step = self.steps[i]
+        ev = _evaluator_of(self)
+        _, u = ev.record(step.crack, step.energy.time)
+        ev.end_step(keep=step.crack)
+        return u
+
     # ---- serialization ----
 
-    def step_record(self, i: int) -> dict:
-        rec = self.energies[i]
-        tips = []
-        for key, sigma in sorted(self.sigma_history[i].items()):
-            kappa = self.sif_history[i].get(key)
-            tips.append(
-                {
-                    "tip": f"{key[0]}:{key[1]}",
-                    "sigma": sigma,
-                    "kappa": kappa,
-                    "release_rate": None if kappa is None else 1.0 - kappa * kappa,
-                    "fit_residual": self.sif_residuals[i].get(key),
-                }
-            )
-        return {
-            "step": i,
-            "t": rec.time,
-            "bulk": rec.bulk,
-            "surface": rec.surface,
-            "total": rec.total,
-            "power": rec.power,
-            "grew": self.grew[i],
-            "candidates": self.candidates_evaluated[i],
-            "tips": tips,
-        }
-
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(self.step_record(i), sort_keys=True)
-            for i in range(len(self.energies))
-        ]
+        lines = [json.dumps(s.to_json(), sort_keys=True) for s in self.steps]
         return "\n".join(lines) + "\n"
 
     def snapshots_json(self) -> dict:
         return {
             "steps": [
-                {"step": i, "t": self.energies[i].time, "components": k.to_json()}
-                for i, k in enumerate(self.cracks)
+                {"step": s.step, "t": s.energy.time, "components": s.crack.to_json()}
+                for s in self.steps
             ]
         }
 
@@ -366,7 +400,7 @@ class EvolutionState:
             if self.loading.mode == "proportional":
                 loading_cfg["profile"] = self.loading.profile.to_json()
                 loading_cfg["datum_tag"] = self.loading.datum.tag
-        k_init = self.initial_crack or (self.cracks[0] if self.cracks else None)
+        k_init = self.initial_crack or (self.steps[0].crack if self.steps else None)
         return {
             "domain": self.domain.to_json(),
             "initial_crack": k_init.to_json() if k_init is not None else [],
@@ -380,7 +414,7 @@ class EvolutionState:
     def save(self, path: str) -> None:
         payload = {
             "config": self.config_json(),
-            "steps": [self.step_record(i) for i in range(len(self.energies))],
+            "steps": [s.to_json() for s in self.steps],
             "snapshots": self.snapshots_json(),
             "events": self.events,
             "audit": self.audit,
@@ -469,9 +503,9 @@ class _Evaluator:
 
 
 def _evaluator_of(state: EvolutionState) -> _Evaluator:
-    if state.evaluator is not None:
-        return state.evaluator
-    return _Evaluator(state.domain, state.loading, state.h_max, state.h_tip)
+    if state.evaluator is None:
+        state.evaluator = _Evaluator(state.domain, state.loading, state.h_max, state.h_tip)
+    return state.evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +514,7 @@ def _evaluator_of(state: EvolutionState) -> _Evaluator:
 
 
 def _active_tips(domain: DomainSpec, crack: CrackSet) -> list[Tip]:
-    tips = []
-    for t in crack_tips(crack):
-        if not domain.on_boundary(t.position):
-            tips.append(t)
+    tips = [t for t in crack_tips(crack) if not domain.on_boundary(t.position)]
     return sorted(tips, key=lambda t: (t.component_id, t.end))
 
 
@@ -677,51 +708,42 @@ def run_evolution(
         initial_crack=k0,
     )
     ev = state.evaluator = _Evaluator(domain, loading, h_max, h_tip)
-    times = grid.times()
     current = k0
     sigma = {(t.component_id, t.end): 0.0 for t in _active_tips(domain, k0)}
-    state.sigma0 = dict(sigma)
 
-    for i, t in enumerate(times):
-        base = current
-        out = _minimize_step(domain, base, policy, h_tip, lambda K: ev.energy(K, t))
+    for i, t in enumerate(grid.times()):
+        out = _minimize_step(domain, current, policy, h_tip, lambda K: ev.energy(K, t))
         if out.budget_exceeded:
             state.events.append(f"step {i}: budget exceeded, greedy decomposition")
         current = out.crack
-        for key, ang, ell in out.extensions:
+        for key, _, ell in out.extensions:
             sigma[key] = sigma.get(key, 0.0) + ell
-            if abs(ang) > KINK_REPORT_RAD:
-                state.kink_steps.add(i)
 
         rec, u = ev.record(current, t)
         ev.end_step(keep=current)
-        state.cracks.append(current)
-        state.fields.append(u)
-        state.energies.append(rec)
-        state.grew.append(out.grew)
-        state.candidates_evaluated.append(out.n_candidates)
-        state.sigma_history.append(dict(sigma))
-
-        sifs: dict = {}
-        resids: dict = {}
-        if with_sif:
-            for tip in _active_tips(domain, current):
-                key = (tip.component_id, tip.end)
-                try:
-                    r1, r2 = safe_fit_window(domain, current, tip, h_tip)
-                    est = fit_sif(u, tip, r1, r2)
-                    sifs[key] = est.kappa
-                    resids[key] = est.fit_residual
-                except (AnnulusUnresolved, TipGeometryInvalid) as e:
-                    sifs[key] = None
-                    resids[key] = None
-                    state.events.append(f"step {i}: sif skipped ({e})")
-        state.sif_history.append(sifs)
-        state.sif_residuals.append(resids)
+        fits: dict = {}
+        for tip in _active_tips(domain, current) if with_sif else ():
+            try:
+                r1, r2 = safe_fit_window(domain, current, tip, h_tip)
+                est = fit_sif(u, tip, r1, r2)
+                fits[(tip.component_id, tip.end)] = (est.kappa, est.fit_residual)
+            except (AnnulusUnresolved, TipGeometryInvalid) as e:
+                state.events.append(f"step {i}: sif skipped ({e})")
+        state.steps.append(
+            StepRecord(
+                step=i,
+                crack=current,
+                energy=rec,
+                grew=out.grew,
+                candidates=out.n_candidates,
+                tips={k: (s, *fits.get(k, (None, None))) for k, s in sigma.items()},
+                kinked=any(abs(ang) > KINK_REPORT_RAD for _, ang, _ in out.extensions),
+            )
+        )
 
     state.lambda_diagnostic = {
-        "max_grad_norm": max(math.sqrt(r.bulk) for r in state.energies),
-        "max_surface": max(r.surface for r in state.energies),
+        "max_grad_norm": max(math.sqrt(s.energy.bulk) for s in state.steps),
+        "max_surface": max(s.energy.surface for s in state.steps),
         "solves": ev.solves,
     }
     if with_audit:
@@ -746,22 +768,22 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
     times = state.grid.times()
     n = len(times)
     report: dict = {"family_relative": True}
+    cracks = [s.crack for s in state.steps]
+    energies = [s.energy for s in state.steps]
 
-    ok_contain = all(
-        contains(state.cracks[i + 1], state.cracks[i], 0.0) for i in range(n - 1)
-    )
+    ok_contain = all(contains(cracks[i + 1], cracks[i], 0.0) for i in range(n - 1))
     if n > 1:
-        ok_contain = ok_contain and contains(state.cracks[-1], state.cracks[0], 0.0)
+        ok_contain = ok_contain and contains(cracks[-1], cracks[0], 0.0)
     report["irreversibility"] = {"pass": bool(ok_contain)}
 
-    surf = [r.surface for r in state.energies]
+    surf = [r.surface for r in energies]
     report["surface_monotone"] = {
         "pass": all(b >= a for a, b in zip(surf, surf[1:]))
     }
 
     # (d)+(f): trapezoid integral of the sampled power vs energy increments
-    powers = [r.power for r in state.energies]
-    totals = [r.total for r in state.energies]
+    powers = [r.power for r in energies]
+    totals = [r.total for r in energies]
     F = [0.0]
     for i in range(1, n):
         F.append(
@@ -779,7 +801,7 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
     Fl = [0.0]
     for i in range(1, n):
         Fl.append(
-            Fl[-1] + ev.balance_increment(state.cracks[i - 1], times[i - 1], times[i])
+            Fl[-1] + ev.balance_increment(cracks[i - 1], times[i - 1], times[i])
         )
     drift_l = [totals[i] - Fl[i] for i in range(n)]
     one_sided_defect = max(
@@ -793,23 +815,17 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
     }
 
     # (b)/(c): sampled re-minimization at the recorded data
-    if minimality_samples <= 0:
-        steps = []
-    else:
-        steps = sorted(
-            {0, n - 1}
-            | set(
-                int(k)
-                for k in np.linspace(0, n - 1, min(minimality_samples, n)).round()
-            )
-        )
+    checked = []
+    if minimality_samples > 0:
+        picks = np.linspace(0, n - 1, min(minimality_samples, n)).round()
+        checked = sorted({0, n - 1, *map(int, picks)})
     min_ok = True
     min_rows = []
-    for i in steps:
+    for i in checked:
         if i > 0:
-            base = state.cracks[i - 1]
+            base = cracks[i - 1]
         else:
-            base = state.initial_crack or state.cracks[0]
+            base = state.initial_crack or cracks[0]
         out = _minimize_step(
             state.domain,
             base,
@@ -817,7 +833,7 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
             state.h_tip,
             lambda K: ev.energy(K, times[i]),
         )
-        e_chosen = ev.energy(state.cracks[i], times[i])
+        e_chosen = ev.energy(cracks[i], times[i])
         e_best = ev.energy(out.crack, times[i])
         ev.end_step()
         gap = e_chosen - e_best
@@ -831,16 +847,16 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
     stat_ok = True
     stat_rows = []
     for i in range(n):
-        if not state.grew[i]:
+        if not state.steps[i].grew:
             continue
         out = _minimize_step(
             state.domain,
-            state.cracks[i],
+            cracks[i],
             state.policy,
             state.h_tip,
             lambda K: ev.energy(K, times[i]),
         )
-        e_here = ev.energy(state.cracks[i], times[i])
+        e_here = ev.energy(cracks[i], times[i])
         gain = e_here - ev.energy(out.crack, times[i])
         ev.end_step()
         tol = 1e-6 * abs(e_here)
@@ -872,12 +888,12 @@ def audit_monotone_loading(
     ev = _evaluator_of(state)
     rng = np.random.default_rng(seed)
     n = len(times)
-    tol = tol_factor * abs(state.energies[-1].total)
+    tol = tol_factor * abs(state.steps[-1].energy.total)
     rows = []
     for _ in range(n_pairs):
         s_i, t_i = sorted(rng.choice(n, size=2, replace=False))
-        lhs = ev.energy(state.cracks[t_i], times[t_i])
-        rhs = ev.energy(state.cracks[s_i], times[t_i])
+        lhs = ev.energy(state.steps[t_i].crack, times[t_i])
+        rhs = ev.energy(state.steps[s_i].crack, times[t_i])
         rows.append(
             {
                 "s": times[s_i],

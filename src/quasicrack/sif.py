@@ -253,15 +253,14 @@ def griffith_audit(
     """
     rows = []
     violations = []
-    kink_steps = sorted(state.kink_steps)
-    for i, t in enumerate(state.grid.times()):
-        for key, sigma in state.sigma_history[i].items():
-            kappa = state.sif_history[i].get(key)
-            dsig = sigma - (state.sigma_history[i - 1][key] if i > 0 else state.sigma0[key])
+    prev = None
+    for step in state.steps:
+        for key, (sigma, kappa, _) in step.tips.items():
+            dsig = sigma - prev.tips[key][0] if prev else sigma
             grew = dsig > 0.0
             row = {
-                "step": i,
-                "t": t,
+                "step": step.step,
+                "t": step.energy.time,
                 "tip": f"{key[0]}:{key[1]}",
                 "sigma": sigma,
                 "dsigma": dsig,
@@ -272,17 +271,18 @@ def griffith_audit(
                 violations.append({**row, "kind": "sigma_decreasing"})
             if kappa is not None:
                 k2 = kappa * kappa
-                if i in kink_steps:
+                if step.kinked:
                     row["near_kink"] = True
                 elif grew and abs(1.0 - k2) > tol_growth:
                     violations.append({**row, "kind": "growth_off_critical"})
                 elif not grew and k2 > 1.0 + tol_kappa:
                     violations.append({**row, "kind": "rest_above_critical"})
             rows.append(row)
+        prev = step
     return {
         "rows": rows,
         "violations": violations,
-        "kink_steps": kink_steps,
+        "kink_steps": [s.step for s in state.steps if s.kinked],
         "tol_kappa": tol_kappa,
         "tol_growth": tol_growth,
         "pass": not violations,
@@ -292,14 +292,11 @@ def griffith_audit(
 def sif_history_csv(state) -> str:
     """CSV export: step, t, tip_id, sigma, kappa, release_rate, fit_residual."""
     lines = ["step,t,tip_id,sigma,kappa,release_rate,fit_residual"]
-    for i, t in enumerate(state.grid.times()):
-        for key, sigma in state.sigma_history[i].items():
-            kappa = state.sif_history[i].get(key)
-            resid = state.sif_residuals[i].get(key)
+    for step in state.steps:
+        for (comp, end), (sigma, kappa, resid) in step.tips.items():
+            row = f"{step.step},{step.energy.time!r},{comp}:{end},{sigma!r}"
             if kappa is None:
-                lines.append(f"{i},{t!r},{key[0]}:{key[1]},{sigma!r},,,")
+                lines.append(f"{row},,,")
             else:
-                lines.append(
-                    f"{i},{t!r},{key[0]}:{key[1]},{sigma!r},{kappa!r},{1.0 - kappa * kappa!r},{resid!r}"
-                )
+                lines.append(f"{row},{kappa!r},{1.0 - kappa * kappa!r},{resid!r}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from quasicrack.cases import growth_benchmark_config, subcritical_benchmark_config
-from quasicrack.cli import main
+from quasicrack.cli import main, replay_state
 
 
 def run_cli(*args):
@@ -80,6 +80,14 @@ def test_audit_from_state(quick_config):
     assert "audit pass: True" in r.stdout
     rep = json.loads((d / "report.json").read_text())
     assert rep["irreversibility"]["pass"]
+
+
+def test_replay_then_save_is_byte_identical(quick_config, tmp_path):
+    d, path = quick_config
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    replay_state(str(out / "state.json")).save(str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == (out / "state.json").read_bytes()
 
 
 def test_audit_bad_state(tmp_path):

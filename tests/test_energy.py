@@ -161,7 +161,7 @@ def test_localization_inequality_at_minimizer(benchmark_state):
     state = benchmark_state
     i = next(j for j in range(len(state.grew)) if state.grew[j])
     crack = state.cracks[i]
-    u = state.fields[i]
+    u = state.field(i)
     tip_pos = crack.components[0].vertices[-1]
     ball = BallSpec(tip_pos, 0.28, 64)
     trace = trace_of(u, tag=f"trace@{i}")

@@ -22,6 +22,7 @@ from quasicrack.evolution import (
     LoadingProgram,
     NotProportional,
     Profile,
+    StepRecord,
     TimeGrid,
     _Evaluator,
     _minimize_step,
@@ -495,6 +496,11 @@ def test_state_jsonl_schema(benchmark_state):
         "candidates", "tips",
     }
     assert rec["tips"][0]["tip"] == "0:finish"
+
+
+def test_step_record_json_roundtrip(benchmark_state):
+    for r in benchmark_state.steps:
+        assert StepRecord.from_json(r.to_json(), r.crack).to_json() == r.to_json()
 
 
 def test_lambda_diagnostic(benchmark_state):

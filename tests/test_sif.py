@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -167,9 +168,9 @@ def test_griffith_audit_subcritical_no_growth(benchmark_state):
 
 
 def test_griffith_audit_sigma_nondecreasing(benchmark_state):
-    state = benchmark_state
-    for key in state.sigma_history[0]:
-        sig = [state.sigma_history[i][key] for i in range(len(state.sigma_history))]
+    steps = benchmark_state.steps
+    for key in steps[0].tips:
+        sig = [s.tips[key][0] for s in steps]
         assert all(b >= a for a, b in zip(sig, sig[1:]))
 
 
@@ -177,14 +178,22 @@ def test_sif_history_csv(benchmark_state):
     text = sif_history_csv(benchmark_state)
     lines = text.strip().splitlines()
     assert lines[0] == "step,t,tip_id,sigma,kappa,release_rate,fit_residual"
-    assert len(lines) == 1 + sum(len(s) for s in benchmark_state.sigma_history)
+    assert len(lines) == 1 + sum(len(s.tips) for s in benchmark_state.steps)
 
 
 def test_griffith_audit_kink_steps_reported_separately():
     # an off-critical growth step is excluded from violations when the
     # winning candidate kinked (reported in kink_steps instead)
-    from quasicrack.evolution import EvolutionState, TimeGrid, CandidatePolicy, LoadingProgram, Profile
-    from quasicrack.cases import taper_domain, zero_datum
+    from quasicrack.energy import EnergyRecord
+    from quasicrack.evolution import (
+        CandidatePolicy,
+        EvolutionState,
+        LoadingProgram,
+        Profile,
+        StepRecord,
+        TimeGrid,
+    )
+    from quasicrack.cases import taper_crack, taper_domain, zero_datum
 
     key = (0, "finish")
     state = EvolutionState(
@@ -198,18 +207,37 @@ def test_griffith_audit_kink_steps_reported_separately():
         h_tip=1 / 64,
         m=1,
     )
-    state.sigma0 = {key: 0.0}
-    state.sigma_history = [{key: 0.0}, {key: 0.1}, {key: 0.1}]
-    state.sif_history = [{key: 0.5}, {key: 0.5}, {key: 0.6}]
-    state.sif_residuals = [{key: 0.0}] * 3
-    state.kink_steps = {1}
+    state.steps = [
+        StepRecord(
+            step=i,
+            crack=taper_crack(0.7),
+            energy=EnergyRecord(0.5 * i, 0.0, 0.7),
+            grew=i == 1,
+            candidates=1,
+            tips={key: (sigma, kappa, 0.0)},
+            kinked=i == 1,
+        )
+        for i, (sigma, kappa) in enumerate([(0.0, 0.5), (0.1, 0.5), (0.1, 0.6)])
+    ]
     rep = griffith_audit(state)
     # step 1 grew at kappa far from 1 but is shielded by the kink report
     assert rep["pass"]
     assert rep["kink_steps"] == [1]
     assert any(r.get("near_kink") for r in rep["rows"])
     # without the kink flag the same history is a violation
-    state.kink_steps = set()
+    state.steps = [dataclasses.replace(s, kinked=False) for s in state.steps]
     rep2 = griffith_audit(state)
     assert not rep2["pass"]
     assert rep2["violations"][0]["kind"] == "growth_off_critical"
+
+
+def test_griffith_audit_and_csv_same_after_replay(benchmark_state, tmp_path):
+    # the benchmark policy has one angle, so no step kinked: the run-only
+    # kink flag (not saved) does not enter the comparison
+    from quasicrack.cli import replay_state
+
+    assert not any(s.kinked for s in benchmark_state.steps)
+    benchmark_state.save(str(tmp_path / "state.json"))
+    replayed = replay_state(str(tmp_path / "state.json"))
+    assert griffith_audit(replayed) == griffith_audit(benchmark_state)
+    assert sif_history_csv(replayed) == sif_history_csv(benchmark_state)
