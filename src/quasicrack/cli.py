@@ -50,18 +50,21 @@ def load_config(cfg: dict):
         policy = CandidatePolicy.from_json(cfg.get("policy", {}))
         grid = TimeGrid(float(cfg["delta"]))
         lcfg = cfg["loading"]
+        if lcfg is None:
+            raise ValueError("the loading was built in Python and has no JSON form")
         if lcfg["mode"] == "proportional":
             loading = LoadingProgram(
                 "proportional",
                 datum=datum_from_config(lcfg["datum"]),
                 profile=Profile.from_json(lcfg["profile"]),
+                config=lcfg,
             )
         elif lcfg["mode"] == "sampled":
             samples = tuple(
                 (float(s["t"]), datum_from_config(s["datum"]))
                 for s in lcfg["samples"]
             )
-            loading = LoadingProgram("sampled", samples=samples)
+            loading = LoadingProgram("sampled", samples=samples, config=lcfg)
         else:
             raise KeyError(f"unknown loading mode {lcfg['mode']!r}")
     except (KeyError, TypeError, ValueError, DomainError, GeometryViolation) as e:
@@ -71,11 +74,9 @@ def load_config(cfg: dict):
 
 def _run_from_config(cfg: dict, with_audit: bool = True) -> EvolutionState:
     domain, crack, loading, grid, policy, h_max, h_tip = load_config(cfg)
-    state = run_evolution(
+    return run_evolution(
         domain, crack, loading, grid, policy, h_max, h_tip, with_audit=with_audit
     )
-    state.loading_config = cfg["loading"]
-    return state
 
 
 def cmd_run(args) -> int:
@@ -136,12 +137,11 @@ def replay_state(path: str) -> EvolutionState:
         loading=loading,
         h_max=h_max,
         h_tip=h_tip,
-        m=cfg["m"],
+        m=k_init.m,
         initial_crack=k_init,
         events=payload.get("events", []),
         audit=payload.get("audit"),
         lambda_diagnostic=payload.get("lambda_diagnostic"),
-        loading_config=cfg["loading"],
     )
     ev = state.evaluator = _Evaluator(domain, loading, h_max, h_tip)
     times = grid.times()
@@ -149,7 +149,7 @@ def replay_state(path: str) -> EvolutionState:
     if not len(times) == len(snaps) == len(payload["steps"]):
         raise ConfigError("state file steps do not match the time grid")
     for t, snap, rec in zip(times, snaps, payload["steps"]):
-        crack = CrackSet.from_json(snap["components"], m=cfg["m"])
+        crack = CrackSet.from_json(snap["components"], m=k_init.m)
         energy, _ = ev.record(crack, t)
         ev.end_step(keep=crack)
         state.steps.append(replace(StepRecord.from_json(rec, crack), energy=energy))

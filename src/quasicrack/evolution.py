@@ -3,9 +3,15 @@
 At every step the crack minimizes total energy over a finite candidate
 family of tip extensions containing the previous crack (the no-growth
 candidate is always present), so irreversibility and monotone surface
-energy hold by construction. Audits re-verify per-step minimality, the
-discrete energy balance, stationarity at frozen datum, and the
-proportional-loading comparison inequality.
+energy hold by construction. One search (`_minimize_step`) serves the run
+and both re-minimizing audits: it scores the unextended crack and then
+every candidate by (energy, added length, max |angle|, order). With two or
+more active tips and at most JOINT_BUDGET combinations it makes one round
+of joint moves (at most one ladder segment per tip); otherwise it chains
+single-tip moves, up to `multi_segment` per tip, while they strictly lower
+the energy. Audits re-verify per-step minimality, the discrete energy
+balance, stationarity at frozen datum, and the proportional-loading
+comparison inequality.
 
 Each step is one `StepRecord`, the only writer and reader of the per-step
 JSON format. The state keeps no displacement fields; `EvolutionState.field`
@@ -14,7 +20,9 @@ re-solves one on request, bitwise equal to the run's.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import json
 import math
 import operator
@@ -50,6 +58,7 @@ from .solver import (
 from .energy import EnergyRecord
 
 KINK_REPORT_RAD = math.radians(10.0)
+JOINT_BUDGET = 4096  # most tip-move combinations searched jointly in one round
 
 
 class NotProportional(Exception):
@@ -147,6 +156,8 @@ class LoadingProgram:
     datum: BoundaryDatum | None = None  # fixed profile h (proportional)
     profile: Profile | None = None
     samples: tuple[tuple[float, BoundaryDatum], ...] = ()
+    # the JSON it was read from (`cli.load_config`); None when built in Python
+    config: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode == "proportional":
@@ -228,15 +239,20 @@ def _default_angles(count: int = 17, theta_max: float = math.radians(80.0)):
 @dataclass(frozen=True)
 class CandidatePolicy:
     """Finite family of per-step tip extensions (the computable surrogate
-    for minimizing over every admissible crack containing the previous one)."""
+    for minimizing over every admissible crack containing the previous one).
+
+    One segment is an angle from `angles` (relative to the tip direction,
+    kinks bounded by `theta_max`) times a length from the ladder
+    `step_lengths`. A step chains up to `multi_segment` segments per tip,
+    one tip at a time, or, with several tips and at most JOINT_BUDGET
+    combinations, makes one joint round of at most one segment per tip.
+    """
 
     angles: tuple[float, ...] = _default_angles()
     theta_max: float = math.radians(80.0)
     ell0: float | None = None  # defaults to 2 * h_tip when resolved
     length_max: float | None = None  # defaults to 20 * ell0
     multi_segment: int = 3
-    budget: int = 4096
-    allow_all_tips: bool = True
 
     def __post_init__(self):
         ang = tuple(float(a) for a in self.angles)
@@ -266,13 +282,15 @@ class CandidatePolicy:
             "ell0": self.ell0,
             "length_max": self.length_max,
             "multi_segment": self.multi_segment,
-            "budget": self.budget,
-            "allow_all_tips": self.allow_all_tips,
         }
 
     @classmethod
     def from_json(cls, cfg: dict) -> "CandidatePolicy":
-        kw = dict(cfg)
+        # older state files carry the retired search switches at their
+        # defaults, which the search now always follows; any other value
+        # is a different search and stays an unknown keyword
+        retired = (("budget", int, 4096), ("allow_all_tips", bool, True))
+        kw = {k: v for k, v in cfg.items() if (k, type(v), v) not in retired}
         if "angles" in kw:
             kw["angles"] = tuple(kw["angles"])
         return cls(**kw)
@@ -350,7 +368,6 @@ class EvolutionState:
     events: list[str] = field(default_factory=list)
     audit: dict | None = None
     lambda_diagnostic: dict | None = None
-    loading_config: dict | None = None  # JSON round-trip source, set by the CLI
     # the run's memoized evaluator, reused by the audits; never serialized
     evaluator: _Evaluator | None = field(default=None, repr=False, compare=False)
 
@@ -393,13 +410,6 @@ class EvolutionState:
         }
 
     def config_json(self) -> dict:
-        if self.loading_config is not None:
-            loading_cfg = self.loading_config
-        else:
-            loading_cfg = {"mode": self.loading.mode}
-            if self.loading.mode == "proportional":
-                loading_cfg["profile"] = self.loading.profile.to_json()
-                loading_cfg["datum_tag"] = self.loading.datum.tag
         k_init = self.initial_crack or (self.steps[0].crack if self.steps else None)
         return {
             "domain": self.domain.to_json(),
@@ -408,7 +418,7 @@ class EvolutionState:
             "delta": self.grid.delta,
             "mesh": {"h_max": self.h_max, "h_tip": self.h_tip},
             "policy": self.policy.to_json(),
-            "loading": loading_cfg,
+            "loading": self.loading.config,
         }
 
     def save(self, path: str) -> None:
@@ -544,127 +554,98 @@ class _StepOutcome:
     budget_exceeded: bool
 
 
-def _minimize_once(domain, base, tips, policy, h_tip, energy_fn):
-    """One enumeration round: no-growth vs single-segment extensions of all tips."""
-    best = (energy_fn(base), 0.0, 0.0, 0)
-    best_cand = (base, None)
-    n_eval = 1
-    idx = 0
-    for tip in tips:
-        for cand, ang, ell in _tip_candidates(domain, base, tip, policy, h_tip):
-            idx += 1
-            try:
-                e = energy_fn(cand)
-            except MeshFailure:
-                continue
-            n_eval += 1
-            key = (e, length(cand) - length(base), abs(ang), idx)
-            if key < best:
-                best = key
-                best_cand = (cand, (tip, ang, ell))
-    return best_cand, best, n_eval
+def _moves(domain, base, tips, policy, h_tip, joint):
+    """Candidate moves from `base`: (crack, [(tip_key, angle, added_length), ...]).
 
-
-def _minimize_step(
-    domain, base, policy, h_tip, energy_fn, *, force_product: bool = False
-) -> _StepOutcome:
-    tips = _active_tips(domain, base)
-    n_lengths = len(policy.step_lengths(h_tip)) - 1
-    per_tip = n_lengths * len(policy.angles) + 1
-    product = per_tip ** max(len(tips), 1)
-    budget_exceeded = (
-        policy.allow_all_tips and len(tips) > 1 and product > policy.budget
+    Single-tip moves, tip by tip, or (joint) every combination of at most
+    one segment per tip in `itertools.product` order, the empty one left
+    out; a combination's first move is the crack `_tip_candidates` built,
+    its later moves are applied through `_match_tip`.
+    """
+    options = [
+        [(tip, *c) for c in _tip_candidates(domain, base, tip, policy, h_tip)]
+        for tip in tips
+    ]
+    combos = (
+        itertools.product(*([None, *moves] for moves in options))
+        if joint
+        else ((m,) for moves in options for m in moves)
     )
-    total_eval = 0
-    extensions: list = []
-
-    use_greedy = (
-        budget_exceeded or len(tips) <= 1 or not policy.allow_all_tips
-    ) and not force_product
-    if use_greedy:
-        # greedy chaining: accept the best single-segment move while it
-        # strictly lowers the energy, respecting the per-tip segment cap
-        current = base
-        seg_count: dict = {}
-        while True:
-            work_tips = [
-                t
-                for t in _active_tips(domain, current)
-                if seg_count.get((t.component_id, t.end), 0) < policy.multi_segment
-            ]
-            if not work_tips:
-                break
-            (cand, ext), _, n = _minimize_once(
-                domain, current, work_tips, policy, h_tip, energy_fn
-            )
-            total_eval += n
-            if ext is None:
-                break
-            tip, ang, ell = ext
-            key = (tip.component_id, tip.end)
-            seg_count[key] = seg_count.get(key, 0) + 1
-            extensions.append((key, ang, ell))
-            current = cand
-    else:
-        # full product over tips (small configurations only)
-        import itertools as it
-
-        options = []
-        for tip in tips:
-            opts: list = [(tip, None, 0.0, 0.0)]
-            opts.extend(
-                (tip, cand, ang, ell)
-                for cand, ang, ell in _tip_candidates(domain, base, tip, policy, h_tip)
-            )
-            options.append(opts)
-        best = None
-        best_crack = base
-        best_ext: list = []
-        idx = 0
-        for combo in it.product(*options):
-            idx += 1
-            crack = base
-            exts = []
-            ok = True
-            max_ang = 0.0
-            for tip, cand, ang, ell in combo:
-                if cand is None:
-                    continue
-                try:
-                    crack = extend_tip(
-                        crack,
-                        _match_tip(crack, tip),
-                        ang,
-                        ell,
-                        domain=domain,
-                        max_kink=policy.theta_max,
-                    )
-                except GeometryViolation:
-                    ok = False
-                    break
+    for combo in combos:
+        moves = [m for m in combo if m is not None]
+        if not moves:
+            continue
+        (tip, crack, ang, ell), *later = moves
+        exts = [((tip.component_id, tip.end), ang, ell)]
+        try:
+            for tip, _, ang, ell in later:
+                crack = extend_tip(
+                    crack,
+                    _match_tip(crack, tip),
+                    ang,
+                    ell,
+                    domain=domain,
+                    max_kink=policy.theta_max,
+                )
                 exts.append(((tip.component_id, tip.end), ang, ell))
-                max_ang = max(max_ang, abs(ang))
-            if not ok:
-                continue
-            try:
-                e = energy_fn(crack)
-            except MeshFailure:
-                continue
-            total_eval += 1
-            key = (e, length(crack) - length(base), max_ang, idx)
-            if best is None or key < best:
-                best = key
-                best_crack = crack
-                best_ext = exts
-        current = best_crack
-        extensions = best_ext
+        except GeometryViolation:
+            continue
+        yield crack, exts
 
+
+def _best(base, candidates, energy_fn):
+    """((crack, extensions), evaluated count) of the lowest-scored candidate.
+
+    The unextended crack is scored first; a candidate scores
+    (energy, added length, max |angle|, order), and one whose mesh fails
+    is dropped.
+    """
+    best_key, best = (energy_fn(base), 0.0, 0.0, 0), (base, [])
+    n_eval = 1
+    for order, (cand, exts) in enumerate(candidates, 1):
+        try:
+            e = energy_fn(cand)
+        except MeshFailure:
+            continue
+        n_eval += 1
+        key = (e, length(cand) - length(base), max(abs(a) for _, a, _ in exts), order)
+        if key < best_key:
+            best_key, best = key, (cand, exts)
+    return best, n_eval
+
+
+def _minimize_step(domain, base, policy, h_tip, energy_fn) -> _StepOutcome:
+    """One time step's search from `base`: joint moves when several tips
+    fit JOINT_BUDGET (one round), else single-tip moves chained while they
+    strictly lower the energy, up to `multi_segment` per tip."""
+    tips = _active_tips(domain, base)
+    per_tip = (len(policy.step_lengths(h_tip)) - 1) * len(policy.angles) + 1
+    several = len(tips) > 1
+    joint = several and per_tip ** len(tips) <= JOINT_BUDGET
+    current, extensions, n_eval = base, [], 0
+    segments = collections.Counter()
+    while True:
+        work_tips = [
+            t
+            for t in _active_tips(domain, current)
+            if segments[t.component_id, t.end] < policy.multi_segment
+        ]
+        if not work_tips:
+            break
+        (current, exts), n = _best(
+            current, _moves(domain, current, work_tips, policy, h_tip, joint), energy_fn
+        )
+        n_eval += n
+        extensions += exts
+        segments.update(key for key, _, _ in exts)
+        if joint or not exts:
+            break
     return _StepOutcome(
         crack=current,
         grew=bool(extensions),
         extensions=extensions,
-        n_candidates=total_eval,
-        budget_exceeded=budget_exceeded,
+        n_candidates=n_eval,
+        budget_exceeded=several and not joint,
     )
 
 
@@ -756,6 +737,16 @@ def run_evolution(
 # ---------------------------------------------------------------------------
 
 
+def _reminimized(state, ev, base, crack, t) -> tuple[float, float]:
+    """(E(crack), E(best)) at frozen g(t), best re-minimized from `base`."""
+    out = _minimize_step(
+        state.domain, base, state.policy, state.h_tip, lambda K: ev.energy(K, t)
+    )
+    energies = ev.energy(crack, t), ev.energy(out.crack, t)
+    ev.end_step()
+    return energies
+
+
 def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> dict:
     """Numerical audit of the evolution's defining conditions.
 
@@ -822,20 +813,8 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
     min_ok = True
     min_rows = []
     for i in checked:
-        if i > 0:
-            base = cracks[i - 1]
-        else:
-            base = state.initial_crack or cracks[0]
-        out = _minimize_step(
-            state.domain,
-            base,
-            state.policy,
-            state.h_tip,
-            lambda K: ev.energy(K, times[i]),
-        )
-        e_chosen = ev.energy(cracks[i], times[i])
-        e_best = ev.energy(out.crack, times[i])
-        ev.end_step()
+        base = cracks[i - 1] if i > 0 else state.initial_crack or cracks[0]
+        e_chosen, e_best = _reminimized(state, ev, base, cracks[i], times[i])
         gap = e_chosen - e_best
         tol = 1e-9 * max(1.0, abs(e_best))
         min_rows.append({"step": i, "gap": gap})
@@ -849,16 +828,8 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
     for i in range(n):
         if not state.steps[i].grew:
             continue
-        out = _minimize_step(
-            state.domain,
-            cracks[i],
-            state.policy,
-            state.h_tip,
-            lambda K: ev.energy(K, times[i]),
-        )
-        e_here = ev.energy(cracks[i], times[i])
-        gain = e_here - ev.energy(out.crack, times[i])
-        ev.end_step()
+        e_here, e_best = _reminimized(state, ev, cracks[i], cracks[i], times[i])
+        gain = e_here - e_best
         tol = 1e-6 * abs(e_here)
         stat_rows.append({"step": i, "gain": gain, "tol": tol})
         if gain > tol:

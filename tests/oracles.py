@@ -5,9 +5,11 @@ come from dense point sampling with a KD-tree, not from the
 branch-and-bound implementation; energies and powers come from a direct
 solve of the datum g(t), not from the evaluator's Gram matrix; edge
 topology and edge jumps come from per-triangle Python loops, not from the
-sorted `edge_table`.
+sorted `edge_table`; the best joint tip move comes from an exhaustive loop
+over every combination, not from the step search's candidate generator.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -75,6 +77,48 @@ def direct_energy_and_power(domain, crack, loading, t, h_max, h_tip):
 
     rec, u = total_energy(domain, crack, loading.datum_at(t), h_max, h_tip)
     return rec.bulk, energy_power(u, loading.datum_dot_at(t))
+
+
+def best_joint_extension(domain, base, policy, h_tip, energy_fn):
+    """(crack, energy) minimizing `energy_fn` over every combination of at
+    most one ladder segment per interior tip of `base`, the empty one
+    included.
+
+    Each combination is built with `extend_tip` from the policy's angles and
+    step lengths; ties go to the smaller added length, then the smaller
+    largest |angle|, then the earlier combination.
+    """
+    from quasicrack.geometry import GeometryViolation, crack_tips, extend_tip, length
+
+    def tip_of(crack, key):
+        return next(t for t in crack_tips(crack) if (t.component_id, t.end) == key)
+
+    keys = sorted(
+        (t.component_id, t.end)
+        for t in crack_tips(base)
+        if not domain.on_boundary(t.position)
+    )
+    moves = [None] + [
+        (ang, ell) for ell in policy.step_lengths(h_tip) if ell > 0.0 for ang in policy.angles
+    ]
+    best = None
+    for combo in itertools.product(moves, repeat=len(keys)):
+        crack, max_ang = base, 0.0
+        try:
+            for key, move in zip(keys, combo):
+                if move is not None:
+                    ang, ell = move
+                    crack = extend_tip(
+                        crack, tip_of(crack, key), ang, ell,
+                        domain=domain, max_kink=policy.theta_max,
+                    )
+                    max_ang = max(max_ang, abs(ang))
+        except GeometryViolation:
+            continue
+        score = (energy_fn(crack), length(crack) - length(base), max_ang)
+        if best is None or score < best[0]:
+            best = (score, crack)
+    return best[1], best[0][0]
 
 
 def edge_owners_loop(triangles) -> dict:

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from quasicrack.cases import growth_benchmark_config, subcritical_benchmark_config
-from quasicrack.cli import main, replay_state
+from quasicrack.cli import ConfigError, load_config, main, replay_state
+from quasicrack.evolution import LoadingProgram, run_evolution
 
 
 def run_cli(*args):
@@ -88,6 +89,54 @@ def test_replay_then_save_is_byte_identical(quick_config, tmp_path):
     assert main(["run", str(path), "--output-dir", str(out)]) == 0
     replay_state(str(out / "state.json")).save(str(tmp_path / "again.json"))
     assert (tmp_path / "again.json").read_bytes() == (out / "state.json").read_bytes()
+
+
+def test_library_run_replay_then_save_is_byte_identical(tmp_path):
+    # a state made by run_evolution, not by the CLI, saves its loading in
+    # the form load_config reads
+    cfg = subcritical_benchmark_config(delta=1 / 4)
+    state = run_evolution(*load_config(cfg))
+    state.save(str(tmp_path / "state.json"))
+    replay_state(str(tmp_path / "state.json")).save(str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "state.json").read_bytes()
+
+
+def test_python_built_loading_saves_null_and_is_not_replayed(tmp_path):
+    domain, crack, loading, grid, policy, h_max, h_tip = load_config(
+        subcritical_benchmark_config(delta=1 / 2)
+    )
+    loading = LoadingProgram("proportional", datum=loading.datum, profile=loading.profile)
+    state = run_evolution(
+        domain, crack, loading, grid, policy, h_max, h_tip, with_sif=False, with_audit=False
+    )
+    state.save(str(tmp_path / "state.json"))
+    assert json.loads((tmp_path / "state.json").read_text())["config"]["loading"] is None
+    with pytest.raises(ConfigError):
+        replay_state(str(tmp_path / "state.json"))
+
+
+def test_audit_reads_retired_policy_keys_at_their_defaults(quick_config, tmp_path):
+    # state files written before the one-search step carry these two keys
+    d, path = quick_config
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    payload = json.loads((out / "state.json").read_text())
+    assert not {"budget", "allow_all_tips"} & set(payload["config"]["policy"])
+
+    def audit_with(name, **policy):
+        p = tmp_path / f"{name}.json"
+        old = json.loads(json.dumps(payload))
+        old["config"]["policy"].update(policy)
+        p.write_text(json.dumps(old))
+        return main(["audit", str(p), "--out", str(tmp_path / f"{name}_report.json")])
+
+    assert audit_with("plain") == 0
+    assert audit_with("old", budget=4096, allow_all_tips=True) == 0
+    assert (tmp_path / "old_report.json").read_bytes() == (
+        tmp_path / "plain_report.json"
+    ).read_bytes()
+    assert audit_with("sequential", budget=4096, allow_all_tips=False) == 2
+    assert audit_with("small_budget", budget=10, allow_all_tips=True) == 2
 
 
 def test_audit_bad_state(tmp_path):

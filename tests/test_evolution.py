@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from quasicrack.cases import (
     growth_benchmark_config,
+    linear_datum,
     mode3_datum,
     slit_disk_crack,
     slit_disk_domain,
@@ -32,7 +33,7 @@ from quasicrack.evolution import (
 )
 from quasicrack.geometry import CrackSet, Polyline, contains, crack_tips, length
 
-from oracles import direct_energy_and_power
+from oracles import best_joint_extension, direct_energy_and_power
 
 TAPER = dict(length_x=3.0, h0=0.35, h1=0.725)
 
@@ -175,20 +176,31 @@ def test_tie_break_prefers_no_growth_then_short_then_straight():
     assert ang == 0.0  # straightest among equal-length candidates
 
 
-def test_greedy_matches_product_single_tip():
-    dom, k0, h = taper_setup()
+def test_joint_search_matches_exhaustive_oracle():
+    # a centred slit under linear shear grows at both tips at t = 0.75 (phi
+    # = 1.5): two tips with 7 moves each (none, 3 angles x 2 lengths) is
+    # one joint round of 49 combinations
+    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1), (2, 3)))
+    k0 = CrackSet((Polyline(((0.35, 0.5), (0.65, 0.5))),), m=1)
     loading = LoadingProgram(
-        "proportional", datum=h, profile=Profile("constant", (0.55,))
+        "proportional", datum=linear_datum(0, 1), profile=Profile("linear", (2.0,))
+    )
+    policy = CandidatePolicy(
+        angles=(-0.3, 0.0, 0.3), ell0=1 / 16, length_max=1 / 8, multi_segment=2
     )
     ev = _Evaluator(dom, loading, 1 / 8, 1 / 32)
-    policy = CandidatePolicy(
-        angles=(0.0,), ell0=1 / 8, length_max=3 / 8, multi_segment=1
-    )
-    greedy = _minimize_step(dom, k0, policy, 1 / 32, lambda K: ev.energy(K, 0.0))
-    product = _minimize_step(
-        dom, k0, policy, 1 / 32, lambda K: ev.energy(K, 0.0), force_product=True
-    )
-    assert greedy.crack.fingerprint() == product.crack.fingerprint()
+
+    def energy(K):
+        return ev.energy(K, 0.75)
+
+    out = _minimize_step(dom, k0, policy, 1 / 32, energy)
+    assert out.n_candidates == 49 and not out.budget_exceeded
+    assert sorted(key for key, _, _ in out.extensions) == [(0, "finish"), (0, "start")]
+    solves = ev.solves
+    best, e_best = best_joint_extension(dom, k0, policy, 1 / 32, energy)
+    assert ev.solves == solves  # every crack the oracle scores, the search scored
+    assert out.crack.fingerprint() == best.fingerprint()
+    assert energy(out.crack) == e_best < energy(k0)
 
 
 def test_kink_selected_when_datum_is_rotated():
@@ -432,31 +444,8 @@ def test_monotone_loading_requires_proportional():
         audit_monotone_loading(state)
 
 
-def test_budget_exceeded_two_tips():
-    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1), (2, 3)))
-    k0 = CrackSet(
-        (
-            Polyline(((0.25, 0.5), (0.4, 0.5))),
-            Polyline(((0.6, 0.5), (0.75, 0.5))),
-        ),
-        m=2,
-    )
-    loading = LoadingProgram(
-        "proportional",
-        datum=zero_datum(),
-        profile=Profile("constant", (0.0,)),
-    )
-    policy = CandidatePolicy(
-        angles=(-0.2, 0.0, 0.2), ell0=0.05, length_max=0.1, budget=10
-    )
-    state = run_evolution(
-        dom, k0, loading, TimeGrid(1.0), policy, 1 / 8, 1 / 64,
-        with_sif=False, with_audit=False,
-    )
-    assert any("budget exceeded" in e for e in state.events)
-
-
-def test_single_tip_policy_skips_product():
+def two_slits_zero_loading():
+    """Two slits with four interior tips, unloaded."""
     dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1), (2, 3)))
     k0 = CrackSet(
         (
@@ -468,17 +457,35 @@ def test_single_tip_policy_skips_product():
     loading = LoadingProgram(
         "proportional", datum=zero_datum(), profile=Profile("constant", (0.0,))
     )
-    policy = CandidatePolicy(
-        angles=(0.0,), ell0=0.05, length_max=0.05, budget=10_000,
-        allow_all_tips=False,
-    )
+    return dom, k0, loading
+
+
+def test_budget_exceeded_two_tips():
+    # 10 moves per tip (none, 3 angles x 3 lengths): 10^4 > JOINT_BUDGET
+    dom, k0, loading = two_slits_zero_loading()
+    policy = CandidatePolicy(angles=(-0.2, 0.0, 0.2), ell0=0.05, length_max=0.15)
     state = run_evolution(
         dom, k0, loading, TimeGrid(1.0), policy, 1 / 8, 1 / 64,
         with_sif=False, with_audit=False,
     )
-    # sequential tip handling: no product, no budget event
-    assert not any("budget exceeded" in e for e in state.events)
+    assert any("budget exceeded" in e for e in state.events)
+    # single-tip moves: the unextended crack and 4 x 9 extensions
+    assert state.candidates_evaluated == [37, 37]
     assert not any(state.grew)
+
+
+def test_joint_round_four_tips_keeps_crack_at_zero_loading():
+    # 2 moves per tip (none, one straight segment): 2^4 combinations
+    dom, k0, loading = two_slits_zero_loading()
+    policy = CandidatePolicy(angles=(0.0,), ell0=0.05, length_max=0.05)
+    state = run_evolution(
+        dom, k0, loading, TimeGrid(1.0), policy, 1 / 8, 1 / 64,
+        with_sif=False, with_audit=False,
+    )
+    assert not any("budget exceeded" in e for e in state.events)
+    assert state.candidates_evaluated == [16, 16]
+    assert not any(state.grew)
+    assert state.steps[-1].crack.fingerprint() == k0.fingerprint()
 
 
 def test_jsonl_deterministic(benchmark_state):
