@@ -69,6 +69,14 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
 
 def _segments_intersect(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
     """Exact test: closed segments [p1,p2] and [p3,p4] share a point."""
+    # disjoint closed bounding boxes share no point (float compares are exact)
+    if (
+        max(p1[0], p2[0]) < min(p3[0], p4[0])
+        or max(p3[0], p4[0]) < min(p1[0], p2[0])
+        or max(p1[1], p2[1]) < min(p3[1], p4[1])
+        or max(p3[1], p4[1]) < min(p1[1], p2[1])
+    ):
+        return False
     o1 = _orient(p1, p2, p3)
     o2 = _orient(p1, p2, p4)
     o3 = _orient(p3, p4, p1)

@@ -6,9 +6,17 @@ protection radii), deterministic multi-level hex lattice fill, Delaunay
 "unzip": interior crack nodes are duplicated into plus/minus face copies
 while tips stay single shared nodes.
 
-Edge topology (required-edge checks, free crack faces, boundary tagging,
-and the solver's Euler and edge-jump checks) comes from one sorted table,
-`edge_table`.
+Sampling works on arrays, level by level, with the float operations of
+the per-point loops it replaced, so meshes keep their bits:
+- boundary pieces and crack segments are bisected together, one
+  size-field call per level (`_subdivide`);
+- each lattice level is built per anchor, row by row (`_hex_lattice`),
+  and lattice points need a positive clearance from the features and
+  from earlier points, so they are appended without a dedupe lookup.
+
+Edge topology (required-edge checks, free crack faces, and the solver's
+Euler and edge-jump checks) comes from one sorted table, `edge_table`.
+Boundary edges are tagged from the boundary cycle's parent polygon edges.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .domain import DomainSpec
-from .geometry import CrackSet, Point, Tip, _on_segment, crack_tips
+from .geometry import CrackSet, Point, Tip, _components_touch, _on_segment, crack_tips
 
 # protection constants (fractions of the local size)
 _SEG_CLEARANCE = 0.62
@@ -216,18 +224,93 @@ class _SizeField:
             self.h_tip + self.grading * (d - self.inner), self.h_tip, self.h_max
         )
 
-    def at(self, p) -> float:
-        return float(self(np.array([p]))[0])
+
+def _subdivide(pieces, size: _SizeField) -> list[list[Point]]:
+    """Midpoint subdivision of each piece (a, b) against the size field.
+
+    A part is split at its midpoint while its length exceeds the size field
+    there. All pieces are split together, level by level, with one size-field
+    call per level. A part's midpoint `(a + b) / 2.0` and its length
+    `math.hypot(b - a)` do not depend on the other parts, so each returned
+    list (ends included, in order) is exactly what a recursive bisection of
+    that piece gives.
+    """
+    a = np.array([pc[0] for pc in pieces], float)
+    b = np.array([pc[1] for pc in pieces], float)
+    piece = np.arange(len(pieces))
+    key = np.zeros(len(pieces))  # a part's start along its piece: exact dyadic
+    width = 1.0
+    done_piece, done_key, done_end = [], [], []
+    while len(a):
+        mid = (a + b) / 2.0
+        d = b - a
+        length = np.fromiter(
+            map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), float, len(d)
+        )
+        done = length <= size(mid)
+        done_piece.append(piece[done])
+        done_key.append(key[done])
+        done_end.append(b[done])
+        split = ~done
+        a, b, mid = a[split], b[split], mid[split]
+        piece, key = np.tile(piece[split], 2), key[split]
+        width /= 2.0
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        key = np.concatenate([key, key + width])
+    piece = np.concatenate(done_piece)
+    order = np.lexsort((np.concatenate(done_key), piece))
+    ends = np.concatenate(done_end)[order].tolist()
+    stops = np.cumsum(np.bincount(piece, minlength=len(pieces))).tolist()
+    out, start = [], 0
+    for (p0, _), stop in zip(pieces, stops):
+        out.append([p0] + [tuple(e) for e in ends[start:stop]])
+        start = stop
+    return out
 
 
-def _bisect_polyline(a: Point, b: Point, size: _SizeField) -> list[Point]:
-    """Recursive midpoint subdivision of [a,b] against the size field."""
-    mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-    if math.hypot(b[0] - a[0], b[1] - a[1]) <= size.at(mid):
-        return [a, b]
-    left = _bisect_polyline(a, mid, size)
-    right = _bisect_polyline(mid, b, size)
-    return left[:-1] + right
+def _hex_lattice(anchored, s: float, xmin, xmax, ymin, ymax) -> np.ndarray:
+    """Hex lattice points of spacing s, one lattice per (anchor, box).
+
+    Rows are y = ay + j*dy; odd rows shift by s/2, x = (ax + off) + i*s.
+    Each anchor's points come row by row, left to right. Points that
+    several anchors share are kept once, where first seen.
+    """
+    dy = s * math.sqrt(3.0) / 2.0
+    parts = []
+    for (ax, ay), (bx0, bx1, by0, by1) in anchored:
+        j0 = int(math.floor((max(by0, ymin) - ay) / dy))
+        j1 = int(math.ceil((min(by1, ymax) - ay) / dy))
+        j = np.arange(j0, j1 + 1)
+        off = np.where(j % 2 == 1, 0.5 * s, 0.0)
+        i0 = np.floor((max(bx0, xmin) - ax - off) / s).astype(np.int64)
+        i1 = np.ceil((min(bx1, xmax) - ax - off) / s).astype(np.int64)
+        n = np.maximum(i1 - i0 + 1, 0)
+        row = np.repeat(np.arange(len(j)), n)
+        i = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n) + i0[row]
+        parts.append(np.column_stack([(ax + off[row]) + i * s, ay + j[row] * dy]))
+    pts = np.concatenate(parts) if parts else np.empty((0, 2))
+    if len(anchored) > 1:
+        pts = np.array(list(dict.fromkeys(map(tuple, pts.tolist()))), float)
+    return pts.reshape(-1, 2)
+
+
+def _thin(pts: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Mask of the points kept when, in order, a point is dropped if an
+    earlier kept point lies strictly within its radius."""
+    x, y = pts[:, 0].tolist(), pts[:, 1].tolist()
+    r = radius.tolist()
+    # a slightly larger ball finds every candidate; the test below decides
+    near = cKDTree(pts).query_ball_point(pts, radius * (1.0 + 1e-9))
+    kept = np.zeros(len(pts), dtype=bool)
+    for i, js in enumerate(near):
+        for j in js:
+            if j < i and kept[j]:
+                dx, dy = x[i] - x[j], y[i] - y[j]
+                if math.sqrt(dx * dx + dy * dy) < r[i]:
+                    break
+        else:
+            kept[i] = True
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +417,6 @@ def _validate_crack(domain: DomainSpec, crack: CrackSet, h_tip: float):
                 raise MeshFailure("crack segment crosses the boundary")
     for ci in range(len(crack.components)):
         for cj in range(ci + 1, len(crack.components)):
-            from .geometry import _components_touch
-
             if _components_touch(crack.components[ci], crack.components[cj]):
                 raise MeshFailure("touching crack components are unsupported")
 
@@ -380,37 +461,41 @@ def triangulate(
                 else:
                     raise MeshFailure("boundary crack end not on any edge")
 
-    boundary_samples: list[tuple[Point, int]] = []  # (point, parent edge)
+    # boundary pieces between consecutive anchors, then crack segments
+    pieces: list[tuple[Point, Point]] = []
+    parents: list[int] = []
     for k, (a, b) in enumerate(domain.edges()):
         anchors = [a] + sorted(
             boundary_pts_on_edge[k],
             key=lambda p: (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2,
         ) + [b]
-        for seg_a, seg_b in zip(anchors, anchors[1:]):
-            pts = _bisect_polyline(seg_a, seg_b, size)
-            for p in pts[:-1]:
-                boundary_samples.append((p, k))
+        pieces.extend(zip(anchors, anchors[1:]))
+        parents.extend([k] * (len(anchors) - 1))
+    for comp in crack.components:
+        if not comp.is_point:
+            pieces.extend(comp.segments())
+    sampled = _subdivide(pieces, size)
+    boundary_samples = [  # (point, parent edge)
+        (p, k) for pts, k in zip(sampled, parents) for p in pts[:-1]
+    ]
     # thin generated samples crowding a mandatory point
     mand_set = set(mandatory)
     mand_arr = np.array(mandatory, float)
-    filtered: list[tuple[Point, int]] = []
-    for p, k in boundary_samples:
-        if p in mand_set:
-            filtered.append((p, k))
-            continue
-        dmin = float(np.min(np.linalg.norm(mand_arr - np.array(p), axis=1)))
-        if dmin >= _JUNCTION_CLEARANCE * size.at(p):
-            filtered.append((p, k))
-    boundary_samples = filtered
+    bpts = np.array([p for p, _ in boundary_samples], float)
+    dmin = np.min(
+        np.linalg.norm(mand_arr[None, :, :] - bpts[:, None, :], axis=2), axis=1
+    )
+    clear = dmin >= _JUNCTION_CLEARANCE * size(bpts)
+    boundary_samples = [
+        pk for pk, ok in zip(boundary_samples, clear.tolist()) if ok or pk[0] in mand_set
+    ]
 
     crack_sample_chains: list[list[Point]] = []
+    seg_samples = iter(sampled[len(parents):])
     for comp in crack.components:
-        if comp.is_point:
-            crack_sample_chains.append([comp.vertices[0]])
-            continue
         chain = [comp.vertices[0]]
-        for a, b in comp.segments():
-            chain.extend(_bisect_polyline(a, b, size)[1:])
+        for _ in comp.segments():
+            chain.extend(next(seg_samples)[1:])
         crack_sample_chains.append(chain)
 
     # ---------------- assemble point list ----------------
@@ -436,14 +521,15 @@ def triangulate(
     feature_arr = np.array(points, float)
 
     # feature segments that demand empty diametral circles
-    feat_segs = []
-    for a, b in domain.edges():
-        feat_segs.append((a, b))
+    feat_segs = list(domain.edges())
     for comp in crack.components:
         feat_segs.extend(comp.segments())
     feat_seg_arr = np.array(feat_segs, float).reshape(-1, 2, 2)
 
     # ---------------- interior lattice fill ----------------
+    # Every kept lattice point is at least a positive clearance away from
+    # the features and from the points kept before it, so the interior
+    # points are distinct from all others and are appended as they are.
     xmin, xmax, ymin, ymax = domain.bbox()
     poly_arr = np.array(poly, float)
     accepted = [feature_arr]
@@ -475,62 +561,32 @@ def triangulate(
                 )
                 for t in tips
             ]
-        dy = s * math.sqrt(3.0) / 2.0
-        seen: set = set()
-        cand: list[Point] = []
-        for (ax, ay), (bx0, bx1, by0, by1) in anchored:
-            j0 = int(math.floor((max(by0, ymin) - ay) / dy))
-            j1 = int(math.ceil((min(by1, ymax) - ay) / dy))
-            for j in range(j0, j1 + 1):
-                y = ay + j * dy
-                off = 0.5 * s if (j % 2) else 0.0
-                i0 = int(math.floor((max(bx0, xmin) - ax - off) / s))
-                i1 = int(math.ceil((min(bx1, xmax) - ax - off) / s))
-                for i in range(i0, i1 + 1):
-                    p = (ax + off + i * s, y)
-                    if p in seen:
-                        continue
-                    seen.add(p)
-                    cand.append(p)
-        if not cand:
+        cand_arr = _hex_lattice(anchored, s, xmin, xmax, ymin, ymax)
+        if not len(cand_arr):
             continue
-        cand_arr = np.array(cand, float)
         sz = size(cand_arr)
         # level responsible for this size
         with np.errstate(divide="ignore"):
             lev = np.ceil(np.log(sz / h_max) / log07 - 1e-12)
-        lev = np.clip(lev, 0, n_levels).astype(int)
-        keep = lev == level
-        keep &= _points_in_polygon(cand_arr, poly_arr)
-        keep &= _dist_to_segments(cand_arr, feat_seg_arr) >= _SEG_CLEARANCE * sz
+        at_level = np.clip(lev, 0, n_levels).astype(int) == level
+        cand_arr, sz = cand_arr[at_level], sz[at_level]
+        keep = _points_in_polygon(cand_arr, poly_arr)
+        keep[keep] = (
+            _dist_to_segments(cand_arr[keep], feat_seg_arr) >= _SEG_CLEARANCE * sz[keep]
+        )
         if not np.any(keep):
             continue
-        cand_arr = cand_arr[keep]
-        sz = sz[keep]
+        cand_arr, sz = cand_arr[keep], sz[keep]
         tree = cKDTree(np.vstack(accepted))
         dist, _ = tree.query(cand_arr)
         ok = dist >= _PT_CLEARANCE * sz
         if not np.any(ok):
             continue
-        cand_arr = cand_arr[ok]
-        sz = sz[ok]
+        cand_arr, sz = cand_arr[ok], sz[ok]
         if len(tips) > 1 and level > 0:
             # lattices from different tip anchors overlap; thin greedily
-            kept: list[int] = []
-            kept_tree = None
-            for i in range(len(cand_arr)):
-                if kept_tree is not None:
-                    d, _ = kept_tree.query(cand_arr[i])
-                    if d < _PT_CLEARANCE * sz[i]:
-                        continue
-                kept.append(i)
-                kept_tree = cKDTree(cand_arr[kept])
-            cand_arr = cand_arr[kept]
+            cand_arr = cand_arr[_thin(cand_arr, _PT_CLEARANCE * sz)]
         accepted.append(cand_arr)
-
-    interior = np.vstack(accepted)[n_feature:]
-    for x, y in interior:
-        add_point((float(x), float(y)))
 
     # ---------------- Delaunay + required edges ----------------
     required: set[tuple[int, int]] = set()
@@ -541,7 +597,7 @@ def triangulate(
     for (u, _), (v, _) in zip(cyc, cyc[1:] + cyc[:1]):
         required.add((min(u, v), max(u, v)))
 
-    pts_arr = np.array(points, float)
+    pts_arr = np.vstack(accepted)
     tris = _delaunay_with_required(pts_arr, required, n_feature)
 
     # qhull emits exactly-degenerate slivers for collinear hull samples
@@ -647,8 +703,8 @@ def _unzip_and_finalize(
 ) -> CrackMesh:
     tris = tris.copy()
     n_orig = len(pts_arr)
-    coords: list[Point] = [(float(x), float(y)) for x, y in pts_arr]
-    new_coords: list[Point] = []
+    coords = pts_arr.tolist()
+    origin = list(range(n_orig))  # node id -> the node it was split from
 
     # incidence for crack nodes only (row-major: increasing triangle ids)
     crack_nodes = sorted({u for ids in chain_ids for u in ids})
@@ -706,9 +762,9 @@ def _unzip_and_finalize(
                     (left if cross > 0 else right).append(ti)
             if not left or not right:
                 raise MeshFailure("crack unzip found an empty face side")
-            dup = n_orig + len(new_coords)
-            new_coords.append((float(pv[0]), float(pv[1])))
-            coords.append((float(pv[0]), float(pv[1])))
+            dup = len(origin)
+            origin.append(v)
+            coords.append(pv)
             minus_ids[i] = dup
             for ti in right:
                 row = tris[ti]
@@ -717,8 +773,7 @@ def _unzip_and_finalize(
             CrackChain(comp_idx, tuple(ids), tuple(minus_ids), kinds[0], kinds[1])
         )
 
-    if new_coords:
-        pts_arr = np.vstack([pts_arr, np.array(new_coords, float)])
+    pts_arr = pts_arr[origin]
 
     # consistency: plus edges and minus edges each have exactly one triangle now
     edges, counts, _ = edge_table(tris)
@@ -745,22 +800,19 @@ def _unzip_and_finalize(
     if np.any(counts > 2):
         raise MeshFailure("non-manifold edge")
 
-    # boundary tagging from single-triangle edges
+    # boundary tagging: a free edge off the crack faces must be a boundary
+    # cycle edge, which lies on the polygon edge of its first node; a
+    # duplicate stands for the node it was split from
+    parent_of = {}
+    for (u, k), (v, _) in zip(boundary_cycle, boundary_cycle[1:] + boundary_cycle[:1]):
+        parent_of[(min(u, v), max(u, v))] = k
     boundary_edges: list[tuple[int, int, str]] = []
-    poly_edges = domain.edges()
     for e in free:
         if e in face_edges:
             boundary_edges.append((e[0], e[1], "crack_face"))
             continue
-        mid = (
-            float(0.5 * (pts_arr[e[0]][0] + pts_arr[e[1]][0])),
-            float(0.5 * (pts_arr[e[0]][1] + pts_arr[e[1]][1])),
-        )
-        parent = None
-        for k, pe in enumerate(poly_edges):
-            if _on_segment_loose(mid, pe):
-                parent = k
-                break
+        u, v = origin[e[0]], origin[e[1]]
+        parent = parent_of.get((min(u, v), max(u, v)))
         if parent is None:
             raise MeshFailure("untagged boundary edge (hole in mesh?)")
         boundary_edges.append((e[0], e[1], domain.edge_tag(parent)))
@@ -795,21 +847,6 @@ def _unzip_and_finalize(
     if ang < min_angle_deg:
         raise MeshFailure(f"min angle {ang:.2f} deg below bound {min_angle_deg}")
     return mesh
-
-
-def _on_segment_loose(p: Point, seg: tuple[Point, Point], tol: float = 1e-9) -> bool:
-    (ax, ay), (bx, by) = seg
-    dx, dy = bx - ax, by - ay
-    dd = dx * dx + dy * dy
-    if dd == 0:
-        return math.hypot(p[0] - ax, p[1] - ay) <= tol
-    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / dd
-    if t < -1e-12 or t > 1.0 + 1e-12:
-        return False
-    t = max(0.0, min(1.0, t))
-    return math.hypot(ax + t * dx - p[0], ay + t * dy - p[1]) <= tol * math.sqrt(
-        max(dd, 1.0)
-    )
 
 
 # ---------------------------------------------------------------------------

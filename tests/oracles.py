@@ -7,10 +7,16 @@ solve of the datum g(t), not from the evaluator's Gram matrix; edge
 topology and edge jumps come from per-triangle Python loops, not from the
 sorted `edge_table`; the best joint tip move comes from an exhaustive loop
 over every combination, not from the step search's candidate generator.
+Geometric predicates are decided in `Fraction` arithmetic only, with no
+float filter and no bounding-box rejection. The mesher's batched sampling,
+lattice and thinning are checked against the per-point loops they
+replaced: a recursive bisection, a nested-loop lattice with a `seen` set,
+and a greedy thinning that rebuilds its KD-tree after every kept point.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -152,3 +158,78 @@ def tangential_jump_max_loop(u, *, away_from=None, clearance: float = 0.0) -> fl
         rot = [np.array([-g[o, 1], g[o, 0]]) for o in owners]
         worst = max(worst, abs(float((rot[0] - rot[1]) @ t)))
     return worst
+
+
+def orient_exact(a, b, c) -> int:
+    """Sign of cross(b - a, c - a), computed in Fractions only."""
+    ax, ay = Fraction(a[0]), Fraction(a[1])
+    det = (Fraction(b[0]) - ax) * (Fraction(c[1]) - ay) - (
+        Fraction(b[1]) - ay
+    ) * (Fraction(c[0]) - ax)
+    return (det > 0) - (det < 0)
+
+
+def segments_intersect_exact(p1, p2, p3, p4) -> bool:
+    """Closed segments [p1,p2] and [p3,p4] share a point, in Fractions only."""
+
+    def on_segment(p, a, b):
+        return (
+            orient_exact(a, b, p) == 0
+            and min(Fraction(a[0]), Fraction(b[0])) <= Fraction(p[0])
+            <= max(Fraction(a[0]), Fraction(b[0]))
+            and min(Fraction(a[1]), Fraction(b[1])) <= Fraction(p[1])
+            <= max(Fraction(a[1]), Fraction(b[1]))
+        )
+
+    o1, o2 = orient_exact(p1, p2, p3), orient_exact(p1, p2, p4)
+    o3, o4 = orient_exact(p3, p4, p1), orient_exact(p3, p4, p2)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return (
+        on_segment(p3, p1, p2)
+        or on_segment(p4, p1, p2)
+        or on_segment(p1, p3, p4)
+        or on_segment(p2, p3, p4)
+    )
+
+
+def bisect_polyline(a, b, size) -> list:
+    """Recursive midpoint subdivision of [a, b] against a size field."""
+    mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+    if math.hypot(b[0] - a[0], b[1] - a[1]) <= float(size(np.array([mid]))[0]):
+        return [a, b]
+    return bisect_polyline(a, mid, size)[:-1] + bisect_polyline(mid, b, size)
+
+
+def hex_lattice_loop(anchored, s, xmin, xmax, ymin, ymax) -> list:
+    """Hex lattice points per (anchor, box), point by point, first seen first."""
+    dy = s * math.sqrt(3.0) / 2.0
+    seen: set = set()
+    cand = []
+    for (ax, ay), (bx0, bx1, by0, by1) in anchored:
+        j0 = int(math.floor((max(by0, ymin) - ay) / dy))
+        j1 = int(math.ceil((min(by1, ymax) - ay) / dy))
+        for j in range(j0, j1 + 1):
+            y = ay + j * dy
+            off = 0.5 * s if (j % 2) else 0.0
+            i0 = int(math.floor((max(bx0, xmin) - ax - off) / s))
+            i1 = int(math.ceil((min(bx1, xmax) - ax - off) / s))
+            for i in range(i0, i1 + 1):
+                p = (ax + off + i * s, y)
+                if p not in seen:
+                    seen.add(p)
+                    cand.append(p)
+    return cand
+
+
+def thin_greedy_loop(pts, radius) -> list:
+    """Indices kept when each point, in order, is dropped if the nearest
+    point kept so far is closer than its radius."""
+    kept: list = []
+    tree = None
+    for i in range(len(pts)):
+        if tree is not None and tree.query(pts[i])[0] < radius[i]:
+            continue
+        kept.append(i)
+        tree = cKDTree(pts[kept])
+    return kept

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasicrack.domain import DomainSpec
@@ -15,10 +16,17 @@ from quasicrack.geometry import (
     crack_tips,
     extend_tip,
     hausdorff_distance,
+    _orient,
+    _segments_intersect,
     length,
 )
 
-from oracles import hausdorff_bruteforce, random_crackset
+from oracles import (
+    hausdorff_bruteforce,
+    orient_exact,
+    random_crackset,
+    segments_intersect_exact,
+)
 
 
 def seg(a, b, m=1):
@@ -321,3 +329,85 @@ def test_crackset_json_roundtrip():
     )
     back = CrackSet.from_json(k.to_json(), m=2)
     assert back.fingerprint() == k.fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# exact predicates against a Fraction-only oracle
+# ---------------------------------------------------------------------------
+
+_dyadic = st.integers(-8, 8).map(lambda k: k / 4.0)
+_real = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _partner(draw, s0, s1):
+    """A segment placed against [s0, s1] in one of four degenerate ways:
+    on its line, sharing an end, with bounding boxes touching at one
+    corner, or on its line with one coordinate nudged by a few ulps."""
+    kind = draw(st.sampled_from(["collinear", "shared", "corner", "near"]))
+    if kind in ("collinear", "near"):
+        t = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]),
+                          min_size=2, max_size=2, unique=True))
+        q = [(s0[0] + ti * (s1[0] - s0[0]), s0[1] + ti * (s1[1] - s0[1])) for ti in t]
+        if kind == "near":
+            k, axis = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+            moved = list(q[k])
+            moved[axis] = _nudge(moved[axis], draw(st.integers(-3, 3)))
+            q[k] = tuple(moved)
+    elif kind == "shared":
+        q = [draw(st.sampled_from([s0, s1])), (draw(_real), draw(_real))]
+    else:
+        xs, ys = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        cx = max(s0[0], s1[0]) if xs else min(s0[0], s1[0])
+        cy = max(s0[1], s1[1]) if ys else min(s0[1], s1[1])
+        u, v = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0))
+        q = [(cx, cy), (cx + u if xs else cx - u, cy + v if ys else cy - v)]
+    if draw(st.booleans()):
+        q.reverse()
+    return tuple(q)
+
+
+@st.composite
+def _segment_pairs(draw):
+    s0 = (draw(st.one_of(_dyadic, _real)), draw(st.one_of(_dyadic, _real)))
+    s1 = (draw(st.one_of(_dyadic, _real)), draw(st.one_of(_dyadic, _real)))
+    return (s0, s1), draw(_partner(s0, s1))
+
+
+@given(_segment_pairs())
+def test_predicates_match_fraction_oracle(pair):
+    (p1, p2), (p3, p4) = pair
+    pts = (p1, p2, p3, p4)
+    for a, b, c in itertools.permutations(pts, 3):
+        assert _orient(a, b, c) == orient_exact(a, b, c)
+    assert _segments_intersect(p1, p2, p3, p4) == segments_intersect_exact(p1, p2, p3, p4)
+    assert _segments_intersect(p3, p4, p1, p2) == segments_intersect_exact(p3, p4, p1, p2)
+
+
+@given(
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (1.0, 1.0), (3.0, 4.0)]),
+    st.sampled_from([0.25, 0.5, 0.3, 1.0]),
+    st.data(),
+)
+def test_extend_tip_matches_fraction_oracle(direction, step, data):
+    # straight growth of [a0, anchor] past a second component placed
+    # degenerately against the new segment
+    a0, anchor = (0.0, 0.0), direction
+    alone = seg(a0, anchor)
+    tip = crack_tips(alone)[1]
+    new_pt = extend_tip(alone, tip, 0.0, step).components[0].vertices[-1]
+    q = data.draw(_partner(anchor, new_pt))
+    assume(q[0] != q[1] and not segments_intersect_exact(a0, anchor, *q))
+    k = CrackSet((Polyline((a0, anchor)), Polyline(q)), m=2)
+    try:
+        extend_tip(k, crack_tips(k)[1], 0.0, step)
+        raised = False
+    except GeometryViolation:
+        raised = True
+    assert raised == segments_intersect_exact(anchor, new_pt, *q)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,12 +7,17 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
-from oracles import edge_owners_loop
+from oracles import bisect_polyline, edge_owners_loop, hex_lattice_loop, thin_greedy_loop
+from quasicrack import cases
 from quasicrack.domain import DomainSpec, regular_polygon_disk
 from quasicrack.geometry import CrackSet, Polyline
 from quasicrack.mesh import (
     CrackMesh,
     MeshFailure,
+    _hex_lattice,
+    _SizeField,
+    _subdivide,
+    _thin,
     crack_touches_dirichlet,
     edge_table,
     triangulate,
@@ -202,3 +208,124 @@ def test_edge_table_matches_loop_on_slit_meshes(x, y, angle, ell):
     # an interior slit cut open is an annulus
     V, E, F = mesh.n_nodes, len(edge_table(mesh.triangles)[0]), mesh.n_triangles
     assert V - E + F == 0
+
+
+# ---------------------------------------------------------------------------
+# batched sampling, lattice and thinning keep the bits of the point loops
+# ---------------------------------------------------------------------------
+
+_xy = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@given(
+    st.lists(st.tuples(_xy, _xy), min_size=1, max_size=4),
+    st.lists(_xy, min_size=1, max_size=3),
+    st.floats(0.02, 0.2),
+    st.floats(1.0, 8.0),
+    st.floats(0.1, 1.0),
+)
+def test_subdivide_matches_recursive_bisection(pieces, tips, h_tip, ratio, grading):
+    size = _SizeField(tips, ratio * h_tip, h_tip, grading, 8.0)
+    got = _subdivide(pieces, size)
+    assert len(got) == len(pieces)
+    for pts, (a, b) in zip(got, pieces):
+        want = np.array(bisect_polyline(a, b, size), float)
+        assert np.array(pts, float).tobytes() == want.tobytes()
+
+
+@given(
+    st.lists(_xy, min_size=1, max_size=3),
+    st.floats(0.05, 0.4),
+    st.floats(0.1, 1.5),
+)
+def test_hex_lattice_matches_point_loop(anchors, s, reach):
+    bbox = (-1.0, 1.5, -0.5, 1.0)
+    anchored = [
+        ((ax, ay), (ax - reach, ax + reach, ay - reach, ay + reach))
+        for ax, ay in anchors
+    ]
+    want = np.array(hex_lattice_loop(anchored, s, *bbox), float).reshape(-1, 2)
+    assert _hex_lattice(anchored, s, *bbox).tobytes() == want.tobytes()
+
+
+@given(st.integers(2, 120), st.integers(0, 2**32 - 1))
+def test_thin_matches_greedy_loop(n_points, seed):
+    # points and radii on a 1/8 grid, so distances often equal a radius
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 10, size=(n_points, 2)) / 8.0
+    radius = rng.integers(1, 4, size=n_points) / 8.0
+    kept = _thin(pts, radius)
+    assert np.flatnonzero(kept).tolist() == thin_greedy_loop(pts, radius)
+
+
+def _benchmark_taper():
+    return DomainSpec(
+        (
+            (0.0, -cases.TAPER_H0),
+            (cases.TAPER_L, -cases.TAPER_H1),
+            (cases.TAPER_L, cases.TAPER_H1),
+            (0.0, cases.TAPER_H0),
+        ),
+        dirichlet_arcs=((0, 1), (2, 3)),
+    )
+
+
+def _slits(*polylines, m=1):
+    return CrackSet(tuple(Polyline(p) for p in polylines), m)
+
+
+# sha256 of `fingerprint_bytes()`. The bits depend on qhull (scipy) and on
+# numpy's floating point; these values hold for numpy 2.4 and scipy 1.17,
+# the versions CI installs.
+PINNED_MESHES = {
+    "taper_refine1": (
+        lambda: (_benchmark_taper(), cases.taper_crack(cases.TAPER_A0), 8 / 64, 1 / 64),
+        "c23304ecc5b2bcc278824dabe8dfe36bfa6f5e66da3f926e0d5b81e127f2e183",
+    ),
+    "taper_refine2": (
+        lambda: (_benchmark_taper(), cases.taper_crack(cases.TAPER_A0), 8 / 128, 1 / 128),
+        "741ab9051fbc82f1ffa50ca6c10adc6d6d3067b5c5885d7cbf907eb9875a81e1",
+    ),
+    "slit_disk": (
+        lambda: (
+            DomainSpec.all_dirichlet(regular_polygon_disk(128)),
+            _slits(((-1.0, 0.0), (0.0, 0.0))),
+            1 / 8,
+            1 / 64,
+        ),
+        "de7912b7909a2f441d60d5d3e8e115599e3dda4bceed7ceaedfeac48f2303c9f",
+    ),
+    "square_slit": (
+        lambda: (DomainSpec.unit_square(), _slits(((0.3, 0.5), (0.7, 0.5))), 0.1, 0.02),
+        "0b93c63a02e95df9ce0720d1e9569e6e5405df15ef37132945af78e7c685f003",
+    ),
+    "kinked_slit": (
+        lambda: (
+            DomainSpec.unit_square(),
+            _slits(((0.3, 0.5), (0.5, 0.5), (0.6, 0.6))),
+            0.1,
+            0.02,
+        ),
+        "5c39e39b69f6ebe75e7fc1502d725b71794ed4c96c3e8c9b6b248206301a5ad4",
+    ),
+    "two_components": (
+        lambda: (
+            DomainSpec.unit_square(),
+            _slits(((0.2, 0.3), (0.45, 0.3)), ((0.55, 0.7), (0.8, 0.7)), m=2),
+            0.1,
+            0.02,
+        ),
+        "7be7c584a4f7a7610b2744251282d02f500f8e850d3366c8dcbdd85b769f75be",
+    ),
+    "taper_h512": (
+        lambda: (_benchmark_taper(), cases.taper_crack(1.1), 8 / 512, 1 / 512),
+        "36e12ca086d27441b944068999dcbd523ba0262f076119789d8dac711fa9862b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MESHES))
+def test_pinned_mesh_fingerprints(name):
+    build, want = PINNED_MESHES[name]
+    mesh = triangulate(*build())
+    assert hashlib.sha256(mesh.fingerprint_bytes()).hexdigest() == want
