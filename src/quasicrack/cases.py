@@ -62,7 +62,7 @@ def mode3_datum(kappa: float = 1.0, tip: Point = (0.0, 0.0)) -> BoundaryDatum:
             vals[fp.minus_node] = -amp * math.sqrt(rho)  # theta = -pi
         return vals
 
-    return BoundaryDatum(evaluator=ev, tag=f"mode3:{kappa!r}:{tip!r}", mesh_sampler=sampler)
+    return BoundaryDatum(evaluator=ev, mesh_sampler=sampler)
 
 
 def sample_mode3_field(mesh: CrackMesh, kappa: float = 1.0, tip: Point = (0.0, 0.0)) -> ScalarField:
@@ -106,18 +106,15 @@ def taper_datum(
         H = h0 + (h1 - h0) * x / length_x
         return y / H
 
-    return BoundaryDatum(evaluator=ev, tag=f"taper:{length_x!r}:{h0!r}:{h1!r}")
+    return BoundaryDatum(evaluator=ev)
 
 
-def linear_datum(cx: float = 1.0, cy: float = 0.0, tag: str | None = None) -> BoundaryDatum:
-    return BoundaryDatum(
-        evaluator=lambda x, y: cx * x + cy * y,
-        tag=tag if tag is not None else f"lin:{cx!r}:{cy!r}",
-    )
+def linear_datum(cx: float = 1.0, cy: float = 0.0) -> BoundaryDatum:
+    return BoundaryDatum(evaluator=lambda x, y: cx * x + cy * y)
 
 
 def constant_datum(c: float) -> BoundaryDatum:
-    return BoundaryDatum(evaluator=lambda x, y: c, tag=f"const:{c!r}")
+    return BoundaryDatum(evaluator=lambda x, y: c)
 
 
 def zero_datum() -> BoundaryDatum:

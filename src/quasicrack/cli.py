@@ -29,7 +29,7 @@ from .evolution import (
     Profile,
     StepRecord,
     TimeGrid,
-    _Evaluator,
+    _evaluator_of,
     audit_conditions,
     audit_monotone_loading,
     run_evolution,
@@ -143,7 +143,7 @@ def replay_state(path: str) -> EvolutionState:
         audit=payload.get("audit"),
         lambda_diagnostic=payload.get("lambda_diagnostic"),
     )
-    ev = state.evaluator = _Evaluator(domain, loading, h_max, h_tip)
+    ev = _evaluator_of(state)
     times = grid.times()
     snaps = payload["snapshots"]["steps"]
     if not len(times) == len(snaps) == len(payload["steps"]):

@@ -18,6 +18,9 @@ from .geometry import CrackSet, Polyline, hausdorff_distance, length
 from .mesh import TriangleLocator, triangulate
 from .solver import BoundaryDatum, gradient, solve
 
+#: the reference mesh of `check_minimizer_convergence` is this much finer
+REFERENCE_REFINE = 2.0
+
 
 @dataclass(frozen=True)
 class ConvergenceScenario:
@@ -51,11 +54,7 @@ def _spearman(x: list[float], y: list[float]) -> float:
 
 
 def check_minimizer_convergence(
-    scenario: ConvergenceScenario,
-    h_max: float,
-    h_tip: float,
-    *,
-    reference_refine: float = 2.0,
+    scenario: ConvergenceScenario, h_max: float, h_tip: float
 ) -> dict:
     """Gradient distance to the target solution across the family.
 
@@ -67,7 +66,7 @@ def check_minimizer_convergence(
     """
     dom = scenario.domain
     k_ref, g_ref = scenario.target
-    ref_mesh = triangulate(dom, k_ref, h_max / reference_refine, h_tip / reference_refine)
+    ref_mesh = triangulate(dom, k_ref, h_max / REFERENCE_REFINE, h_tip / REFERENCE_REFINE)
     u_ref = solve(ref_mesh, g_ref)
     g_ref_grad = gradient(u_ref).values
     cent = ref_mesh.nodes[ref_mesh.triangles].mean(axis=1)

@@ -1,16 +1,18 @@
-"""Total energy of a crack configuration and its localized/derivative forms.
+"""Total energy E(g(t), K) = bulk + surface, evaluated on one path.
 
-Total energy = bulk (Dirichlet energy of the minimizer) + surface (length
-of the crack). Every function here meshes and solves afresh; the memoized
-per-run evaluation that evolutions use is `evolution._Evaluator`.
+The bulk term is the Dirichlet energy of the minimizer with u = g(t) on
+the Dirichlet boundary, the surface term the length of the crack.
+`Evaluator` is the one place that meshes and solves for it: the run, both
+audits, `replay_state` and the release rates of `sif` all go through one.
+`local_energy` solves the ball-restricted problem for a single trace.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .domain import DomainSpec
 from .geometry import CrackSet, Point, Polyline, length
@@ -19,10 +21,10 @@ from .solver import (
     BoundaryDatum,
     ScalarField,
     bulk_energy,
-    gradient,
-    inner_product,
+    gram_matrix,
     interpolate_at,
     solve,
+    solve_many,
 )
 
 
@@ -49,36 +51,81 @@ class EnergyRecord:
         }
 
 
-def total_energy(
-    domain: DomainSpec,
-    crack: CrackSet,
-    g: BoundaryDatum,
-    h_max: float,
-    h_tip: float,
-    *,
-    time: float = 0.0,
-    power: float = 0.0,
-) -> tuple[EnergyRecord, ScalarField]:
-    """Mesh, solve, and return the energy record with the minimizing field."""
-    mesh = triangulate(domain, crack, h_max, h_tip)
-    u = solve(mesh, g)
-    rec = EnergyRecord(time=time, bulk=bulk_energy(u), surface=length(crack), power=power)
-    return rec, u
+# ---------------------------------------------------------------------------
+# energy evaluation through the Gram matrix of a loading basis
+# ---------------------------------------------------------------------------
 
 
-def energy_power(u: ScalarField, gdot: BoundaryDatum | ScalarField) -> float:
-    """The derivative diagnostic 2 (grad u | grad gdot) on u's mesh."""
-    if isinstance(gdot, ScalarField):
-        if gdot.mesh is not u.mesh and not np.array_equal(
-            gdot.mesh.nodes, u.mesh.nodes
-        ):
-            from .solver import MeshMismatch
+def _quad(G, a, b) -> float:
+    """a^T G b summed term by term; with one basis datum exactly a[0] * b[0] * G[0][0]."""
+    terms = [a[j] * b[k] * G[j][k] for j in range(len(a)) for k in range(len(b))]
+    return functools.reduce(operator.add, terms)
 
-            raise MeshMismatch("gdot lives on a different mesh")
-        gfield = gdot
-    else:
-        gfield = ScalarField(u.mesh, gdot.sample(u.mesh))
-    return 2.0 * inner_product(gradient(u), gradient(gfield))
+
+class Evaluator:
+    """Energy/field evaluation of g(t) = sum_j c_j(t) g_j, memoized per crack.
+
+    `basis` holds the data g_1..g_S and `coeffs(t)` returns (c(t), c'(t)).
+    The solve is linear, so one mesh and S solves u_j per crack give, with
+    G_jk = (grad u_j | grad u_k), bulk(t) = c^T G c, the exact discrete
+    power 2 c^T G c' and u(t) = sum_j c_j u_j. The Gram matrix is kept for
+    the evaluator's lifetime, the basis fields of the cracks meshed since
+    the last `end_step` only until the next one: a winner meshed in its own
+    step is not meshed twice, and memory does not grow with a run.
+    """
+
+    def __init__(self, domain: DomainSpec, basis, coeffs, h_max: float, h_tip: float):
+        self.domain = domain
+        self.basis = tuple(basis)
+        self.coeffs = coeffs
+        self.h_max = h_max
+        self.h_tip = h_tip
+        self._gram: dict[tuple, tuple] = {}
+        self._fields: dict[tuple, list[ScalarField]] = {}
+        self.solves = 0
+
+    def _solved(self, crack: CrackSet, need_fields: bool = False) -> tuple:
+        key = crack.fingerprint()
+        if key not in self._gram or (need_fields and key not in self._fields):
+            mesh = triangulate(self.domain, crack, self.h_max, self.h_tip)
+            fields = solve_many(mesh, self.basis)
+            self.solves += len(fields)
+            self._gram[key] = gram_matrix(fields)
+            self._fields[key] = fields
+        return key
+
+    def energy(self, crack: CrackSet, t: float) -> float:
+        G = self._gram[self._solved(crack)]
+        c, _ = self.coeffs(t)
+        return _quad(G, c, c) + length(crack)
+
+    def record(self, crack: CrackSet, t: float) -> tuple[EnergyRecord, ScalarField]:
+        """Energy record at t, with the power, and the minimizing field u(t)."""
+        key = self._solved(crack, need_fields=True)
+        G, fields = self._gram[key], self._fields[key]
+        c, cdot = self.coeffs(t)
+        u = functools.reduce(
+            operator.add, [cj * f.nodal_values for cj, f in zip(c, fields)]
+        )
+        rec = EnergyRecord(
+            time=t,
+            bulk=_quad(G, c, c),
+            surface=length(crack),
+            power=2.0 * _quad(G, c, cdot),
+        )
+        return rec, ScalarField(fields[0].mesh, u)
+
+    def balance_increment(self, crack: CrackSet, t0: float, t1: float) -> float:
+        """2 (grad u(t0) | grad(u(t1) - u(t0))) on one crack."""
+        G = self._gram[self._solved(crack)]
+        c0, _ = self.coeffs(t0)
+        c1, _ = self.coeffs(t1)
+        return 2.0 * _quad(G, c0, [b - a for a, b in zip(c0, c1)])
+
+    def end_step(self, keep: CrackSet | None = None) -> None:
+        """Drop the basis fields of every crack but `keep` (the next step's base)."""
+        key = keep.fingerprint() if keep is not None else None
+        self._fields = {k: v for k, v in self._fields.items() if k == key}
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +261,11 @@ def local_energy(
     )
 
 
-def trace_of(u: ScalarField, tag: str = "") -> BoundaryDatum:
+def trace_of(u: ScalarField) -> BoundaryDatum:
     """Datum sampling an existing field by P1 interpolation (for local problems)."""
     locator = TriangleLocator(u.mesh)
 
     def ev(x: float, y: float) -> float:
         return float(interpolate_at(u, [(x, y)], locator)[0])
 
-    return BoundaryDatum(evaluator=ev, tag=tag)
+    return BoundaryDatum(evaluator=ev)

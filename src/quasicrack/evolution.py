@@ -13,6 +13,8 @@ the energy. Audits re-verify per-step minimality, the discrete energy
 balance, stationarity at frozen datum, and the proportional-loading
 comparison inequality.
 
+Energies come from one `energy.Evaluator` per state, over the loading's
+basis (`_evaluator_of`); the run, the audits and `cli.replay_state` share it.
 Each step is one `StepRecord`, the only writer and reader of the per-step
 JSON format. The state keeps no displacement fields; `EvolutionState.field`
 re-solves one on request, bitwise equal to the run's.
@@ -21,11 +23,9 @@ re-solves one on request, bitwise equal to the run's.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,25 +40,19 @@ from .geometry import (
     extend_tip,
     length,
 )
-from .mesh import MeshFailure, triangulate
+from .mesh import MeshFailure
 from .sif import (
     AnnulusUnresolved,
     TipGeometryInvalid,
     fit_sif,
     safe_fit_window,
 )
-from .solver import (
-    BoundaryDatum,
-    ScalarField,
-    combine_datums,
-    gram_matrix,
-    scale_datum,
-    solve_many,
-)
-from .energy import EnergyRecord
+from .solver import BoundaryDatum, ScalarField
+from .energy import EnergyRecord, Evaluator
 
 KINK_REPORT_RAD = math.radians(10.0)
 JOINT_BUDGET = 4096  # most tip-move combinations searched jointly in one round
+MONOTONE_TOL = 1e-6  # comparison-inequality slack, relative to the final total energy
 
 
 class NotProportional(Exception):
@@ -195,21 +189,6 @@ class LoadingProgram:
         c[k], c[k + 1] = 1.0 - w, w
         cdot[k], cdot[k + 1] = -1.0 / dt, 1.0 / dt
         return tuple(c), tuple(cdot)
-
-    def datum_at(self, t: float) -> BoundaryDatum:
-        if self.mode == "proportional":
-            return scale_datum(self.datum, self.profile.value(t))
-        k, w, _ = self._interval(t)
-        g0, g1 = self.samples[k][1], self.samples[k + 1][1]
-        return combine_datums(g0, g1, 1.0 - w, w, tag=f"{g0.tag}|{g1.tag}@{t!r}")
-
-    def datum_dot_at(self, t: float) -> BoundaryDatum:
-        """Time derivative: exact for analytic profiles, the interval slope for samples."""
-        if self.mode == "proportional":
-            return scale_datum(self.datum, self.profile.derivative(t))
-        k, _, dt = self._interval(t)
-        g0, g1 = self.samples[k][1], self.samples[k + 1][1]
-        return combine_datums(g0, g1, -1.0 / dt, 1.0 / dt, tag=f"d({g0.tag}|{g1.tag})")
 
 
 @dataclass(frozen=True)
@@ -369,7 +348,7 @@ class EvolutionState:
     audit: dict | None = None
     lambda_diagnostic: dict | None = None
     # the run's memoized evaluator, reused by the audits; never serialized
-    evaluator: _Evaluator | None = field(default=None, repr=False, compare=False)
+    evaluator: Evaluator | None = field(default=None, repr=False, compare=False)
 
     @property
     def cracks(self) -> list[CrackSet]:
@@ -434,87 +413,13 @@ class EvolutionState:
             json.dump(payload, f, sort_keys=True, indent=1)
 
 
-# ---------------------------------------------------------------------------
-# energy evaluation through the Gram matrix of the loading basis
-# ---------------------------------------------------------------------------
-
-
-def _quad(G, a, b) -> float:
-    """a^T G b summed term by term; with one basis datum exactly a[0] * b[0] * G[0][0]."""
-    terms = [a[j] * b[k] * G[j][k] for j in range(len(a)) for k in range(len(b))]
-    return functools.reduce(operator.add, terms)
-
-
-class _Evaluator:
-    """Per-run energy/field evaluation, memoized per crack.
-
-    Every loading is g(t) = sum_j c_j(t) g_j over a fixed basis
-    (`LoadingProgram.basis`) and the solve is linear, so one mesh and S
-    solves u_j per crack give, with G_jk = (grad u_j | grad u_k),
-    bulk(t) = c^T G c, the exact discrete power 2 c^T G c' and
-    u(t) = sum_j c_j u_j. The Gram matrix is kept for the whole run, the
-    basis fields of the cracks meshed in a step only until `end_step`: a
-    winner meshed in its own step is not meshed twice, and memory does not
-    grow with the run.
-    """
-
-    def __init__(self, domain, loading, h_max, h_tip):
-        self.domain = domain
-        self.loading = loading
-        self.h_max = h_max
-        self.h_tip = h_tip
-        self._basis = loading.basis()
-        self._gram: dict[tuple, tuple] = {}
-        self._fields: dict[tuple, list[ScalarField]] = {}
-        self.solves = 0
-
-    def _solved(self, crack: CrackSet, need_fields: bool = False) -> tuple:
-        key = crack.fingerprint()
-        if key not in self._gram or (need_fields and key not in self._fields):
-            mesh = triangulate(self.domain, crack, self.h_max, self.h_tip)
-            fields = solve_many(mesh, self._basis)
-            self.solves += len(fields)
-            self._gram[key] = gram_matrix(fields)
-            self._fields[key] = fields
-        return key
-
-    def energy(self, crack: CrackSet, t: float) -> float:
-        G = self._gram[self._solved(crack)]
-        c, _ = self.loading.coeffs(t)
-        return _quad(G, c, c) + length(crack)
-
-    def record(self, crack: CrackSet, t: float) -> tuple[EnergyRecord, ScalarField]:
-        """Energy record at t, with the power, and the minimizing field u(t)."""
-        key = self._solved(crack, need_fields=True)
-        G, fields = self._gram[key], self._fields[key]
-        c, cdot = self.loading.coeffs(t)
-        u = functools.reduce(
-            operator.add, [cj * f.nodal_values for cj, f in zip(c, fields)]
-        )
-        rec = EnergyRecord(
-            time=t,
-            bulk=_quad(G, c, c),
-            surface=length(crack),
-            power=2.0 * _quad(G, c, cdot),
-        )
-        return rec, ScalarField(fields[0].mesh, u)
-
-    def balance_increment(self, crack: CrackSet, t0: float, t1: float) -> float:
-        """2 (grad u(t0) | grad(u(t1) - u(t0))) on one crack."""
-        G = self._gram[self._solved(crack)]
-        c0, _ = self.loading.coeffs(t0)
-        c1, _ = self.loading.coeffs(t1)
-        return 2.0 * _quad(G, c0, [b - a for a, b in zip(c0, c1)])
-
-    def end_step(self, keep: CrackSet | None = None) -> None:
-        """Drop the basis fields of every crack but `keep` (the next step's base)."""
-        key = keep.fingerprint() if keep is not None else None
-        self._fields = {k: v for k, v in self._fields.items() if k == key}
-
-
-def _evaluator_of(state: EvolutionState) -> _Evaluator:
+def _evaluator_of(state: EvolutionState) -> Evaluator:
+    """The state's evaluator, built over its loading basis on first use and kept."""
     if state.evaluator is None:
-        state.evaluator = _Evaluator(state.domain, state.loading, state.h_max, state.h_tip)
+        loading = state.loading
+        state.evaluator = Evaluator(
+            state.domain, loading.basis(), loading.coeffs, state.h_max, state.h_tip
+        )
     return state.evaluator
 
 
@@ -688,7 +593,7 @@ def run_evolution(
         m=k0.m,
         initial_crack=k0,
     )
-    ev = state.evaluator = _Evaluator(domain, loading, h_max, h_tip)
+    ev = _evaluator_of(state)
     current = k0
     sigma = {(t.component_id, t.end): 0.0 for t in _active_tips(domain, k0)}
 
@@ -845,7 +750,7 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
 
 
 def audit_monotone_loading(
-    state: EvolutionState, n_pairs: int = 10, seed: int = 0, tol_factor: float = 1e-6
+    state: EvolutionState, n_pairs: int = 10, seed: int = 0
 ) -> list[dict]:
     """Pairwise check E(g(t), K(t)) <= E(g(t), K(s)) for s < t.
 
@@ -859,7 +764,7 @@ def audit_monotone_loading(
     ev = _evaluator_of(state)
     rng = np.random.default_rng(seed)
     n = len(times)
-    tol = tol_factor * abs(state.steps[-1].energy.total)
+    tol = MONOTONE_TOL * abs(state.steps[-1].energy.total)
     rows = []
     for _ in range(n_pairs):
         s_i, t_i = sorted(rng.choice(n, size=2, replace=False))

@@ -103,37 +103,15 @@ def _segments_properly_cross(p1: Point, p2: Point, p3: Point, p4: Point) -> bool
     return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
 
 
-def _intersect_beyond_shared(
-    seg: tuple[Point, Point], other: tuple[Point, Point], shared: Point
-) -> bool:
-    """True if seg and other intersect anywhere besides the shared vertex."""
-    if not _segments_intersect(seg[0], seg[1], other[0], other[1]):
+def _intersect_beyond_shared(seg: tuple[Point, Point], other: tuple[Point, Point]) -> bool:
+    """True if two segments that share an end vertex meet anywhere else.
+
+    Segments on different lines meet only at the shared vertex, so this
+    is the exact test for a collinear overlap of positive length (a fold-back).
+    """
+    if _orient(other[0], other[1], seg[0]) != 0 or _orient(other[0], other[1], seg[1]) != 0:
         return False
-    # collinear overlap of positive length always extends past one point
-    if _orient(other[0], other[1], seg[0]) == 0 and _orient(
-        other[0], other[1], seg[1]
-    ) == 0:
-        lo_o = min(other[0], other[1])
-        hi_o = max(other[0], other[1])
-        lo_s = min(seg[0], seg[1])
-        hi_s = max(seg[0], seg[1])
-        return max(lo_o, lo_s) != min(hi_o, hi_s)
-    # non-collinear: the intersection is a single point; exclude the shared one
-    for a in seg:
-        for b in other:
-            if a == b and a == shared:
-                # touching only at the shared vertex is fine unless another
-                # contact exists, which the collinear branch above caught
-                endpoints_inside = (
-                    _on_segment(seg[0], other[0], other[1]) and seg[0] != shared,
-                    _on_segment(seg[1], other[0], other[1]) and seg[1] != shared,
-                    _on_segment(other[0], seg[0], seg[1]) and other[0] != shared,
-                    _on_segment(other[1], seg[0], seg[1]) and other[1] != shared,
-                )
-                if any(endpoints_inside):
-                    return True
-                return _segments_properly_cross(seg[0], seg[1], other[0], other[1])
-    return True
+    return max(min(other), min(seg)) != min(max(other), max(seg))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +148,7 @@ class Polyline:
             for j in range(i + 1, n):
                 if j == i + 1:
                     # adjacent segments may only share their common vertex
-                    if _intersect_beyond_shared(segs[i], segs[j], segs[i][1]):
+                    if _intersect_beyond_shared(segs[i], segs[j]):
                         raise GeometryViolation("polyline folds onto itself")
                 elif _segments_intersect(*segs[i], *segs[j]):
                     raise GeometryViolation("polyline self-intersects")
@@ -611,7 +589,7 @@ def extend_tip(
                 or (tip.end == "start" and si == 0)
             )
             if adjacent:
-                if _intersect_beyond_shared(new_seg, seg, anchor):
+                if _intersect_beyond_shared(new_seg, seg):
                     raise GeometryViolation("extension folds back onto the crack")
             elif _segments_intersect(*new_seg, *seg):
                 raise GeometryViolation("extension intersects the existing crack")

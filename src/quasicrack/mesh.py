@@ -33,6 +33,11 @@ from .geometry import CrackSet, Point, Tip, _components_touch, _on_segment, crac
 _SEG_CLEARANCE = 0.62
 _PT_CLEARANCE = 0.58
 _JUNCTION_CLEARANCE = 0.45
+# quality bound and tip grading: smallest interior angle (degrees), size
+# growth per unit distance, and the radius (in h_tip) of the h_tip core
+_MIN_ANGLE_DEG = 5.0
+_GRADING = 0.3
+_TIP_RADIUS_FACTOR = 8.0
 
 
 class MeshFailure(Exception):
@@ -73,7 +78,6 @@ class CrackMesh:
     released_nodes: frozenset[int]
     h_max: float
     h_tip: float
-    min_angle_deg: float = 0.0
     areas: np.ndarray = field(default=None, repr=False)
     grad_x: np.ndarray = field(default=None, repr=False)
     grad_y: np.ndarray = field(default=None, repr=False)
@@ -206,12 +210,12 @@ def _edge_keys(pairs, n: int) -> np.ndarray:
 
 
 class _SizeField:
-    def __init__(self, tip_positions, h_max, h_tip, grading, tip_radius_factor):
+    def __init__(self, tip_positions, h_max, h_tip):
         self.tips = np.array(tip_positions, float).reshape(-1, 2)
         self.h_max = float(h_max)
         self.h_tip = float(h_tip)
-        self.grading = float(grading)
-        self.inner = tip_radius_factor * float(h_tip)
+        self.grading = _GRADING
+        self.inner = _TIP_RADIUS_FACTOR * float(h_tip)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, float).reshape(-1, 2)
@@ -351,25 +355,6 @@ def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def crack_touches_dirichlet(domain: DomainSpec, crack: CrackSet) -> list[Point]:
-    """Boundary points where the crack meets the closed Dirichlet part."""
-    dir_edges = [
-        e for k, e in enumerate(domain.edges()) if domain.edge_tag(k) == "dirichlet"
-    ]
-    hits: list[Point] = []
-    crack_vertices = [v for comp in crack.components for v in comp.vertices]
-    for v in crack_vertices:
-        if any(_on_segment(v, *e) for e in dir_edges):
-            hits.append(v)
-    crack_segs = crack.segments()
-    for k, (a, b) in enumerate(domain.edges()):
-        if domain.edge_tag(k) != "dirichlet":
-            continue
-        if a not in hits and any(_on_segment(a, *s) for s in crack_segs):
-            hits.append(a)
-    return sorted(set(hits))
-
-
 def _classify_ends(domain: DomainSpec, crack: CrackSet):
     """Per component: ('tip'|'boundary'|'point') for each end; tips list."""
     kinds = []
@@ -426,10 +411,6 @@ def triangulate(
     crack: CrackSet,
     h_max: float,
     h_tip: float,
-    *,
-    min_angle_deg: float = 5.0,
-    grading: float = 0.3,
-    tip_radius_factor: float = 8.0,
 ) -> CrackMesh:
     """Deterministic crack-conforming triangulation with tip grading.
 
@@ -440,9 +421,7 @@ def triangulate(
         raise MeshFailure("h_tip must not exceed h_max")
     _validate_crack(domain, crack, h_tip)
     end_kinds, tips = _classify_ends(domain, crack)
-    size = _SizeField(
-        [t.position for t in tips], h_max, h_tip, grading, tip_radius_factor
-    )
+    size = _SizeField([t.position for t in tips], h_max, h_tip)
 
     # ---------------- feature sampling ----------------
     poly = domain.boundary
@@ -632,7 +611,6 @@ def triangulate(
         boundary_cycle,
         h_max,
         h_tip,
-        min_angle_deg,
     )
     return mesh
 
@@ -699,7 +677,6 @@ def _unzip_and_finalize(
     boundary_cycle,
     h_max,
     h_tip,
-    min_angle_deg,
 ) -> CrackMesh:
     tris = tris.copy()
     n_orig = len(pts_arr)
@@ -839,13 +816,12 @@ def _unzip_and_finalize(
         released_nodes=released,
         h_max=h_max,
         h_tip=h_tip,
-        min_angle_deg=min_angle_deg,
     )
     if np.any(mesh.areas <= 0):
         raise MeshFailure("non-positive triangle area")
     ang = mesh.min_angle()
-    if ang < min_angle_deg:
-        raise MeshFailure(f"min angle {ang:.2f} deg below bound {min_angle_deg}")
+    if ang < _MIN_ANGLE_DEG:
+        raise MeshFailure(f"min angle {ang:.2f} deg below bound {_MIN_ANGLE_DEG}")
     return mesh
 
 

@@ -2,7 +2,8 @@
 
 Two independent estimators: an annulus least-squares fit of the nodal
 field against the singular shape sqrt(2 rho / pi) sin(theta / 2), and a
-finite difference of the total energy under a straight tip extension.
+finite difference of the total energy under a straight tip extension,
+evaluated by a one-datum `energy.Evaluator`.
 The release rate of the singular field is 1 - kappa^2 per unit length.
 """
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainSpec
+from .energy import Evaluator
 from .geometry import CrackSet, Tip, extend_tip
 from .solver import BoundaryDatum, ScalarField
 
@@ -185,6 +187,18 @@ def safe_fit_window(
 # ---------------------------------------------------------------------------
 
 
+def _unit(t: float):
+    """Coefficients of a one-datum basis: g itself at every time."""
+    return (1.0,), (0.0,)
+
+
+def _forward_difference(ev: Evaluator, crack: CrackSet, tip: Tip, dsigma: float) -> float:
+    """[E(K extended straight by dsigma) - E(K)] / dsigma; E(K) is memoized by `ev`."""
+    e0 = ev.energy(crack, 0.0)
+    extended = extend_tip(crack, tip, 0.0, dsigma, domain=ev.domain)
+    return (ev.energy(extended, 0.0) - e0) / dsigma
+
+
 def release_rate_fd(
     domain: DomainSpec,
     crack: CrackSet,
@@ -199,21 +213,8 @@ def release_rate_fd(
     Surface contributes +1 per unit length exactly; the bulk term tends
     to -kappa^2 as dsigma -> 0.
     """
-    return _release_rates(domain, crack, g, tip, (dsigma,), h_max, h_tip)[0]
-
-
-def _release_rates(domain, crack, g, tip, dsigmas, h_max, h_tip) -> list[float]:
-    """[E(K extended straight by ds) - E(K)] / ds for each ds; E(K) meshed once."""
-    from .energy import total_energy
-
-    def energy(k: CrackSet) -> float:
-        return total_energy(domain, k, g, h_max, h_tip)[0].total
-
-    e0 = energy(crack)
-    return [
-        (energy(extend_tip(crack, tip, 0.0, ds, domain=domain)) - e0) / ds
-        for ds in dsigmas
-    ]
+    ev = Evaluator(domain, (g,), _unit, h_max, h_tip)
+    return _forward_difference(ev, crack, tip, dsigma)
 
 
 def release_rate_richardson(
@@ -225,10 +226,12 @@ def release_rate_richardson(
     h_tip: float,
     factors: tuple[float, float] = (4.0, 8.0),
 ) -> float:
-    """Richardson extrapolation of the forward difference over two steps."""
-    d1, d2 = _release_rates(
-        domain, crack, g, tip, (factors[0] * h_tip, factors[1] * h_tip), h_max, h_tip
-    )
+    """Richardson extrapolation of the forward difference over two steps.
+
+    Both differences share one evaluator, so E(K) is meshed once.
+    """
+    ev = Evaluator(domain, (g,), _unit, h_max, h_tip)
+    d1, d2 = (_forward_difference(ev, crack, tip, f * h_tip) for f in factors)
     w = factors[1] / factors[0]
     return (w * d1 - d2) / (w - 1.0)
 

@@ -40,14 +40,13 @@ class RegionNotSimplyConnected(Exception):
 class BoundaryDatum:
     """Trace of an admissible displacement, evaluable on the closed domain.
 
-    `tag` identifies the datum for memoization; leave empty to opt out.
     `mesh_sampler`, when given, overrides nodal sampling (needed for data
     that jump across the crack, where plus/minus copies take different
-    values).
+    values). Data carry no identity: an `energy.Evaluator` memoizes per
+    crack for the basis it was built with.
     """
 
     evaluator: Callable[[float, float], float]
-    tag: str = ""
     mesh_sampler: Callable[[CrackMesh], np.ndarray] | None = None
 
     def sample(self, mesh: CrackMesh) -> np.ndarray:
@@ -63,26 +62,7 @@ def scale_datum(g: BoundaryDatum, c: float) -> BoundaryDatum:
     if g.mesh_sampler is not None:
         base = g.mesh_sampler
         sampler = lambda mesh: c * np.asarray(base(mesh), dtype=float)
-    return BoundaryDatum(
-        evaluator=lambda x, y: c * ev(x, y),
-        tag=f"{g.tag}*{c!r}" if g.tag else "",
-        mesh_sampler=sampler,
-    )
-
-
-def combine_datums(
-    ga: BoundaryDatum, gb: BoundaryDatum, a: float, b: float, tag: str = ""
-) -> BoundaryDatum:
-    eva, evb = ga.evaluator, gb.evaluator
-    sampler = None
-    if ga.mesh_sampler is not None or gb.mesh_sampler is not None:
-        def sampler(mesh, _ga=ga, _gb=gb, _a=a, _b=b):
-            return _a * _ga.sample(mesh) + _b * _gb.sample(mesh)
-    return BoundaryDatum(
-        evaluator=lambda x, y: a * eva(x, y) + b * evb(x, y),
-        tag=tag,
-        mesh_sampler=sampler,
-    )
+    return BoundaryDatum(evaluator=lambda x, y: c * ev(x, y), mesh_sampler=sampler)
 
 
 @dataclass(frozen=True)

@@ -76,13 +76,35 @@ def random_crackset(rng, *, max_components: int = 3, max_vertices: int = 5):
 def direct_energy_and_power(domain, crack, loading, t, h_max, h_tip):
     """(bulk, power) at time t from one direct solve of g(t) on a fresh mesh.
 
-    The power is 2 (grad u | grad gdot) against the nodal samples of
-    gdot(t), the finite-difference form the Gram path must reproduce.
+    g(t) and gdot(t) are built here from `loading.basis()` and
+    `loading.coeffs(t)`; their samples are summed datum by datum, so data
+    with a face-aware sampler keep their per-side values. The power is
+    2 (grad u | grad gdot) against the nodal samples of gdot(t), the
+    finite-difference form the Gram path must reproduce.
     """
-    from quasicrack.energy import energy_power, total_energy
+    from quasicrack.mesh import triangulate
+    from quasicrack.solver import (
+        BoundaryDatum,
+        ScalarField,
+        bulk_energy,
+        gradient,
+        inner_product,
+        solve,
+    )
 
-    rec, u = total_energy(domain, crack, loading.datum_at(t), h_max, h_tip)
-    return rec.bulk, energy_power(u, loading.datum_dot_at(t))
+    basis = loading.basis()
+
+    def combined(weights):
+        return BoundaryDatum(
+            evaluator=lambda x, y: sum(w * g.evaluator(x, y) for w, g in zip(weights, basis)),
+            mesh_sampler=lambda mesh: sum(w * g.sample(mesh) for w, g in zip(weights, basis)),
+        )
+
+    c, cdot = loading.coeffs(t)
+    mesh = triangulate(domain, crack, h_max, h_tip)
+    u = solve(mesh, combined(c))
+    gdot = ScalarField(mesh, combined(cdot).sample(mesh))
+    return bulk_energy(u), 2.0 * inner_product(gradient(u), gradient(gdot))
 
 
 def best_joint_extension(domain, base, policy, h_tip, energy_fn):
@@ -167,6 +189,16 @@ def orient_exact(a, b, c) -> int:
         Fraction(b[1]) - ay
     ) * (Fraction(c[0]) - ax)
     return (det > 0) - (det < 0)
+
+
+def folds_back_exact(shared, a, b) -> bool:
+    """[shared, a] and [shared, b] meet beyond `shared`, in Fractions only:
+    a, b and shared are collinear and a, b lie on the same side of it."""
+    sx, sy = Fraction(shared[0]), Fraction(shared[1])
+    dot = (Fraction(a[0]) - sx) * (Fraction(b[0]) - sx) + (Fraction(a[1]) - sy) * (
+        Fraction(b[1]) - sy
+    )
+    return orient_exact(shared, a, b) == 0 and dot > 0
 
 
 def segments_intersect_exact(p1, p2, p3, p4) -> bool:

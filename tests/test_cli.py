@@ -156,9 +156,11 @@ def test_sweep(quick_config):
 
 
 def test_oracle_known_case():
-    r = run_cli("oracle", "slit-energy", "--h-tip", str(1 / 64))
-    assert r.returncode == 0
-    assert r.stdout.startswith("PASS")
+    for case in ("slit-energy", "slit-sif", "release-rate"):
+        r = run_cli("oracle", case, "--h-tip", str(1 / 64))
+        assert r.returncode == 0
+        lines = r.stdout.splitlines()
+        assert lines and all(line.startswith("PASS") for line in lines), r.stdout
 
 
 def test_oracle_unknown_case():

@@ -1,7 +1,5 @@
-import json
 import math
 
-import numpy as np
 import pytest
 
 from quasicrack.cases import (
@@ -15,22 +13,27 @@ from quasicrack.domain import DomainSpec
 from quasicrack.energy import (
     BallSpec,
     EnergyRecord,
-    energy_power,
+    Evaluator,
     local_energy,
-    total_energy,
     trace_of,
 )
-from quasicrack.evolution import LoadingProgram, Profile, _Evaluator
+from quasicrack.evolution import LoadingProgram, Profile
 from quasicrack.geometry import CrackSet, Polyline, length
 from quasicrack.mesh import triangulate
-from quasicrack.solver import BoundaryDatum, ScalarField, bulk_energy, combine_datums, solve
+from quasicrack.solver import BoundaryDatum, bulk_energy, solve
 
 
 SQUARE = DomainSpec.all_dirichlet(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 
 
+def one_datum(domain, datum, h_max, h_tip):
+    """Evaluator of the constant loading g(t) = datum."""
+    return Evaluator(domain, (datum,), lambda t: ((1.0,), (0.0,)), h_max, h_tip)
+
+
 def test_total_energy_square_linear():
-    rec, u = total_energy(SQUARE, CrackSet((), 1), linear_datum(1.0, 0.0), 0.25, 0.25)
+    ev = one_datum(SQUARE, linear_datum(1.0, 0.0), 0.25, 0.25)
+    rec, u = ev.record(CrackSet((), 1), 0.0)
     assert rec.bulk == pytest.approx(1.0, abs=1e-9)
     assert rec.surface == 0.0
     assert rec.total == pytest.approx(1.0, abs=1e-9)
@@ -38,16 +41,15 @@ def test_total_energy_square_linear():
 
 def test_total_energy_zero_datum_is_length():
     crack = CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1)
-    rec, u = total_energy(SQUARE, crack, zero_datum(), 0.1, 0.02)
+    rec, u = one_datum(SQUARE, zero_datum(), 0.1, 0.02).record(crack, 0.0)
     assert rec.bulk <= 1e-18
     assert rec.total == pytest.approx(length(crack), abs=1e-15)
 
 
 def test_total_energy_slit_disk_mode3():
     # closed form: bulk = kappa^2 = 1 on the unit disk, surface = slit length 1
-    rec, _ = total_energy(
-        slit_disk_domain(), slit_disk_crack(), mode3_datum(1.0), 1 / 8, 1 / 64
-    )
+    ev = one_datum(slit_disk_domain(), mode3_datum(1.0), 1 / 8, 1 / 64)
+    rec, _ = ev.record(slit_disk_crack(), 0.0)
     assert rec.bulk == pytest.approx(1.0, rel=0.03)
     assert rec.surface == pytest.approx(1.0, abs=1e-15)
     assert rec.total == pytest.approx(2.0, rel=0.02)
@@ -66,50 +68,52 @@ def test_energy_record_json():
 
 
 def test_energy_power_cases():
-    mesh = triangulate(SQUARE, CrackSet((), 1), 0.25, 0.25)
-    u = solve(mesh, linear_datum(1.0, 0.0))
-    assert energy_power(u, zero_datum()) == 0.0
-    assert energy_power(u, linear_datum(0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    # the power 2 (grad u | grad gdot) of g(t) = sum_j c_j(t) g_j is 2 c^T G c'
+    empty = CrackSet((), 1)
+    x, y = linear_datum(1.0, 0.0), linear_datum(0.0, 1.0)
+    rec, _ = one_datum(SQUARE, x, 0.25, 0.25).record(empty, 0.0)
+    assert rec.power == 0.0
+    ev = Evaluator(SQUARE, (x, y), lambda t: ((1.0, 0.0), (0.0, 1.0)), 0.25, 0.25)
+    assert ev.record(empty, 0.0)[0].power == pytest.approx(0.0, abs=1e-12)
     # proportional loading g = t*h at t: power = 2*bulk/t
     t = 0.4
-    ut = ScalarField(mesh, t * u.nodal_values)
-    assert energy_power(ut, linear_datum(1.0, 0.0)) == pytest.approx(
-        2.0 * bulk_energy(ut) / t, abs=1e-12
-    )
+    ev = Evaluator(SQUARE, (x,), lambda s: ((s,), (1.0,)), 0.25, 0.25)
+    rec, _ = ev.record(empty, t)
+    assert rec.power == pytest.approx(2.0 * rec.bulk / t, abs=1e-12)
 
 
 def test_directional_derivative_first_order():
     # [E(g + tau h) - E(g)] / tau - 2 (grad u_g | grad u_h) = tau * |grad u_h|^2
     crack = CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1)
-    mesh = triangulate(SQUARE, crack, 0.1, 0.02)
-    g = BoundaryDatum(lambda x, y: x * x - 0.5 * y, tag="g")
-    h = BoundaryDatum(lambda x, y: math.sin(x) + y, tag="h")
-    ug = solve(mesh, g)
-    uh = solve(mesh, h)
-    slope = energy_power(ug, ScalarField(mesh, uh.nodal_values))
-    quad = bulk_energy(uh)
+    g = BoundaryDatum(lambda x, y: x * x - 0.5 * y)
+    h = BoundaryDatum(lambda x, y: math.sin(x) + y)
+    ev = Evaluator(SQUARE, (g, h), lambda t: ((1.0, 0.0), (0.0, 1.0)), 0.1, 0.02)
+    rec, ug = ev.record(crack, 0.0)
+    slope = rec.power  # 2 (grad u_g | grad u_h)
+    mesh = ug.mesh
+    quad = bulk_energy(solve(mesh, h))
     for tau in (1e-2, 1e-3, 1e-4):
-        combo = combine_datums(g, h, 1.0, tau, tag=f"g+t*{tau!r}")
+        combo = BoundaryDatum(lambda x, y, tau=tau: g.evaluator(x, y) + tau * h.evaluator(x, y))
         e_tau = bulk_energy(solve(mesh, combo))
-        diff = (e_tau - bulk_energy(ug)) / tau - slope
+        diff = (e_tau - rec.bulk) / tau - slope
         assert diff == pytest.approx(tau * quad, rel=1e-6, abs=1e-12)
 
 
 def test_bulk_monotone_in_crack():
-    g = BoundaryDatum(lambda x, y: y * y - x, tag="load")
+    ev = one_datum(SQUARE, BoundaryDatum(lambda x, y: y * y - x), 0.1, 0.02)
     slits = [
         CrackSet((Polyline(((0.2, 0.5), (0.4, 0.5))),), 1),
         CrackSet((Polyline(((0.2, 0.5), (0.6, 0.5))),), 1),
         CrackSet((Polyline(((0.2, 0.5), (0.8, 0.5))),), 1),
     ]
-    bulks = [total_energy(SQUARE, k, g, 0.1, 0.02)[0].bulk for k in slits]
+    bulks = [ev.record(k, 0.0)[0].bulk for k in slits]
     assert bulks[1] <= bulks[0] + 1e-12
     assert bulks[2] <= bulks[1] + 1e-12
 
 
-def test_memoization_by_tag(monkeypatch):
-    # the evaluator meshes a crack once, whether or not its datum is tagged
-    import quasicrack.evolution as evolution
+def test_evaluator_meshes_each_crack_once(monkeypatch):
+    # energies at every time and the record of a crack share one mesh
+    import quasicrack.energy as energy
 
     built = []
 
@@ -117,19 +121,23 @@ def test_memoization_by_tag(monkeypatch):
         built.append(args[1])
         return triangulate(*args)
 
-    monkeypatch.setattr(evolution, "triangulate", counting_triangulate)
-    crack = CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1)
-    for datum in (linear_datum(1.0, 0.0), BoundaryDatum(lambda x, y: x, tag="")):
-        loading = LoadingProgram(
-            "proportional", datum=datum, profile=Profile("constant", (1.0,))
-        )
-        ev = _Evaluator(SQUARE, loading, 0.1, 0.02)
-        built.clear()
-        e1 = ev.energy(crack, 0.0)
-        assert len(built) == 1
-        e2 = ev.energy(crack, 0.0)
-        assert len(built) == 1
-        assert e1 == e2
+    monkeypatch.setattr(energy, "triangulate", counting_triangulate)
+    cracks = [
+        CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1),
+        CrackSet((Polyline(((0.3, 0.5), (0.8, 0.5))),), 1),
+    ]
+    loading = LoadingProgram(
+        "proportional", datum=linear_datum(1.0, 0.0), profile=Profile("linear", (1.0,))
+    )
+    ev = Evaluator(SQUARE, loading.basis(), loading.coeffs, 0.1, 0.02)
+    e1 = ev.energy(cracks[0], 0.5)
+    assert built == cracks[:1]
+    for t in (0.25, 0.5, 1.0):
+        for crack in cracks:
+            ev.energy(crack, t)
+    ev.record(cracks[1], 1.0)
+    assert built == cracks
+    assert ev.energy(cracks[0], 0.5) == e1
 
 
 def test_local_energy_no_crack_linear():
@@ -164,7 +172,7 @@ def test_localization_inequality_at_minimizer(benchmark_state):
     u = state.field(i)
     tip_pos = crack.components[0].vertices[-1]
     ball = BallSpec(tip_pos, 0.28, 64)
-    trace = trace_of(u, tag=f"trace@{i}")
+    trace = trace_of(u)
     e_here = local_energy(ball, crack, trace, 0.05, state.h_tip).total
     from quasicrack.geometry import crack_tips, extend_tip
 

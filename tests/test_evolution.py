@@ -18,6 +18,7 @@ from quasicrack.cases import (
     zero_datum,
 )
 from quasicrack.domain import DomainSpec
+from quasicrack.energy import Evaluator
 from quasicrack.evolution import (
     CandidatePolicy,
     LoadingProgram,
@@ -25,7 +26,6 @@ from quasicrack.evolution import (
     Profile,
     StepRecord,
     TimeGrid,
-    _Evaluator,
     _minimize_step,
     audit_conditions,
     audit_monotone_loading,
@@ -36,6 +36,10 @@ from quasicrack.geometry import CrackSet, Polyline, contains, crack_tips, length
 from oracles import best_joint_extension, direct_energy_and_power
 
 TAPER = dict(length_x=3.0, h0=0.35, h1=0.725)
+
+
+def evaluator(domain, loading, h_max, h_tip):
+    return Evaluator(domain, loading.basis(), loading.coeffs, h_max, h_tip)
 
 
 def taper_setup():
@@ -123,7 +127,7 @@ def test_zero_datum_keeps_crack():
         "proportional", datum=zero_datum(), profile=Profile("constant", (0.0,))
     )
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 4)
-    ev = _Evaluator(dom, loading, 1 / 8, 1 / 32)
+    ev = evaluator(dom, loading, 1 / 8, 1 / 32)
     out = _minimize_step(dom, k0, policy, 1 / 32, lambda K: ev.energy(K, 0.0))
     assert out.crack.fingerprint() == k0.fingerprint()
 
@@ -134,7 +138,7 @@ def test_subcritical_no_extension_beats_rest():
     loading = LoadingProgram(
         "proportional", datum=h, profile=Profile("constant", (0.25,))
     )
-    ev = _Evaluator(dom, loading, 1 / 8, 1 / 32)
+    ev = evaluator(dom, loading, 1 / 8, 1 / 32)
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 4)
     e_rest = ev.energy(k0, 0.0)
     from quasicrack.evolution import _tip_candidates, _active_tips
@@ -152,7 +156,7 @@ def test_supercritical_extension_wins():
     loading = LoadingProgram(
         "proportional", datum=h, profile=Profile("constant", (0.55,))
     )
-    ev = _Evaluator(dom, loading, 1 / 8, 1 / 32)
+    ev = evaluator(dom, loading, 1 / 8, 1 / 32)
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 2)
     out = _minimize_step(dom, k0, policy, 1 / 32, lambda K: ev.energy(K, 0.0))
     assert out.grew
@@ -188,7 +192,7 @@ def test_joint_search_matches_exhaustive_oracle():
     policy = CandidatePolicy(
         angles=(-0.3, 0.0, 0.3), ell0=1 / 16, length_max=1 / 8, multi_segment=2
     )
-    ev = _Evaluator(dom, loading, 1 / 8, 1 / 32)
+    ev = evaluator(dom, loading, 1 / 8, 1 / 32)
 
     def energy(K):
         return ev.energy(K, 0.75)
@@ -218,11 +222,11 @@ def test_kink_selected_when_datum_is_rotated():
 
     from quasicrack.solver import BoundaryDatum
 
-    g = BoundaryDatum(ev_rot, tag="mode3rot30")
+    g = BoundaryDatum(ev_rot)
     loading = LoadingProgram(
         "proportional", datum=g, profile=Profile("constant", (1.7,))
     )
-    evl = _Evaluator(dom, loading, 1 / 8, 1 / 32)
+    evl = evaluator(dom, loading, 1 / 8, 1 / 32)
     policy = CandidatePolicy(
         angles=tuple(math.radians(a) for a in (-40, -20, 0, 20, 40)),
         ell0=1 / 8,
@@ -315,11 +319,11 @@ def test_gram_bulk_and_power_match_direct_solve(slit, amps, t):
     crack = CrackSet((Polyline(((0.2, 0.5), (0.2 + slit, 0.5))),), 1)
     n = len(amps)
     samples = tuple(
-        (k / (n - 1), scale_datum(BoundaryDatum(BASIS_FUNCS[k], tag=f"f{k}"), a))
+        (k / (n - 1), scale_datum(BoundaryDatum(BASIS_FUNCS[k]), a))
         for k, a in enumerate(amps)
     )
     loading = LoadingProgram("sampled", samples=samples)
-    rec, _ = _Evaluator(SQUARE, loading, 0.1, 0.025).record(crack, t)
+    rec, _ = evaluator(SQUARE, loading, 0.1, 0.025).record(crack, t)
     bulk, power = direct_energy_and_power(SQUARE, crack, loading, t, 0.1, 0.025)
     assert rec.bulk == pytest.approx(bulk, rel=1e-9, abs=1e-9)
     assert rec.power == pytest.approx(power, rel=1e-9, abs=1e-9)
@@ -395,7 +399,7 @@ def test_monotone_loading_equalities():
         with_sif=False, with_audit=False,
     )
     assert not any(state.grew)
-    ev = _Evaluator(dom, loading, 1 / 8, 1 / 32)
+    ev = evaluator(dom, loading, 1 / 8, 1 / 32)
     t = 0.75
     assert ev.energy(state.cracks[3], t) == ev.energy(state.cracks[3], t)
     rows = audit_monotone_loading(state, n_pairs=6, seed=1)
@@ -404,8 +408,8 @@ def test_monotone_loading_equalities():
 
 
 def test_sampled_loading_audit_path():
-    # exercises datum interpolation, finite-difference power, and the
-    # non-proportional branch of the balance audit
+    # sampled loading: hat-function coefficients over three basis data,
+    # their interval-slope power, and the balance audit on them
     dom, k0, h = taper_setup()
     from quasicrack.solver import scale_datum
 

@@ -16,12 +16,14 @@ from quasicrack.geometry import (
     crack_tips,
     extend_tip,
     hausdorff_distance,
+    _intersect_beyond_shared,
     _orient,
     _segments_intersect,
     length,
 )
 
 from oracles import (
+    folds_back_exact,
     hausdorff_bruteforce,
     orient_exact,
     random_crackset,
@@ -411,3 +413,35 @@ def test_extend_tip_matches_fraction_oracle(direction, step, data):
     except GeometryViolation:
         raised = True
     assert raised == segments_intersect_exact(anchor, new_pt, *q)
+
+
+@st.composite
+def _adjacent_pair(draw):
+    """Two segments sharing an end vertex: a fold-back, a straight
+    continuation, either one with a coordinate nudged by a few ulps, or a
+    kink; each segment in either orientation."""
+    shared = (draw(st.one_of(_dyadic, _real)), draw(st.one_of(_dyadic, _real)))
+    a = (draw(st.one_of(_dyadic, _real)), draw(st.one_of(_dyadic, _real)))
+    kind = draw(st.sampled_from(["fold", "straight", "near", "kink"]))
+    if kind == "kink":
+        b = (draw(st.one_of(_dyadic, _real)), draw(st.one_of(_dyadic, _real)))
+    else:
+        k = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]))
+        k = -k if kind == "straight" or (kind == "near" and draw(st.booleans())) else k
+        b = [shared[0] + k * (a[0] - shared[0]), shared[1] + k * (a[1] - shared[1])]
+        if kind == "near":
+            axis = draw(st.integers(0, 1))
+            b[axis] = _nudge(b[axis], draw(st.integers(-3, 3)))
+        b = tuple(b)
+    assume(a != shared and b != shared)
+    seg = (shared, a) if draw(st.booleans()) else (a, shared)
+    other = (shared, b) if draw(st.booleans()) else (b, shared)
+    return shared, a, b, seg, other
+
+
+@given(_adjacent_pair())
+def test_fold_back_matches_fraction_oracle(pair):
+    shared, a, b, seg, other = pair
+    want = folds_back_exact(shared, a, b)
+    assert _intersect_beyond_shared(seg, other) == want
+    assert _intersect_beyond_shared(other, seg) == want

@@ -123,6 +123,13 @@ def test_release_rate_cross_validation(slit_setup):
     assert abs(fd - (1.0 - k_fit**2)) <= 0.1
 
 
+def test_release_rate_richardson_pinned(slit_setup):
+    # exact bits on the slit disk; they depend on numpy 2.4 and scipy 1.17, like the mesh pins
+    domain, crack, tip, _ = slit_setup
+    fd = release_rate_richardson(domain, crack, mode3_datum(0.5), tip, 1 / 8, 1 / 64)
+    assert fd == 0.7489298257844101
+
+
 def test_richardson_meshes_base_crack_once(slit_setup, monkeypatch):
     import quasicrack.energy
 

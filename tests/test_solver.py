@@ -15,7 +15,6 @@ from quasicrack.solver import (
     RegionNotSimplyConnected,
     ScalarField,
     bulk_energy,
-    combine_datums,
     gradient,
     harmonic_conjugate,
     inner_product,
@@ -37,29 +36,29 @@ def square_mesh():
 
 def test_linear_reproduction(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: x, tag="x"))
+    u = solve(mesh, BoundaryDatum(lambda x, y: x))
     assert np.max(np.abs(u.nodal_values - mesh.nodes[:, 0])) <= 1e-9
     assert bulk_energy(u) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_constant_reproduction(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: 2.5, tag="c"))
+    u = solve(mesh, BoundaryDatum(lambda x, y: 2.5))
     assert np.max(np.abs(u.nodal_values - 2.5)) <= 1e-9
     assert bulk_energy(u) <= 1e-18
 
 
 def test_galerkin_residual(square_mesh):
     _, mesh = square_mesh
-    g = BoundaryDatum(lambda x, y: x * x - y * y + 0.3 * x * y, tag="q")
+    g = BoundaryDatum(lambda x, y: x * x - y * y + 0.3 * x * y)
     u = solve(mesh, g)
     assert residual_norm(u, g) <= 1e-9
 
 
 def test_inner_product_cases(square_mesh):
     _, mesh = square_mesh
-    ux = solve(mesh, BoundaryDatum(lambda x, y: x, tag="x"))
-    uy = solve(mesh, BoundaryDatum(lambda x, y: y, tag="y"))
+    ux = solve(mesh, BoundaryDatum(lambda x, y: x))
+    uy = solve(mesh, BoundaryDatum(lambda x, y: y))
     gx, gy = gradient(ux), gradient(uy)
     assert inner_product(gx, gx) == pytest.approx(bulk_energy(ux), abs=1e-12)
     assert inner_product(gx, gy) == pytest.approx(0.0, abs=1e-12)
@@ -70,8 +69,8 @@ def test_inner_product_cases(square_mesh):
 def test_mesh_mismatch_raises(square_mesh):
     dom, mesh = square_mesh
     other = triangulate(dom, CrackSet((), 1), 0.25, 0.25)
-    u = solve(mesh, BoundaryDatum(lambda x, y: x, tag="x"))
-    v = solve(other, BoundaryDatum(lambda x, y: x, tag="x"))
+    u = solve(mesh, BoundaryDatum(lambda x, y: x))
+    v = solve(other, BoundaryDatum(lambda x, y: x))
     with pytest.raises(MeshMismatch):
         inner_product(gradient(u), gradient(v))
 
@@ -85,7 +84,7 @@ def test_mesh_mismatch_raises(square_mesh):
 def test_energy_comparison_vs_interpolant(square_mesh, a, b, c):
     # the discrete minimizer never beats the interpolated datum's energy
     _, mesh = square_mesh
-    g = BoundaryDatum(lambda x, y: a * x * x + b * y + c * x * y, tag="")
+    g = BoundaryDatum(lambda x, y: a * x * x + b * y + c * x * y)
     u = solve(mesh, g)
     interp = ScalarField(mesh, g.sample(mesh))
     assert bulk_energy(u) <= bulk_energy(interp) + 1e-12
@@ -93,10 +92,10 @@ def test_energy_comparison_vs_interpolant(square_mesh, a, b, c):
 
 def test_linearity_nodewise(square_mesh):
     _, mesh = square_mesh
-    g1 = BoundaryDatum(lambda x, y: x * x - y, tag="g1")
-    g2 = BoundaryDatum(lambda x, y: math.sin(x) + y * y, tag="g2")
+    g1 = BoundaryDatum(lambda x, y: x * x - y)
+    g2 = BoundaryDatum(lambda x, y: math.sin(x) + y * y)
     alpha, beta = 1.7, -0.6
-    combo = combine_datums(g1, g2, alpha, beta, tag="combo")
+    combo = BoundaryDatum(lambda x, y: alpha * g1.evaluator(x, y) + beta * g2.evaluator(x, y))
     u = solve(mesh, combo)
     u12 = alpha * solve(mesh, g1).nodal_values + beta * solve(mesh, g2).nodal_values
     assert np.max(np.abs(u.nodal_values - u12)) <= 1e-9
@@ -104,10 +103,12 @@ def test_linearity_nodewise(square_mesh):
 
 def test_scale_datum(square_mesh):
     _, mesh = square_mesh
-    g = BoundaryDatum(lambda x, y: x + 2 * y, tag="lin")
+    g = BoundaryDatum(lambda x, y: x + 2 * y)
     sg = scale_datum(g, -2.0)
-    assert sg.tag != g.tag
     assert np.allclose(sg.sample(mesh), -2.0 * g.sample(mesh))
+    # a mesh sampler is scaled too, and overrides the evaluator
+    faced = BoundaryDatum(g.evaluator, mesh_sampler=lambda m: np.arange(float(m.n_nodes)))
+    assert np.array_equal(scale_datum(faced, -2.0).sample(mesh), -2.0 * np.arange(mesh.n_nodes))
 
 
 def test_mode3_convergence():
@@ -133,7 +134,7 @@ def test_floating_component_pinned():
     dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))  # bottom only
     crack = CrackSet((Polyline(((0.0, 0.5), (1.0, 0.5))),), 1)
     mesh = triangulate(dom, crack, 0.1, 0.02)
-    u = solve(mesh, BoundaryDatum(lambda x, y: 1.0 + x, tag="lift"))
+    u = solve(mesh, BoundaryDatum(lambda x, y: 1.0 + x))
     upper = mesh.nodes[:, 1] > 0.5 + 1e-9
     # floating upper block: constant (pinned to zero), zero gradient
     assert np.max(np.abs(u.nodal_values[upper])) <= 1e-9
@@ -151,8 +152,8 @@ def test_solve_many_columns_bitwise_equal_solve():
     crack = CrackSet((Polyline(((0.0, 0.5), (1.0, 0.5))),), 1)
     mesh = triangulate(dom, crack, 0.1, 0.02)
     data = (
-        BoundaryDatum(lambda x, y: 1.0 + x, tag="lift"),
-        BoundaryDatum(lambda x, y: math.sin(3.0 * x), tag="wave"),
+        BoundaryDatum(lambda x, y: 1.0 + x),
+        BoundaryDatum(lambda x, y: math.sin(3.0 * x)),
     )
     for g, u in zip(data, solve_many(mesh, data)):
         assert u.nodal_values.tobytes() == solve(mesh, g).nodal_values.tobytes()
@@ -160,7 +161,7 @@ def test_solve_many_columns_bitwise_equal_solve():
 
 def test_harmonic_conjugate_of_linear(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: x, tag="x"))
+    u = solve(mesh, BoundaryDatum(lambda x, y: x))
     v = harmonic_conjugate(u, (0.0, 1.0, 0.0, 1.0))
     w = v.nodal_values - (mesh.nodes[:, 1] - np.nanmean(mesh.nodes[:, 1]))
     assert np.nanmax(np.abs(w - np.nanmean(w))) <= 1e-9
@@ -168,7 +169,7 @@ def test_harmonic_conjugate_of_linear(square_mesh):
 
 def test_harmonic_conjugate_constant(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: 4.0, tag="c4"))
+    u = solve(mesh, BoundaryDatum(lambda x, y: 4.0))
     v = harmonic_conjugate(u, (0.0, 1.0, 0.0, 1.0))
     assert np.nanmax(np.abs(v.nodal_values)) <= 1e-9
 
@@ -194,7 +195,7 @@ def test_harmonic_conjugate_face_constancy_decays():
 
 def test_harmonic_conjugate_region_errors(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: x, tag="x"))
+    u = solve(mesh, BoundaryDatum(lambda x, y: x))
     with pytest.raises(RegionNotSimplyConnected):
         harmonic_conjugate(u, (2.0, 3.0, 2.0, 3.0))  # empty region
 
@@ -214,14 +215,14 @@ def test_harmonic_conjugate_disconnected_region():
         )
     )
     mesh = triangulate(dom, CrackSet((), 1), 0.3, 0.3)
-    u = solve(mesh, BoundaryDatum(lambda x, y: x + y, tag="xy"))
+    u = solve(mesh, BoundaryDatum(lambda x, y: x + y))
     with pytest.raises(RegionNotSimplyConnected):
         harmonic_conjugate(u, (0.0, 3.0, 1.5, 3.0))
 
 
 def test_tangential_jump_linear_exact(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: 2.0 * x - 3.0 * y, tag="l"))
+    u = solve(mesh, BoundaryDatum(lambda x, y: 2.0 * x - 3.0 * y))
     assert tangential_jump_max(u) <= 1e-8
 
 
@@ -253,7 +254,7 @@ def test_tangential_jump_matches_loop(clearance):
 
 def test_field_exports(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: x, tag="x"))
+    u = solve(mesh, BoundaryDatum(lambda x, y: x))
     csv = u.to_csv()
     assert csv.splitlines()[0] == "node_id,x,y,value"
     assert len(csv.splitlines()) == mesh.n_nodes + 1
