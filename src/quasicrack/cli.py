@@ -137,7 +137,6 @@ def replay_state(path: str) -> EvolutionState:
         loading=loading,
         h_max=h_max,
         h_tip=h_tip,
-        m=k_init.m,
         initial_crack=k_init,
         events=payload.get("events", []),
         audit=payload.get("audit"),

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .geometry import (
     Point,
+    _dist_to_segment,
     _on_segment,
     _orient,
     _segments_intersect,
@@ -25,6 +26,10 @@ class DomainSpec:
     `dirichlet_arcs` are (start_vertex, end_vertex) index pairs walked
     counterclockwise; edge k joins vertex k to vertex k+1 (mod n). Arcs must
     not overlap; every edge not in a Dirichlet arc is Neumann.
+
+    Point queries are exact, except `distance_to_boundary` (float).
+    `boundary_edge(p)` is the one lookup of the edge holding p; the mesher
+    places boundary crack ends with it and `on_boundary` tests it for None.
     """
 
     boundary: tuple[Point, ...]
@@ -102,8 +107,12 @@ class DomainSpec:
     # point/segment queries
     # ------------------------------------------------------------------
 
+    def boundary_edge(self, p: Point) -> int | None:
+        """Index of the first edge whose closed segment holds p (exact), or None."""
+        return next((k for k, e in enumerate(self.edges()) if _on_segment(p, *e)), None)
+
     def on_boundary(self, p: Point) -> bool:
-        return any(_on_segment(p, *e) for e in self.edges())
+        return self.boundary_edge(p) is not None
 
     def contains_point(self, p: Point, *, strict: bool = False) -> bool:
         """Point-in-polygon; boundary points count as inside unless strict."""
@@ -135,15 +144,9 @@ class DomainSpec:
         mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
         return self.contains_point(mid)
 
-    def signed_distance_to_boundary(self, p: Point) -> float:
-        """Distance to the boundary polyline (unsigned, float arithmetic)."""
-        best = math.inf
-        for (ax, ay), (bx, by) in self.edges():
-            dx, dy = bx - ax, by - ay
-            dd = dx * dx + dy * dy
-            t = 0.0 if dd == 0 else max(0.0, min(1.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / dd))
-            best = min(best, math.hypot(ax + t * dx - p[0], ay + t * dy - p[1]))
-        return best
+    def distance_to_boundary(self, p: Point) -> float:
+        """Unsigned float distance from p to the boundary polyline."""
+        return min(_dist_to_segment(p, a, b) for a, b in self.edges())
 
     # ------------------------------------------------------------------
     # constructors / serialization

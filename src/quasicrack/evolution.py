@@ -341,14 +341,17 @@ class EvolutionState:
     loading: LoadingProgram
     h_max: float
     h_tip: float
-    m: int
-    initial_crack: CrackSet | None = None  # K_{-1}, before the step-0 minimization
+    initial_crack: CrackSet  # K_{-1}, before the step-0 minimization
     steps: list[StepRecord] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
     audit: dict | None = None
     lambda_diagnostic: dict | None = None
     # the run's memoized evaluator, reused by the audits; never serialized
     evaluator: Evaluator | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def m(self) -> int:
+        return self.initial_crack.m
 
     @property
     def cracks(self) -> list[CrackSet]:
@@ -389,10 +392,9 @@ class EvolutionState:
         }
 
     def config_json(self) -> dict:
-        k_init = self.initial_crack or (self.steps[0].crack if self.steps else None)
         return {
             "domain": self.domain.to_json(),
-            "initial_crack": k_init.to_json() if k_init is not None else [],
+            "initial_crack": self.initial_crack.to_json(),
             "m": self.m,
             "delta": self.grid.delta,
             "mesh": {"h_max": self.h_max, "h_tip": self.h_tip},
@@ -575,7 +577,6 @@ def run_evolution(
     h_max: float,
     h_tip: float,
     *,
-    with_sif: bool = True,
     with_audit: bool = True,
 ) -> EvolutionState:
     """Run the discrete evolution over the whole time grid.
@@ -590,7 +591,6 @@ def run_evolution(
         loading=loading,
         h_max=h_max,
         h_tip=h_tip,
-        m=k0.m,
         initial_crack=k0,
     )
     ev = _evaluator_of(state)
@@ -608,7 +608,7 @@ def run_evolution(
         rec, u = ev.record(current, t)
         ev.end_step(keep=current)
         fits: dict = {}
-        for tip in _active_tips(domain, current) if with_sif else ():
+        for tip in _active_tips(domain, current):
             try:
                 r1, r2 = safe_fit_window(domain, current, tip, h_tip)
                 est = fit_sif(u, tip, r1, r2)
@@ -718,7 +718,7 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
     min_ok = True
     min_rows = []
     for i in checked:
-        base = cracks[i - 1] if i > 0 else state.initial_crack or cracks[0]
+        base = cracks[i - 1] if i > 0 else state.initial_crack
         e_chosen, e_best = _reminimized(state, ev, base, cracks[i], times[i])
         gap = e_chosen - e_best
         tol = 1e-9 * max(1.0, abs(e_best))

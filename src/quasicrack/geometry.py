@@ -4,6 +4,11 @@ Crack sets are finite unions of simple polyline arcs (single points allowed
 as degenerate components). All types are immutable values; every operation
 is pure. Geometric predicates use a float fast path with a conservative
 error filter and fall back to exact rational arithmetic on ties.
+
+Each crack set caches one exact union table (`_union_table`): per
+supporting line, its segments and the merged closed intervals they cover.
+The length of the union and exact containment (`contains` at tol 0) are
+both read from it.
 """
 
 from __future__ import annotations
@@ -219,8 +224,12 @@ class CrackSet:
         return tuple(c.vertices for c in self.components)
 
     @cached_property
+    def _lines(self) -> dict:
+        return _union_table(self.segments())
+
+    @cached_property
     def _length(self) -> float:
-        return _union_length(self)
+        return _union_length(self._lines)
 
     def to_json(self) -> list:
         return [[[x, y] for x, y in c.vertices] for c in self.components]
@@ -247,6 +256,36 @@ def _line_key(a: Point, b: Point):
     return ("h", c / ny)
 
 
+def _interval(seg: tuple[Point, Point], dom: int) -> tuple[Fraction, Fraction]:
+    """Closed parameter interval of a segment along coordinate `dom`."""
+    lo, hi = Fraction(seg[0][dom]), Fraction(seg[1][dom])
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
+def _union_table(segs: list[tuple[Point, Point]]) -> dict:
+    """The exact union, one entry per supporting line: (dom, segments, merged).
+
+    `dom` is the dominant coordinate of the line's first segment, which
+    parametrizes the line; `merged` lists the disjoint closed intervals
+    (touching ones joined) that the line's segments cover, in Fractions.
+    """
+    groups: dict = {}
+    for s in segs:
+        groups.setdefault(_line_key(*s), []).append(s)
+    table = {}
+    for key, group in groups.items():
+        a0, b0 = group[0]
+        dom = 0 if abs(b0[0] - a0[0]) >= abs(b0[1] - a0[1]) else 1
+        merged: list[list[Fraction]] = []
+        for lo, hi in sorted(_interval(s, dom) for s in group):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        table[key] = (dom, group, merged)
+    return table
+
+
 def length(crack: CrackSet) -> float:
     """Total H^1 measure of the union; exactly-collinear overlaps counted once.
 
@@ -255,42 +294,20 @@ def length(crack: CrackSet) -> float:
     return crack._length
 
 
-def _union_length(crack: CrackSet) -> float:
-    segs = crack.segments()
-    if not segs:
-        return 0.0
-    groups: dict = {}
-    for s in segs:
-        groups.setdefault(_line_key(*s), []).append(s)
-    total_terms: list[float] = []
-    for key, group in groups.items():
-        if len(group) == 1:
-            a, b = group[0]
-            total_terms.append(math.hypot(b[0] - a[0], b[1] - a[1]))
-            continue
-        # parametrize by the dominant coordinate of the shared line
+def _union_length(table: dict) -> float:
+    terms: list[float] = []
+    for dom, group, merged in table.values():
         a0, b0 = group[0]
-        dom = 0 if abs(b0[0] - a0[0]) >= abs(b0[1] - a0[1]) else 1
+        if len(group) == 1:
+            terms.append(math.hypot(b0[0] - a0[0], b0[1] - a0[1]))
+            continue
         oth = 1 - dom
         slope = (Fraction(b0[oth]) - Fraction(a0[oth])) / (
             Fraction(b0[dom]) - Fraction(a0[dom])
         )
         unit = math.sqrt(1.0 + float(slope) ** 2)
-        intervals = sorted(
-            (
-                min(Fraction(a[dom]), Fraction(b[dom])),
-                max(Fraction(a[dom]), Fraction(b[dom])),
-            )
-            for a, b in group
-        )
-        merged = [list(intervals[0])]
-        for lo, hi in intervals[1:]:
-            if lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        total_terms.extend(float(hi - lo) * unit for lo, hi in merged)
-    return math.fsum(total_terms)
+        terms.extend(float(hi - lo) * unit for lo, hi in merged)
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +351,14 @@ def component_count(crack: CrackSet) -> int:
 # ---------------------------------------------------------------------------
 # Hausdorff metric (branch-and-bound, certified to `tol`)
 # ---------------------------------------------------------------------------
+
+
+def _dist_to_segment(p: Point, a: Point, b: Point) -> float:
+    """Distance from p to the closed segment [a, b]; a == b is a point."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dd = dx * dx + dy * dy
+    t = 0.0 if dd == 0.0 else max(0.0, min(1.0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / dd))
+    return math.hypot(a[0] + t * dx - p[0], a[1] + t * dy - p[1])
 
 
 class _TargetSet:
@@ -436,41 +461,11 @@ def hausdorff_distance(
 # ---------------------------------------------------------------------------
 
 
-def _segment_param(p: Point, dom: int) -> Fraction:
-    return Fraction(p[dom])
-
-
-def _covered_exactly(seg: tuple[Point, Point], cover: list[tuple[Point, Point]]) -> bool:
-    """Exact test: segment is covered by the union of collinear cover segments."""
-    key = _line_key(*seg)
-    a, b = seg
-    dom = 0 if abs(b[0] - a[0]) >= abs(b[1] - a[1]) else 1
-    lo, hi = sorted((_segment_param(a, dom), _segment_param(b, dom)))
-    pieces = []
-    for c in cover:
-        if _line_key(*c) != key:
-            continue
-        clo, chi = sorted((_segment_param(c[0], dom), _segment_param(c[1], dom)))
-        if chi < lo or clo > hi:
-            continue
-        pieces.append((max(clo, lo), min(chi, hi)))
-    if not pieces:
-        return False
-    pieces.sort()
-    reach = lo
-    for plo, phi in pieces:
-        if plo > reach:
-            return False
-        reach = max(reach, phi)
-        if reach >= hi:
-            return True
-    return reach >= hi
-
-
 def contains(k_big: CrackSet, k_small: CrackSet, tol: float) -> bool:
     """True iff every point of k_small is within tol of k_big.
 
-    tol == 0 uses exact rational cover tests (so prefix-preserving
+    tol == 0 is exact: each segment of k_small must lie in one merged
+    interval of k_big's union table on its line (so prefix-preserving
     extensions certify containment with zero slack); tol > 0 certifies
     the directed Hausdorff distance by branch and bound.
     """
@@ -480,14 +475,18 @@ def contains(k_big: CrackSet, k_small: CrackSet, tol: float) -> bool:
         return False
     if tol == 0.0:
         big_segs = k_big.segments()
-        big_pts = set(map(tuple, k_big.isolated_points()))
+        big_pts = set(k_big.isolated_points())
         for p in k_small.isolated_points():
-            if tuple(p) not in big_pts and not any(
-                _on_segment(p, *s) for s in big_segs
-            ):
+            if p not in big_pts and not any(_on_segment(p, *s) for s in big_segs):
                 return False
+        lines = k_big._lines
         for seg in k_small.segments():
-            if not _covered_exactly(seg, big_segs):
+            line = lines.get(_line_key(*seg))
+            if line is None:
+                return False
+            dom, _, merged = line
+            lo, hi = _interval(seg, dom)
+            if not any(mlo <= lo and hi <= mhi for mlo, mhi in merged):
                 return False
         return True
     gap = max(tol * 1e-9, 1e-15)

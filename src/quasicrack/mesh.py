@@ -27,7 +27,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .domain import DomainSpec
-from .geometry import CrackSet, Point, Tip, _components_touch, _on_segment, crack_tips
+from .geometry import CrackSet, Point, Tip, _components_touch, crack_tips
 
 # protection constants (fractions of the local size)
 _SEG_CLEARANCE = 0.62
@@ -372,15 +372,6 @@ def _classify_ends(domain: DomainSpec, crack: CrackSet):
             if domain.on_boundary(t.position):
                 pair.append("boundary")
             else:
-                # touching another component => branch point, unsupported
-                for cj, other in enumerate(crack.components):
-                    if cj == ci:
-                        continue
-                    if other.is_point:
-                        if other.vertices[0] == t.position:
-                            raise MeshFailure("crack branch points are unsupported")
-                    elif any(_on_segment(t.position, *s) for s in other.segments()):
-                        raise MeshFailure("crack branch points are unsupported")
                 pair.append("tip")
                 tip_list.append(t)
         kinds.append(tuple(pair))
@@ -432,13 +423,8 @@ def triangulate(
     for comp, kinds in zip(crack.components, end_kinds):
         for v, kind in ((comp.vertices[0], kinds[0]), (comp.vertices[-1], kinds[1])):
             if kind == "boundary" and v not in poly:
-                for k, e in enumerate(domain.edges()):
-                    if _on_segment(v, *e):
-                        boundary_pts_on_edge[k].append(v)
-                        mandatory.append(v)
-                        break
-                else:
-                    raise MeshFailure("boundary crack end not on any edge")
+                boundary_pts_on_edge[domain.boundary_edge(v)].append(v)
+                mandatory.append(v)
 
     # boundary pieces between consecutive anchors, then crack segments
     pieces: list[tuple[Point, Point]] = []

@@ -16,7 +16,7 @@ import numpy as np
 
 from .domain import DomainSpec
 from .energy import Evaluator
-from .geometry import CrackSet, Tip, extend_tip
+from .geometry import CrackSet, Tip, _dist_to_segment, extend_tip
 from .solver import BoundaryDatum, ScalarField
 
 #: tip neighborhood must be straight within this angle for the fit window
@@ -152,33 +152,13 @@ def safe_fit_window(
 ) -> tuple[float, float]:
     """Default window [4, 16] h_tip shrunk clear of the boundary and other crack parts."""
     r1, r2 = 4.0 * h_tip, 16.0 * h_tip
-    clearance = domain.signed_distance_to_boundary(tip.position)
-    for ci, comp in enumerate(crack.components):
-        if ci == tip.component_id:
-            continue
-        for a, b in comp.segments():
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            dd = dx * dx + dy * dy
-            t = max(
-                0.0,
-                min(
-                    1.0,
-                    ((tip.position[0] - a[0]) * dx + (tip.position[1] - a[1]) * dy)
-                    / max(dd, 1e-300),
-                ),
-            )
-            clearance = min(
-                clearance,
-                math.hypot(a[0] + t * dx - tip.position[0], a[1] + t * dy - tip.position[1]),
-            )
-        if comp.is_point:
-            clearance = min(
-                clearance,
-                math.hypot(
-                    comp.vertices[0][0] - tip.position[0],
-                    comp.vertices[0][1] - tip.position[1],
-                ),
-            )
+    p = tip.position
+    others = [c for ci, c in enumerate(crack.components) if ci != tip.component_id]
+    clearance = min(
+        [domain.distance_to_boundary(p)]
+        + [_dist_to_segment(p, a, b) for c in others for a, b in c.segments()]
+        + [_dist_to_segment(p, q, q) for c in others if c.is_point for q in c.vertices]
+    )
     return r1, min(r2, 0.95 * clearance)
 
 

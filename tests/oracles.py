@@ -12,6 +12,11 @@ float filter and no bounding-box rejection. The mesher's batched sampling,
 lattice and thinning are checked against the per-point loops they
 replaced: a recursive bisection, a nested-loop lattice with a `seen` set,
 and a greedy thinning that rebuilds its KD-tree after every kept point.
+The exact union table behind `length` and `contains(., ., 0)` is checked
+against two direct scans: per-line interval merging for the length, and
+a per-segment cover walk over every segment of the larger set. The
+fit-window clearance is checked against explicit per-edge and
+per-segment loops.
 """
 
 import itertools
@@ -201,18 +206,20 @@ def folds_back_exact(shared, a, b) -> bool:
     return orient_exact(shared, a, b) == 0 and dot > 0
 
 
+def on_segment_exact(p, a, b) -> bool:
+    """p lies on the closed segment [a, b], in Fractions only."""
+    return (
+        orient_exact(a, b, p) == 0
+        and min(Fraction(a[0]), Fraction(b[0])) <= Fraction(p[0])
+        <= max(Fraction(a[0]), Fraction(b[0]))
+        and min(Fraction(a[1]), Fraction(b[1])) <= Fraction(p[1])
+        <= max(Fraction(a[1]), Fraction(b[1]))
+    )
+
+
 def segments_intersect_exact(p1, p2, p3, p4) -> bool:
     """Closed segments [p1,p2] and [p3,p4] share a point, in Fractions only."""
-
-    def on_segment(p, a, b):
-        return (
-            orient_exact(a, b, p) == 0
-            and min(Fraction(a[0]), Fraction(b[0])) <= Fraction(p[0])
-            <= max(Fraction(a[0]), Fraction(b[0]))
-            and min(Fraction(a[1]), Fraction(b[1])) <= Fraction(p[1])
-            <= max(Fraction(a[1]), Fraction(b[1]))
-        )
-
+    on_segment = on_segment_exact
     o1, o2 = orient_exact(p1, p2, p3), orient_exact(p1, p2, p4)
     o3, o4 = orient_exact(p3, p4, p1), orient_exact(p3, p4, p2)
     if o1 * o2 < 0 and o3 * o4 < 0:
@@ -265,3 +272,116 @@ def thin_greedy_loop(pts, radius) -> list:
         kept.append(i)
         tree = cKDTree(pts[kept])
     return kept
+
+
+def _line_key_exact(a, b):
+    """Exact key of the supporting line of [a, b]: normal-form coefficients."""
+    ax, ay = Fraction(a[0]), Fraction(a[1])
+    bx, by = Fraction(b[0]), Fraction(b[1])
+    nx, ny = ay - by, bx - ax
+    c = nx * ax + ny * ay
+    return ("v", ny / nx, c / nx) if nx != 0 else ("h", c / ny)
+
+
+def union_length_scan(crack) -> float:
+    """H^1 of the union: segments grouped by exact line, each group's
+    dominant-coordinate intervals merged (touching ones joined) in
+    Fractions. The float terms are the ones `length` sums: `hypot` for a
+    lone segment, merged interval width times the line's unit stretch."""
+    groups: dict = {}
+    for s in crack.segments():
+        groups.setdefault(_line_key_exact(*s), []).append(s)
+    terms = []
+    for group in groups.values():
+        if len(group) == 1:
+            a, b = group[0]
+            terms.append(math.hypot(b[0] - a[0], b[1] - a[1]))
+            continue
+        a0, b0 = group[0]
+        dom = 0 if abs(b0[0] - a0[0]) >= abs(b0[1] - a0[1]) else 1
+        oth = 1 - dom
+        slope = (Fraction(b0[oth]) - Fraction(a0[oth])) / (
+            Fraction(b0[dom]) - Fraction(a0[dom])
+        )
+        unit = math.sqrt(1.0 + float(slope) ** 2)
+        intervals = sorted(
+            (min(Fraction(a[dom]), Fraction(b[dom])), max(Fraction(a[dom]), Fraction(b[dom])))
+            for a, b in group
+        )
+        merged = [list(intervals[0])]
+        for lo, hi in intervals[1:]:
+            if lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        terms.extend(float(hi - lo) * unit for lo, hi in merged)
+    return math.fsum(terms)
+
+
+def covered_scan(seg, cover) -> bool:
+    """[a, b] lies in the union of the cover segments on its exact line:
+    a reach walk over the clipped cover intervals, parametrized by the
+    dominant coordinate of [a, b] itself."""
+    key = _line_key_exact(*seg)
+    a, b = seg
+    dom = 0 if abs(b[0] - a[0]) >= abs(b[1] - a[1]) else 1
+    lo, hi = sorted((Fraction(a[dom]), Fraction(b[dom])))
+    pieces = []
+    for c in cover:
+        if _line_key_exact(*c) != key:
+            continue
+        clo, chi = sorted((Fraction(c[0][dom]), Fraction(c[1][dom])))
+        if chi < lo or clo > hi:
+            continue
+        pieces.append((max(clo, lo), min(chi, hi)))
+    reach = lo
+    for plo, phi in sorted(pieces):
+        if plo > reach:
+            return False
+        reach = max(reach, phi)
+    return bool(pieces) and reach >= hi
+
+
+def contains_scan(big, small) -> bool:
+    """Exact containment of `small` in `big`, point by point and segment by segment."""
+    if small.is_empty:
+        return True
+    if big.is_empty:
+        return False
+    cover = big.segments()
+    for p in small.isolated_points():
+        if p not in big.isolated_points() and not any(
+            on_segment_exact(p, *s) for s in cover
+        ):
+            return False
+    return all(covered_scan(s, cover) for s in small.segments())
+
+
+def boundary_distance_loop(domain, p) -> float:
+    """Distance from p to the domain boundary, one edge at a time."""
+    best = math.inf
+    for (ax, ay), (bx, by) in domain.edges():
+        dx, dy = bx - ax, by - ay
+        dd = dx * dx + dy * dy
+        t = 0.0 if dd == 0 else max(0.0, min(1.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / dd))
+        best = min(best, math.hypot(ax + t * dx - p[0], ay + t * dy - p[1]))
+    return best
+
+
+def fit_window_loop(domain, crack, tip, h_tip) -> tuple:
+    """The [4, 16] h_tip window shrunk to 0.95 of the tip's clearance from
+    the boundary, the other components' segments and their point components."""
+    p = tip.position
+    clearance = boundary_distance_loop(domain, p)
+    for ci, comp in enumerate(crack.components):
+        if ci == tip.component_id:
+            continue
+        for a, b in comp.segments():
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            dd = dx * dx + dy * dy
+            t = max(0.0, min(1.0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / max(dd, 1e-300)))
+            clearance = min(clearance, math.hypot(a[0] + t * dx - p[0], a[1] + t * dy - p[1]))
+        if comp.is_point:
+            q = comp.vertices[0]
+            clearance = min(clearance, math.hypot(q[0] - p[0], q[1] - p[1]))
+    return 4.0 * h_tip, min(16.0 * h_tip, 0.95 * clearance)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines; the
 suite asserts every criterion at its stated tolerance.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -283,8 +284,19 @@ def test_criterion_8_geometry_oracles():
 # ---------------------------------------------------------------------------
 
 
+# sha256 of each file `quasicrack run` writes for the audited delta=1/16
+# growth benchmark; like the pinned mesh hashes these depend on the qhull
+# (scipy) and floating-point (numpy) bits of numpy 2.4 and scipy 1.17
+PINNED_RUN = {
+    "evolution.jsonl": "4a3fd79c83f619d7c4c8dc493c01fad35f9de204533ba711fd28a7db69c25821",
+    "cracks.json": "85bffa6bdcd0f34df99abfbeebe66a41e7d8a4cd75b2c945da0d2b8fee8a4a3f",
+    "audit.json": "d3479e6af43da9f836ea136f9b9c2d2336d91bd0c1b9f70fd78f7f980c8733f0",
+    "state.json": "9944ed0b202b5ad464b50f6831cf47457fc3988e0fbee0c4622eb181c16ce07e",
+}
+
+
 def test_criterion_9_determinism(tmp_path):
-    cfg = growth_benchmark_config(delta=1 / 16, audit=False)
+    cfg = growth_benchmark_config(delta=1 / 16)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     outs = []
@@ -296,10 +308,12 @@ def test_criterion_9_determinism(tmp_path):
             text=True,
         )
         assert r.returncode == 0, r.stderr
-        outs.append((tmp_path / name / "evolution.jsonl").read_bytes())
+        outs.append({f: (tmp_path / name / f).read_bytes() for f in PINNED_RUN})
+    hashes = {f: hashlib.sha256(b).hexdigest() for f, b in outs[0].items()}
     ok = report(
         "criterion-9",
-        outs[0] == outs[1],
-        f"two CLI runs produced byte-identical JSONL ({len(outs[0])} bytes)",
+        outs[0] == outs[1] and hashes == PINNED_RUN,
+        "two audited CLI runs wrote byte-identical files with the pinned sha256 "
+        f"({len(outs[0]['evolution.jsonl'])} bytes of JSONL)",
     )
     assert ok

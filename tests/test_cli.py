@@ -107,7 +107,7 @@ def test_python_built_loading_saves_null_and_is_not_replayed(tmp_path):
     )
     loading = LoadingProgram("proportional", datum=loading.datum, profile=loading.profile)
     state = run_evolution(
-        domain, crack, loading, grid, policy, h_max, h_tip, with_sif=False, with_audit=False
+        domain, crack, loading, grid, policy, h_max, h_tip, with_audit=False
     )
     state.save(str(tmp_path / "state.json"))
     assert json.loads((tmp_path / "state.json").read_text())["config"]["loading"] is None

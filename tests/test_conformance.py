@@ -90,9 +90,9 @@ def test_energy_continuity_zero_loading():
     )
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 8)
     st1 = run_evolution(dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32,
-                        with_sif=False, with_audit=False)
+                        with_audit=False)
     st2 = run_evolution(dom, k0, loading, TimeGrid(1 / 8), policy, 1 / 8, 1 / 32,
-                        with_sif=False, with_audit=False)
+                        with_audit=False)
     rep = check_energy_continuity(st1, st2)
     assert rep["total_jump"] == pytest.approx(0.0, abs=1e-14)
     assert rep["pass"]
@@ -108,9 +108,9 @@ def test_energy_continuity_growth_run():
     ht = 1 / 64
     policy = CandidatePolicy(angles=(0.0,), ell0=2 * ht, length_max=20 * ht)
     st1 = run_evolution(dom, k0, loading, TimeGrid(1 / 8), policy, 1 / 8, ht,
-                        with_sif=False, with_audit=False)
+                        with_audit=False)
     st2 = run_evolution(dom, k0, loading, TimeGrid(1 / 16), policy, 1 / 8, ht,
-                        with_sif=False, with_audit=False)
+                        with_audit=False)
     rep = check_energy_continuity(st1, st2)
     # surface may jump; the total-energy jump statistic must not grow
     assert rep["pass"], rep

@@ -47,7 +47,7 @@ def test_disk_polygon_cardinal_vertices():
 def test_geometry_helpers():
     dom = DomainSpec.unit_square()
     assert dom.diameter() == pytest.approx(math.sqrt(2.0))
-    assert dom.signed_distance_to_boundary((0.5, 0.5)) == pytest.approx(0.5)
+    assert dom.distance_to_boundary((0.5, 0.5)) == pytest.approx(0.5)
     back = DomainSpec.from_json(dom.to_json())
     assert back.boundary == dom.boundary
     assert back.dirichlet_arcs == dom.dirichlet_arcs

@@ -250,9 +250,7 @@ def test_zero_loading_run():
         "proportional", datum=zero_datum(), profile=Profile("linear", (0.0,))
     )
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 4)
-    state = run_evolution(
-        dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32, with_sif=False
-    )
+    state = run_evolution(dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32)
     assert not any(state.grew)
     for rec, crack in zip(state.energies, state.cracks):
         assert crack.fingerprint() == k0.fingerprint()
@@ -269,9 +267,7 @@ def test_subcritical_t_squared_law():
         "proportional", datum=h, profile=Profile("linear", (0.3,))
     )
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 4)
-    state = run_evolution(
-        dom, k0, loading, TimeGrid(1 / 8), policy, 1 / 8, 1 / 32, with_sif=False
-    )
+    state = run_evolution(dom, k0, loading, TimeGrid(1 / 8), policy, 1 / 8, 1 / 32)
     assert not any(state.grew)
     times = state.grid.times()
     bulk1 = state.energies[-1].bulk / loading.profile.value(1.0) ** 2
@@ -290,7 +286,7 @@ def test_scaling_path_matches_direct_solves():
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 8)
     state = run_evolution(
         dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32,
-        with_sif=False, with_audit=False,
+        with_audit=False,
     )
     for t, crack, rec in zip(state.grid.times(), state.cracks, state.energies):
         bulk, power = direct_energy_and_power(dom, crack, loading, t, 1 / 8, 1 / 32)
@@ -337,7 +333,7 @@ def test_audit_same_with_shared_and_fresh_evaluator():
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 4)
     state = run_evolution(
         dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32,
-        with_sif=False, with_audit=False,
+        with_audit=False,
     )
     assert any(state.grew) and state.evaluator is not None
     fresh = dataclasses.replace(state, evaluator=None)
@@ -355,7 +351,7 @@ def test_onset_monotone_in_amplitude():
         )
         st = run_evolution(
             dom, k0, loading, TimeGrid(1 / 8), policy, 1 / 8, 1 / 32,
-            with_sif=False, with_audit=False,
+            with_audit=False,
         )
         return next((i for i, g in enumerate(st.grew) if g), len(st.grew))
 
@@ -396,7 +392,7 @@ def test_monotone_loading_equalities():
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 8)
     state = run_evolution(
         dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32,
-        with_sif=False, with_audit=False,
+        with_audit=False,
     )
     assert not any(state.grew)
     ev = evaluator(dom, loading, 1 / 8, 1 / 32)
@@ -420,9 +416,7 @@ def test_sampled_loading_audit_path():
     )
     loading = LoadingProgram("sampled", samples=samples)
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 8)
-    state = run_evolution(
-        dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32, with_sif=False
-    )
+    state = run_evolution(dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32)
     assert not any(state.grew)
     assert state.audit["pass"]
     # piecewise-linear-in-t datum: bulk follows the interpolated amplitude
@@ -442,7 +436,7 @@ def test_monotone_loading_requires_proportional():
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 8)
     state = run_evolution(
         dom, k0, loading, TimeGrid(1 / 2), policy, 1 / 8, 1 / 32,
-        with_sif=False, with_audit=False,
+        with_audit=False,
     )
     with pytest.raises(NotProportional):
         audit_monotone_loading(state)
@@ -470,7 +464,7 @@ def test_budget_exceeded_two_tips():
     policy = CandidatePolicy(angles=(-0.2, 0.0, 0.2), ell0=0.05, length_max=0.15)
     state = run_evolution(
         dom, k0, loading, TimeGrid(1.0), policy, 1 / 8, 1 / 64,
-        with_sif=False, with_audit=False,
+        with_audit=False,
     )
     assert any("budget exceeded" in e for e in state.events)
     # single-tip moves: the unextended crack and 4 x 9 extensions
@@ -484,7 +478,7 @@ def test_joint_round_four_tips_keeps_crack_at_zero_loading():
     policy = CandidatePolicy(angles=(0.0,), ell0=0.05, length_max=0.05)
     state = run_evolution(
         dom, k0, loading, TimeGrid(1.0), policy, 1 / 8, 1 / 64,
-        with_sif=False, with_audit=False,
+        with_audit=False,
     )
     assert not any("budget exceeded" in e for e in state.events)
     assert state.candidates_evaluated == [16, 16]

@@ -23,11 +23,13 @@ from quasicrack.geometry import (
 )
 
 from oracles import (
+    contains_scan,
     folds_back_exact,
     hausdorff_bruteforce,
     orient_exact,
     random_crackset,
     segments_intersect_exact,
+    union_length_scan,
 )
 
 
@@ -221,6 +223,89 @@ def test_contains_multi_segment_cover():
         m=1,
     )
     assert contains(big, seg((0.0, 0.0), (1.0, 0.0)), 0.0)
+
+
+# collinear-heavy crack sets: components laid on a few shared lines at
+# quarter-step parameters, so overlaps, touching intervals, prefixes and
+# suffixes are common; directions include exact and near 45 degrees and
+# one whose points are rounded off their exact line
+_LINE_DIRS = [
+    (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (3.0, 4.0), (-4.0, 3.0),
+    (1.0, 1.0 + 2.0**-30), (1.0 + 2.0**-30, 1.0), (0.1, 0.7),
+]
+_LINE_TS = [k / 4.0 for k in range(-4, 9)]
+
+
+@st.composite
+def _lines(draw):
+    origin = st.tuples(_dyadic, _dyadic)
+    return draw(st.lists(st.tuples(origin, st.sampled_from(_LINE_DIRS)), min_size=1, max_size=3))
+
+
+@st.composite
+def _crack_on(draw, lines, min_size=1):
+    comps = []
+    for _ in range(draw(st.integers(min_size, 5))):
+        (ox, oy), (dx, dy) = draw(st.sampled_from(lines))
+        ts = draw(st.lists(st.sampled_from(_LINE_TS), min_size=3, max_size=3, unique=True))
+        a, m, b = ((ox + t * dx, oy + t * dy) for t in sorted(ts))
+        kind = draw(st.sampled_from(["segment", "split", "kinked", "point"]))
+        if kind == "point":
+            comps.append(Polyline((a,)))
+        elif kind == "kinked":
+            comps.append(Polyline((a, b, (b[0] - dy, b[1] + dx))))
+        elif kind == "split":  # two components touching at m
+            comps.extend((Polyline((a, m)), Polyline((m, b))))
+        else:
+            comps.append(Polyline((a, b)))
+    return CrackSet(tuple(comps), m=max(1, len(comps)))
+
+
+@st.composite
+def _containment_pair(draw):
+    lines = draw(_lines())
+    big = draw(_crack_on(lines))
+    kind = draw(st.sampled_from(["prefix", "suffix", "subset", "other", "point", "span"]))
+    comps = big.components
+    # pairs of big's segments on one exact line; "span" joins their far ends
+    spans = [
+        sorted(s + t)
+        for s, t in itertools.permutations(big.segments(), 2)
+        if orient_exact(*s, t[0]) == 0 and orient_exact(*s, t[1]) == 0
+    ]
+    if kind == "span" and not spans:
+        kind = "other"
+    if kind in ("prefix", "suffix"):
+        v = draw(st.sampled_from(comps)).vertices
+        k = draw(st.integers(1, len(v)))
+        small = CrackSet((Polyline(v[:k] if kind == "prefix" else v[-k:]),), 1)
+    elif kind == "subset":
+        keep = draw(st.lists(st.sampled_from(range(len(comps))), min_size=1, unique=True))
+        small = CrackSet(tuple(comps[i] for i in sorted(keep)), m=len(keep))
+    elif kind == "point":
+        # a vertex of big, or the midpoint of one of its segments
+        a, b = draw(st.sampled_from([(q, q) for c in comps for q in c.vertices] + big.segments()))
+        small = CrackSet((Polyline((((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0),)),), 1)
+    elif kind == "span":
+        ends = draw(st.sampled_from(spans))
+        small = CrackSet((Polyline((ends[0], ends[-1])),), 1)
+    else:
+        small = draw(_crack_on(lines))
+    return big, small
+
+
+@given(_lines().flatmap(lambda lines: _crack_on(lines, 0)))
+@settings(max_examples=200)
+def test_length_matches_union_scan(crack):
+    assert length(crack) == union_length_scan(crack)
+
+
+@given(_containment_pair())
+@settings(max_examples=200)
+def test_contains_exact_matches_cover_scan(pair):
+    big, small = pair
+    assert contains(big, small, 0.0) == contains_scan(big, small)
+    assert contains(small, big, 0.0) == contains_scan(small, big)
 
 
 # ---------------------------------------------------------------------------

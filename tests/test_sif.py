@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicrack.cases import (
     mode3_datum,
@@ -11,6 +13,7 @@ from quasicrack.cases import (
     slit_disk_domain,
     zero_datum,
 )
+from quasicrack.domain import DomainSpec, regular_polygon_disk
 from quasicrack.geometry import CrackSet, Polyline, crack_tips
 from quasicrack.mesh import triangulate
 from quasicrack.sif import (
@@ -24,6 +27,8 @@ from quasicrack.sif import (
     sif_history_csv,
 )
 from quasicrack.solver import ScalarField, solve
+
+from oracles import boundary_distance_loop, fit_window_loop, random_crackset
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +111,18 @@ def test_safe_fit_window_shrinks_near_boundary():
     crack = slit_disk_crack(tip_x=0.9)  # tip close to the wall
     tip = crack_tips(crack)[1]
     r1, r2 = safe_fit_window(dom, crack, tip, 1 / 64)
-    assert r2 <= 0.95 * dom.signed_distance_to_boundary(tip.position) + 1e-12
+    assert r2 <= 0.95 * dom.distance_to_boundary(tip.position) + 1e-12
+
+
+@given(st.integers(4, 64), st.integers(0, 2**32 - 1), st.sampled_from([1 / 16, 1 / 64, 1 / 512]))
+@settings(max_examples=100)
+def test_safe_fit_window_matches_clearance_loop(n, seed, h_tip):
+    # random multi-component cracks around the centre of a regular n-gon
+    dom = DomainSpec.all_dirichlet(regular_polygon_disk(n, center=(1.0, 1.0), radius=1.3))
+    crack = random_crackset(np.random.default_rng(seed), max_components=4)
+    for tip in crack_tips(crack):
+        assert dom.distance_to_boundary(tip.position) == boundary_distance_loop(dom, tip.position)
+        assert safe_fit_window(dom, crack, tip, h_tip) == fit_window_loop(dom, crack, tip, h_tip)
 
 
 def test_release_rate_zero_datum_is_one(slit_setup):
@@ -212,7 +228,7 @@ def test_griffith_audit_kink_steps_reported_separately():
         ),
         h_max=1 / 8,
         h_tip=1 / 64,
-        m=1,
+        initial_crack=taper_crack(0.7),
     )
     state.steps = [
         StepRecord(
