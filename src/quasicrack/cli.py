@@ -26,6 +26,7 @@ from .evolution import (
     CandidatePolicy,
     EvolutionState,
     LoadingProgram,
+    NotProportional,
     Profile,
     StepRecord,
     TimeGrid,
@@ -100,11 +101,11 @@ def cmd_run(args) -> int:
         json.dumps(state.snapshots_json(), sort_keys=True, indent=1)
     )
     if state.audit is not None:
-        if state.loading.mode == "proportional" and state.loading.profile.nondecreasing_on(
-            state.grid.times()
-        ):
-            pairs = cfg.get("audit", {}).get("monotone_pairs", 10)
+        pairs = cfg.get("audit", {}).get("monotone_pairs", 10)
+        try:
             state.audit["monotone_loading"] = audit_monotone_loading(state, pairs)
+        except NotProportional:
+            pass
         (outdir / out.get("audit", "audit.json")).write_text(
             json.dumps(state.audit, sort_keys=True, indent=1)
         )
@@ -162,10 +163,10 @@ def cmd_audit(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     report = audit_conditions(state)
-    if state.loading.mode == "proportional" and state.loading.profile.nondecreasing_on(
-        state.grid.times()
-    ):
+    try:
         report["monotone_loading"] = audit_monotone_loading(state)
+    except NotProportional:
+        pass
     text = json.dumps(report, sort_keys=True, indent=1)
     if args.out:
         Path(args.out).write_text(text)
@@ -177,7 +178,7 @@ def cmd_audit(args) -> int:
 
 
 def _parse_delta(text: str) -> float:
-    return float(Fraction(text))
+    return TimeGrid(float(Fraction(text))).delta
 
 
 def cmd_sweep(args) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainSpec
-from .geometry import CrackSet, Polyline, hausdorff_distance, length
+from .geometry import CrackSet, Polyline, distance_to_crack, hausdorff_distance, length
 from .mesh import TriangleLocator, triangulate
 from .solver import BoundaryDatum, gradient, solve
 
@@ -240,16 +240,13 @@ def difference_lsc_ok(
     """
 
     def length_outside(k: CrackSet, h: CrackSet) -> float:
-        from .geometry import _TargetSet
-
-        tgt = _TargetSet(h)
         total = 0.0
         for a, b in k.segments():
             seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
             n_sub = max(1, int(math.ceil(seg_len / resolution)))
             ts = (np.arange(n_sub) + 0.5) / n_sub
             pts = np.outer(1 - ts, a) + np.outer(ts, b)
-            outside = sum(1 for p in pts if tgt.dist(p[0], p[1]) > eps)
+            outside = int(np.count_nonzero(distance_to_crack(h, pts) > eps))
             total += seg_len * outside / n_sub
         return total
 

@@ -123,12 +123,6 @@ class Profile:
             v >= 0.0 for v in vals
         )
 
-    def to_json(self) -> dict:
-        if self.kind == "pw_linear":
-            ts, vs = self.params
-            return {"type": "pw_linear", "ts": list(ts), "values": list(vs)}
-        return {"type": self.kind, **dict(zip(_PROFILE_PARAMS[self.kind], self.params))}
-
     @classmethod
     def from_json(cls, cfg: dict) -> "Profile":
         kind = cfg["type"]
@@ -200,6 +194,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
+        if self.n_steps < 1:
+            raise ValueError(f"delta {self.delta} > 1 leaves the time grid without a step")
 
     @property
     def n_steps(self) -> int:

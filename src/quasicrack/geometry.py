@@ -9,6 +9,12 @@ Each crack set caches one exact union table (`_union_table`): per
 supporting line, its segments and the merged closed intervals they cover.
 The length of the union and exact containment (`contains` at tol 0) are
 both read from it.
+
+Distances from arrays of points are one kernel, `segment_distances`, an
+(N, S) matrix over segments in which an isolated point q is [q, q];
+`distance_to_crack` takes its row minimum. The Hausdorff distance and
+containment at tol > 0 bound it by branch and bound; the mesher and the
+solver's and conformance checks call it directly.
 """
 
 from __future__ import annotations
@@ -166,12 +172,6 @@ class Polyline:
     def is_point(self) -> bool:
         return len(self.vertices) == 1
 
-    def arc_length(self) -> float:
-        v = self.vertices
-        return math.fsum(
-            math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(v, v[1:])
-        )
-
 
 @dataclass(frozen=True)
 class Tip:
@@ -181,7 +181,6 @@ class Tip:
     end: str  # "start" | "finish"
     position: Point
     tangent: Point
-    arclength: float
 
 
 @dataclass(frozen=True)
@@ -349,7 +348,7 @@ def component_count(crack: CrackSet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff metric (branch-and-bound, certified to `tol`)
+# point-segment distances; Hausdorff metric (branch and bound, certified to `tol`)
 # ---------------------------------------------------------------------------
 
 
@@ -361,40 +360,38 @@ def _dist_to_segment(p: Point, a: Point, b: Point) -> float:
     return math.hypot(a[0] + t * dx - p[0], a[1] + t * dy - p[1])
 
 
-class _TargetSet:
-    """Vectorized distance queries against a set of segments and points."""
+def segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, S) distances from points (N, 2) to closed segments [a_j, b_j] (S, 2).
 
-    def __init__(self, crack: CrackSet):
-        segs = [s for s in crack.segments()]
-        self.a = np.array([s[0] for s in segs], float).reshape(-1, 2)
-        self.b = np.array([s[1] for s in segs], float).reshape(-1, 2)
-        d = self.b - self.a
-        self.d = d
-        self.dd = np.maximum((d * d).sum(axis=1), 1e-300)
-        pts = crack.isolated_points()
-        self.p = np.array(pts, float).reshape(-1, 2)
-
-    def dist_vec(self, x: float, y: float) -> np.ndarray:
-        """Distance to each target element (segments first, then points)."""
-        parts = []
-        if len(self.a):
-            w = np.array([x, y]) - self.a
-            t = np.clip((w * self.d).sum(axis=1) / self.dd, 0.0, 1.0)
-            proj = self.a + t[:, None] * self.d
-            dx = proj[:, 0] - x
-            dy = proj[:, 1] - y
-            parts.append(np.sqrt(dx * dx + dy * dy))
-        if len(self.p):
-            dx = self.p[:, 0] - x
-            dy = self.p[:, 1] - y
-            parts.append(np.sqrt(dx * dx + dy * dy))
-        return np.concatenate(parts) if parts else np.array([math.inf])
-
-    def dist(self, x: float, y: float) -> float:
-        return float(np.min(self.dist_vec(x, y)))
+    A segment with a == b is a point. The operations are those of
+    `_dist_to_segment` except that `sqrt` of the summed squares replaces
+    `hypot`, so an entry may differ from it in the last bits.
+    """
+    px, py = pts[:, 0, None], pts[:, 1, None]
+    dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    dd = np.maximum(dx * dx + dy * dy, 1e-300)
+    t = np.clip(((px - a[:, 0]) * dx + (py - a[:, 1]) * dy) / dd, 0.0, 1.0)
+    ex = a[:, 0] + t * dx - px
+    ey = a[:, 1] + t * dy - py
+    return np.sqrt(ex * ex + ey * ey)
 
 
-def _directed_distance(src: CrackSet, tgt: _TargetSet, tol: float) -> float:
+def _elements(crack: CrackSet) -> tuple[np.ndarray, np.ndarray]:
+    """End arrays (S, 2) of a crack's segments, each isolated point q as [q, q]."""
+    segs = crack.segments() + [(q, q) for q in crack.isolated_points()]
+    arr = np.array(segs, float).reshape(-1, 2, 2)
+    return arr[:, 0], arr[:, 1]
+
+
+def distance_to_crack(crack: CrackSet, pts: np.ndarray) -> np.ndarray:
+    """(N,) distance from each point (N, 2) to the crack; inf for an empty set."""
+    a, b = _elements(crack)
+    if not len(a):
+        return np.full(len(pts), math.inf)
+    return segment_distances(pts, a, b).min(axis=1)
+
+
+def _directed_distance(src: CrackSet, tgt: CrackSet, tol: float) -> float:
     """sup over src of dist(., tgt), by branch and bound on source segments.
 
     Each target element is convex, so its distance is convex along a
@@ -402,9 +399,12 @@ def _directed_distance(src: CrackSet, tgt: _TargetSet, tol: float) -> float:
     this bound is tight on plateaus (parallel features), which keeps the
     subdivision finite there.
     """
-    best = 0.0
-    for x, y in src.isolated_points():
-        best = max(best, tgt.dist(x, y))
+    a_t, b_t = _elements(tgt)
+
+    def dists(pts) -> np.ndarray:
+        return segment_distances(np.array(pts, float).reshape(-1, 2), a_t, b_t)
+
+    best = float(np.max(dists(src.isolated_points()).min(axis=1), initial=0.0))
     heap: list = []
     counter = itertools.count()
 
@@ -416,8 +416,9 @@ def _directed_distance(src: CrackSet, tgt: _TargetSet, tol: float) -> float:
         if ub > best + tol:
             heapq.heappush(heap, (-ub, next(counter), a, b, da, db))
 
-    for a, b in src.segments():
-        da, db = tgt.dist_vec(*a), tgt.dist_vec(*b)
+    segs = src.segments()
+    ends = dists([p for s in segs for p in s])
+    for (a, b), da, db in zip(segs, ends[0::2], ends[1::2]):
         best = max(best, float(np.min(da)), float(np.min(db)))
         push(a, b, da, db)
     while heap:
@@ -425,7 +426,7 @@ def _directed_distance(src: CrackSet, tgt: _TargetSet, tol: float) -> float:
         if -neg_ub <= best + tol:
             break
         mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-        dm = tgt.dist_vec(*mid)
+        dm = dists([mid])[0]
         best = max(best, float(np.min(dm)))
         push(a, mid, da, dm)
         push(mid, b, dm, db)
@@ -451,8 +452,8 @@ def hausdorff_distance(
         if domain_diameter is None:
             raise ValueError("domain_diameter required for empty-set convention")
         return float(domain_diameter)
-    d12 = _directed_distance(k1, _TargetSet(k2), tol)
-    d21 = _directed_distance(k2, _TargetSet(k1), tol)
+    d12 = _directed_distance(k1, k2, tol)
+    d21 = _directed_distance(k2, k1, tol)
     return max(d12, d21)
 
 
@@ -490,7 +491,7 @@ def contains(k_big: CrackSet, k_small: CrackSet, tol: float) -> bool:
                 return False
         return True
     gap = max(tol * 1e-9, 1e-15)
-    d = _directed_distance(k_small, _TargetSet(k_big), gap)
+    d = _directed_distance(k_small, k_big, gap)
     return d <= tol + gap
 
 
@@ -517,7 +518,6 @@ def crack_tips(crack: CrackSet) -> tuple[Tip, ...]:
                 end="start",
                 position=v[0],
                 tangent=_normalize((v[0][0] - v[1][0], v[0][1] - v[1][1])),
-                arclength=0.0,
             )
         )
         tips.append(
@@ -526,7 +526,6 @@ def crack_tips(crack: CrackSet) -> tuple[Tip, ...]:
                 end="finish",
                 position=v[-1],
                 tangent=_normalize((v[-1][0] - v[-2][0], v[-1][1] - v[-2][1])),
-                arclength=comp.arc_length(),
             )
         )
     return tuple(tips)

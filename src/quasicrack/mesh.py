@@ -11,8 +11,9 @@ the per-point loops it replaced, so meshes keep their bits:
 - boundary pieces and crack segments are bisected together, one
   size-field call per level (`_subdivide`);
 - each lattice level is built per anchor, row by row (`_hex_lattice`),
-  and lattice points need a positive clearance from the features and
-  from earlier points, so they are appended without a dedupe lookup.
+  and lattice points need a positive clearance from the features
+  (`geometry.segment_distances`) and from earlier points, so they are
+  appended without a dedupe lookup.
 
 Edge topology (required-edge checks, free crack faces, and the solver's
 Euler and edge-jump checks) comes from one sorted table, `edge_table`.
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .domain import DomainSpec
-from .geometry import CrackSet, Point, Tip, _components_touch, crack_tips
+from .geometry import CrackSet, Point, Tip, _components_touch, crack_tips, segment_distances
 
 # protection constants (fractions of the local size)
 _SEG_CLEARANCE = 0.62
@@ -318,21 +319,8 @@ def _thin(pts: np.ndarray, radius: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vectorized clearance helpers
+# polygon inclusion (float ray-cast)
 # ---------------------------------------------------------------------------
-
-
-def _dist_to_segments(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Min distance from each point to a set of segments ((S,2,2) array)."""
-    if len(segs) == 0:
-        return np.full(len(pts), np.inf)
-    a = segs[:, 0, :]
-    d = segs[:, 1, :] - a
-    dd = np.maximum((d * d).sum(axis=1), 1e-300)
-    w = pts[:, None, :] - a[None, :, :]
-    t = np.clip((w * d[None, :, :]).sum(axis=2) / dd[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.sqrt(((pts[:, None, :] - proj) ** 2).sum(axis=2).min(axis=1))
 
 
 def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -489,7 +477,7 @@ def triangulate(
     feat_segs = list(domain.edges())
     for comp in crack.components:
         feat_segs.extend(comp.segments())
-    feat_seg_arr = np.array(feat_segs, float).reshape(-1, 2, 2)
+    feat_a, feat_b = np.array(feat_segs, float).reshape(-1, 2, 2).transpose(1, 0, 2)
 
     # ---------------- interior lattice fill ----------------
     # Every kept lattice point is at least a positive clearance away from
@@ -537,7 +525,8 @@ def triangulate(
         cand_arr, sz = cand_arr[at_level], sz[at_level]
         keep = _points_in_polygon(cand_arr, poly_arr)
         keep[keep] = (
-            _dist_to_segments(cand_arr[keep], feat_seg_arr) >= _SEG_CLEARANCE * sz[keep]
+            segment_distances(cand_arr[keep], feat_a, feat_b).min(axis=1)
+            >= _SEG_CLEARANCE * sz[keep]
         )
         if not np.any(keep):
             continue
@@ -572,18 +561,12 @@ def triangulate(
         p[:, 1, 1] - p[:, 0, 1]
     ) * (p[:, 2, 0] - p[:, 0, 0])
     extent2 = ((p.max(axis=1) - p.min(axis=1)) ** 2).sum(axis=1)
-    tris = tris[np.abs(det) > 1e-12 * extent2]
-
+    keep = np.abs(det) > 1e-12 * extent2
     # drop triangles outside the (possibly non-convex) polygon
-    centroids = pts_arr[tris].mean(axis=1)
-    inside = _points_in_polygon(centroids, poly_arr)
-    tris = tris[inside]
+    keep[keep] = _points_in_polygon(p[keep].mean(axis=1), poly_arr)
+    tris = tris[keep]
     # enforce CCW orientation
-    p = pts_arr[tris]
-    det = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 1, 1] - p[:, 0, 1]
-    ) * (p[:, 2, 0] - p[:, 0, 0])
-    flip = det < 0
+    flip = det[keep] < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
 
     # ---------------- unzip the crack ----------------

@@ -18,6 +18,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, cg
 
+from .geometry import distance_to_crack
 from .mesh import CrackMesh, TriangleLocator, edge_table
 
 CG_RTOL = 1e-10
@@ -130,7 +131,7 @@ def inner_product(gu: GradientField, gw: GradientField) -> float:
 def bulk_energy(u: ScalarField) -> float:
     """Integral of |grad u|^2 over the mesh (shear modulus scaled to mu = 2)."""
     g = gradient(u)
-    return float(np.sum(u.mesh.areas * (g.values**2).sum(axis=1)))
+    return inner_product(g, g)
 
 
 # ---------------------------------------------------------------------------
@@ -214,27 +215,30 @@ def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
                 values[pin] = 0.0
 
     free = ~constrained
-    nf = int(free.sum())
-    if nf == 0:
+    if not np.any(free):
         return [ScalarField(mesh, values) for values in columns]
     K = stiffness_matrix(mesh)
     Kf = K[free]
     Kff = Kf[:, free]
     Kfc = Kf[:, constrained]
-    diag = np.asarray(Kff.diagonal())
+    for gvals, values in zip(samples, columns):
+        values[free] = _cg_solve(Kff, -Kfc @ values[constrained], x0=gvals[free])
+    return [ScalarField(mesh, values) for values in columns]
+
+
+def _cg_solve(A: csr_matrix, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+    """Solve A x = rhs by Jacobi-preconditioned CG to relative residual CG_RTOL."""
+    diag = np.asarray(A.diagonal())
     if np.any(diag <= 0):
         raise SolveFailure("singular stiffness diagonal (beyond pinning rule)")
-    M = LinearOperator((nf, nf), matvec=lambda v: v / diag)
-    for gvals, values in zip(samples, columns):
-        rhs = -Kfc @ values[constrained]
-        x, info = cg(
-            Kff, rhs, x0=gvals[free], rtol=CG_RTOL, atol=0.0,
-            maxiter=CG_MAXITER_FACTOR * nf, M=M,
-        )
-        if info != 0:
-            raise SolveFailure(f"conjugate gradient did not converge (info={info})")
-        values[free] = x
-    return [ScalarField(mesh, values) for values in columns]
+    n = len(diag)
+    M = LinearOperator((n, n), matvec=lambda v: v / diag)
+    x, info = cg(
+        A, rhs, x0=x0, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER_FACTOR * n, M=M
+    )
+    if info != 0:
+        raise SolveFailure(f"conjugate gradient did not converge (info={info})")
+    return x
 
 
 def gram_matrix(fields) -> tuple[tuple[float, ...], ...]:
@@ -318,18 +322,10 @@ def harmonic_conjugate(
         )
 
     # pin one node against the constant null space, then re-center
-    fixed = 0
     free = np.ones(nloc, dtype=bool)
-    free[fixed] = False
-    Kff = K[free][:, free]
-    rhs = b[free]
-    diag = np.asarray(Kff.diagonal())
-    M = LinearOperator((int(free.sum()),) * 2, matvec=lambda v: v / diag)
-    x, info = cg(Kff, rhs, rtol=CG_RTOL, atol=0.0, maxiter=20 * nloc, M=M)
-    if info != 0:
-        raise SolveFailure("conjugate recovery CG did not converge")
+    free[0] = False
     vloc = np.zeros(nloc)
-    vloc[free] = x
+    vloc[free] = _cg_solve(K[free][:, free], b[free])
 
     # area-weighted zero mean
     lumped = np.zeros(nloc)
@@ -355,16 +351,11 @@ def tangential_jump_max(
     """
     mesh = u.mesh
     g = gradient(u)
-    tgt = None
-    if away_from is not None and clearance > 0.0:
-        from .geometry import _TargetSet
-
-        tgt = _TargetSet(away_from)
     edges, counts, owners = edge_table(mesh.triangles)
     edges, owners = edges[counts == 2], owners[counts == 2]
-    if tgt is not None:
+    if away_from is not None and clearance > 0.0:
         mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-        far = [tgt.dist(x, y) >= clearance for x, y in mid.tolist()]
+        far = distance_to_crack(away_from, mid) >= clearance
         edges, owners = edges[far], owners[far]
     if not len(edges):
         return 0.0

@@ -166,20 +166,21 @@ def edge_owners_loop(triangles) -> dict:
 
 def tangential_jump_max_loop(u, *, away_from=None, clearance: float = 0.0) -> float:
     """Max |(R grad u)_1 - (R grad u)_2| . t over interior edges, edge by edge."""
-    from quasicrack.geometry import _TargetSet
+    from quasicrack.geometry import _dist_to_segment
     from quasicrack.solver import gradient
 
     mesh = u.mesh
     g = gradient(u).values
-    tgt = _TargetSet(away_from) if away_from is not None and clearance > 0.0 else None
+    elements = []
+    if away_from is not None and clearance > 0.0:
+        elements = away_from.segments() + [(q, q) for q in away_from.isolated_points()]
     worst = 0.0
     for (i, j), owners in edge_owners_loop(mesh.triangles).items():
         if len(owners) != 2:
             continue
-        if tgt is not None:
-            mid = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
-            if tgt.dist(float(mid[0]), float(mid[1])) < clearance:
-                continue
+        mid = tuple((0.5 * (mesh.nodes[i] + mesh.nodes[j])).tolist())
+        if any(_dist_to_segment(mid, a, b) < clearance for a, b in elements):
+            continue
         t = mesh.nodes[j] - mesh.nodes[i]
         t = t / np.linalg.norm(t)
         rot = [np.array([-g[o, 1], g[o, 0]]) for o in owners]

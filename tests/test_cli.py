@@ -72,6 +72,19 @@ def test_run_config_error(tmp_path):
     assert "config error" in r.stderr
 
 
+def test_run_delta_above_one_is_config_error(quick_config, tmp_path):
+    _, path = quick_config
+    cfg = json.loads(path.read_text())
+    cfg["delta"] = 2
+    bad = tmp_path / "delta2.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    r = run_cli("run", str(bad), "--output-dir", str(out))
+    assert r.returncode == 2
+    assert "config error" in r.stderr
+    assert not out.exists()
+
+
 def test_audit_from_state(quick_config):
     d, path = quick_config
     out = d / "for_audit"

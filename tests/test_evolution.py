@@ -61,6 +61,13 @@ def test_time_grid_largest_n():
     assert TimeGrid(1.0).times() == [0.0, 1.0]
 
 
+def test_time_grid_needs_a_step():
+    with pytest.raises(ValueError):
+        TimeGrid(2.0)
+    with pytest.raises(ValueError):
+        TimeGrid(0.0)
+
+
 def test_profile_values_and_derivatives():
     lin = Profile("linear", (2.0,))
     assert lin.value(0.25) == 0.5 and lin.derivative(0.9) == 2.0
@@ -73,14 +80,21 @@ def test_profile_values_and_derivatives():
     assert pw.nondecreasing_on([0.0, 0.5, 1.0])
 
 
-def test_profile_json_roundtrip():
-    for p in (
-        Profile("linear", (0.7,)),
-        Profile("affine_sqrt", (0.44, 1.0, 0.345)),
-        Profile("power_sqrt", (0.5, 1.0, 0.3, 3.0)),
-        Profile("constant", (2.0,)),
-    ):
-        assert Profile.from_json(p.to_json()) == p
+def test_profile_from_json():
+    assert Profile.from_json({"type": "linear", "rate": 0.7}) == Profile("linear", (0.7,))
+    assert Profile.from_json({"type": "linear"}) == Profile("linear", (1.0,))
+    assert Profile.from_json(
+        {"type": "affine_sqrt", "amp": 0.44, "c0": 1, "c1": 0.345}
+    ) == Profile("affine_sqrt", (0.44, 1.0, 0.345))
+    assert Profile.from_json(
+        {"type": "power_sqrt", "amp": 0.5, "c0": 1.0, "c1": 0.3, "p": 3}
+    ) == Profile("power_sqrt", (0.5, 1.0, 0.3, 3.0))
+    assert Profile.from_json({"type": "constant", "value": 2}) == Profile("constant", (2.0,))
+    assert Profile.from_json(
+        {"type": "pw_linear", "ts": [0, 0.5, 1], "values": [0, 1, 1.5]}
+    ) == Profile("pw_linear", ((0.0, 0.5, 1.0), (0.0, 1.0, 1.5)))
+    with pytest.raises(ValueError):
+        Profile.from_json({"type": "cubic"})
 
 
 def test_policy_validation():

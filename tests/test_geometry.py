@@ -14,8 +14,11 @@ from quasicrack.geometry import (
     component_count,
     contains,
     crack_tips,
+    distance_to_crack,
     extend_tip,
     hausdorff_distance,
+    segment_distances,
+    _dist_to_segment,
     _intersect_beyond_shared,
     _orient,
     _segments_intersect,
@@ -98,6 +101,48 @@ def test_length_rigid_motion_invariant(theta, dx, dy):
         m=2,
     )
     assert length(moved) == pytest.approx(length(k), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# point-segment distance matrix
+# ---------------------------------------------------------------------------
+
+# coordinates on a 1e-8 grid in [-10, 10]: no squared difference underflows,
+# so the matrix and the scalar `hypot` differ only in rounding
+_coord = st.integers(-10**9, 10**9).map(lambda k: k / 1e8)
+_point = st.tuples(_coord, _coord)
+
+
+@st.composite
+def _distance_case(draw):
+    segs = draw(st.lists(st.tuples(_point, _point), min_size=1, max_size=4))
+    segs += [(q, q) for q in draw(st.lists(_point, max_size=2))]
+    pts = draw(st.lists(_point, max_size=3))
+    # points on a segment (s in [0, 1]) and collinear beyond either end
+    for a, b in draw(st.lists(st.sampled_from(segs), min_size=1, max_size=4)):
+        s = draw(st.integers(-300, 400)) / 100.0
+        pts.append((a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1])))
+    return pts, segs
+
+
+@given(_distance_case())
+def test_segment_distances_match_scalar(case):
+    pts, segs = case
+    a = np.array([s[0] for s in segs])
+    b = np.array([s[1] for s in segs])
+    d = segment_distances(np.array(pts), a, b)
+    assert d.shape == (len(pts), len(segs))
+    for i, p in enumerate(pts):
+        for j, (sa, sb) in enumerate(segs):
+            assert math.isclose(d[i, j], _dist_to_segment(p, sa, sb), rel_tol=1e-15)
+
+
+def test_distance_to_crack_points_and_empty():
+    k = CrackSet((Polyline(((0.0, 0.0), (1.0, 0.0))), Polyline(((3.0, 4.0),))), m=2)
+    pts = np.array([[0.5, 2.0], [3.0, 5.0], [-3.0, -4.0]])
+    assert distance_to_crack(k, pts).tolist() == [2.0, 1.0, 5.0]
+    empty = CrackSet((), m=1)
+    assert distance_to_crack(empty, pts).tolist() == [math.inf] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +364,8 @@ def test_crack_tips_fields():
     assert len(tips) == 2
     start, finish = tips
     assert start.end == "start" and start.position == (0.0, 0.0)
-    assert start.tangent == (-1.0, 0.0) and start.arclength == 0.0
+    assert start.tangent == (-1.0, 0.0)
     assert finish.end == "finish" and finish.tangent == (1.0, 0.0)
-    assert finish.arclength == 1.0
 
 
 def test_extend_tip_straight_set_equality():
