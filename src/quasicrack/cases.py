@@ -97,6 +97,10 @@ def taper_crack(a0: float = 0.3, m: int = 1) -> CrackSet:
     return CrackSet((Polyline(((0.0, 0.0), (a0, 0.0))),), m)
 
 
+# The mesh samplers below repeat their evaluator's float operations in the
+# same order on the node arrays, so both give the same bits at every node.
+
+
 def taper_datum(
     length_x: float = 2.0, h0: float = 0.35, h1: float = 0.60
 ) -> BoundaryDatum:
@@ -106,15 +110,25 @@ def taper_datum(
         H = h0 + (h1 - h0) * x / length_x
         return y / H
 
-    return BoundaryDatum(evaluator=ev)
+    def sampler(mesh: CrackMesh) -> np.ndarray:
+        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+        return y / (h0 + (h1 - h0) * x / length_x)
+
+    return BoundaryDatum(evaluator=ev, mesh_sampler=sampler)
 
 
 def linear_datum(cx: float = 1.0, cy: float = 0.0) -> BoundaryDatum:
-    return BoundaryDatum(evaluator=lambda x, y: cx * x + cy * y)
+    return BoundaryDatum(
+        evaluator=lambda x, y: cx * x + cy * y,
+        mesh_sampler=lambda mesh: cx * mesh.nodes[:, 0] + cy * mesh.nodes[:, 1],
+    )
 
 
 def constant_datum(c: float) -> BoundaryDatum:
-    return BoundaryDatum(evaluator=lambda x, y: c)
+    return BoundaryDatum(
+        evaluator=lambda x, y: c,
+        mesh_sampler=lambda mesh: np.full(mesh.n_nodes, c, dtype=float),
+    )
 
 
 def zero_datum() -> BoundaryDatum:

@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import distance_to_crack
 from .mesh import CrackMesh, TriangleLocator, edge_table
@@ -41,10 +40,10 @@ class RegionNotSimplyConnected(Exception):
 class BoundaryDatum:
     """Trace of an admissible displacement, evaluable on the closed domain.
 
-    `mesh_sampler`, when given, overrides nodal sampling (needed for data
-    that jump across the crack, where plus/minus copies take different
-    values). Data carry no identity: an `energy.Evaluator` memoizes per
-    crack for the basis it was built with.
+    `mesh_sampler`, when given, samples a whole mesh at once in place of a
+    per-node evaluator call; data that jump across the crack need one, as
+    plus/minus copies take different values. Data carry no identity: an
+    `energy.Evaluator` memoizes per crack for the basis it was built with.
     """
 
     evaluator: Callable[[float, float], float]
@@ -192,7 +191,7 @@ def solve(mesh: CrackMesh, g: BoundaryDatum) -> ScalarField:
 
 
 def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
-    """`solve` for several data on one mesh, sharing assembly and pinning.
+    """`solve` for several data on one mesh: shared assembly, pinning and block CG.
 
     Each returned field is bitwise equal to `solve(mesh, g)` for its datum.
     """
@@ -221,24 +220,67 @@ def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
     Kf = K[free]
     Kff = Kf[:, free]
     Kfc = Kf[:, constrained]
-    for gvals, values in zip(samples, columns):
-        values[free] = _cg_solve(Kff, -Kfc @ values[constrained], x0=gvals[free])
+    rhs = np.array([-Kfc @ values[constrained] for values in columns])
+    x0 = np.array([gvals[free] for gvals in samples])
+    for values, x in zip(columns, _cg_solve(Kff, rhs, x0)):
+        values[free] = x
     return [ScalarField(mesh, values) for values in columns]
 
 
 def _cg_solve(A: csr_matrix, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve A x = rhs by Jacobi-preconditioned CG to relative residual CG_RTOL."""
+    """Solve A x_k = rhs[k] for every row k by one block Jacobi-preconditioned CG.
+
+    `rhs` and `x0` are (S, n), and so is the result. Each iteration does one
+    CSR multi-vector product and keeps per-row scalars rho, alpha and beta;
+    a row leaves the block at the iteration where it reaches relative
+    residual CG_RTOL. Every row takes the floating-point steps of scipy's
+    `cg(A, rhs[k], x0[k], rtol=CG_RTOL, atol=0, M=diag(A)^-1)` in its order,
+    so it is bitwise equal to that solve on its own (`tests/oracles.py`).
+    """
     diag = np.asarray(A.diagonal())
     if np.any(diag <= 0):
         raise SolveFailure("singular stiffness diagonal (beyond pinning rule)")
-    n = len(diag)
-    M = LinearOperator((n, n), matvec=lambda v: v / diag)
-    x, info = cg(
-        A, rhs, x0=x0, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER_FACTOR * n, M=M
-    )
-    if info != 0:
-        raise SolveFailure(f"conjugate gradient did not converge (info={info})")
-    return x
+    maxiter = CG_MAXITER_FACTOR * len(diag)
+    B = np.ascontiguousarray(rhs, dtype=float)
+    out = np.zeros_like(B) if x0 is None else np.array(x0, dtype=float)
+    # np.vecdot of C-contiguous rows is np.dot per row; a strided row is not
+    bnrm = np.sqrt(np.vecdot(B, B))
+    live = bnrm != 0
+    out[~live] = B[~live]  # a zero right-hand side returns itself
+    rows = np.flatnonzero(live)
+    x = out if live.all() else out[rows]
+    # b - A @ 0 == b bitwise, so a zero start needs no branch
+    r = B[rows] - _block_matmul(A, x)
+    tol = CG_RTOL * bnrm[rows]
+    p = rho_prev = None
+    for _ in range(maxiter):
+        done = np.sqrt(np.vecdot(r, r)) < tol
+        if done.any():
+            out[rows[done]] = x[done]
+            keep = ~done
+            rows, x, r, tol = rows[keep], x[keep], r[keep], tol[keep]
+            if p is not None:
+                p, rho_prev = p[keep], rho_prev[keep]
+        if not len(rows):
+            return out
+        z = r / diag
+        rho = np.vecdot(r, z)
+        p = z if p is None else p * (rho / rho_prev)[:, None] + z
+        q = _block_matmul(A, p)
+        alpha = (rho / np.vecdot(p, q))[:, None]
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise SolveFailure(f"conjugate gradient did not converge (info={maxiter})")
+
+
+def _block_matmul(A: csr_matrix, X: np.ndarray) -> np.ndarray:
+    """Rows A @ X[k] as a C-contiguous (S, n) array.
+
+    scipy's multi-vector CSR product sums each row's terms in the order of
+    its single-vector product, so every row is bitwise A @ X[k].
+    """
+    return np.ascontiguousarray((A @ X.T).T)
 
 
 def gram_matrix(fields) -> tuple[tuple[float, ...], ...]:
@@ -325,7 +367,7 @@ def harmonic_conjugate(
     free = np.ones(nloc, dtype=bool)
     free[0] = False
     vloc = np.zeros(nloc)
-    vloc[free] = _cg_solve(K[free][:, free], b[free])
+    vloc[free] = _cg_solve(K[free][:, free], b[free][None])[0]
 
     # area-weighted zero mean
     lumped = np.zeros(nloc)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -21,6 +22,7 @@ from quasicrack.mesh import (
     edge_table,
     triangulate,
 )
+from quasicrack.solver import scale_datum
 
 
 @pytest.fixture(scope="module")
@@ -326,8 +328,33 @@ PINNED_MESHES = {
 }
 
 
+@functools.cache
+def _pinned_mesh(name):
+    return triangulate(*PINNED_MESHES[name][0]())
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_MESHES))
 def test_pinned_mesh_fingerprints(name):
-    build, want = PINNED_MESHES[name]
-    mesh = triangulate(*build())
-    assert hashlib.sha256(mesh.fingerprint_bytes()).hexdigest() == want
+    want = PINNED_MESHES[name][1]
+    assert hashlib.sha256(_pinned_mesh(name).fingerprint_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MESHES))
+def test_builtin_samplers_match_evaluators(name):
+    # each built-in datum samples a whole mesh with the same bits as its
+    # per-node evaluator, and so does its scaled copy
+    mesh = _pinned_mesh(name)
+    data = [
+        cases.taper_datum(),
+        cases.datum_from_config(
+            {"type": "taper", "length_x": 3, "h0": cases.TAPER_H0, "h1": cases.TAPER_H1}
+        ),
+        cases.linear_datum(1.7, -0.3),
+        cases.constant_datum(2.5),
+        cases.constant_datum(3),
+        cases.zero_datum(),
+    ]
+    for g in data + [scale_datum(g, c) for g in data for c in (-0.37, 1e3)]:
+        assert g.mesh_sampler is not None
+        per_node = np.array([g.evaluator(x, y) for x, y in mesh.nodes], dtype=float)
+        assert g.sample(mesh).tobytes() == per_node.tobytes()

@@ -5,7 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicrack.cases import mode3_datum, slit_disk_crack, slit_disk_domain
+from quasicrack import solver
+from quasicrack.cases import (
+    TAPER_A0,
+    TAPER_H0,
+    TAPER_H1,
+    TAPER_L,
+    constant_datum,
+    linear_datum,
+    mode3_datum,
+    slit_disk_crack,
+    slit_disk_domain,
+    taper_crack,
+    taper_datum,
+    taper_domain,
+    zero_datum,
+)
 from quasicrack.domain import DomainSpec
 from quasicrack.geometry import CrackSet, Polyline
 from quasicrack.mesh import triangulate
@@ -14,6 +29,9 @@ from quasicrack.solver import (
     MeshMismatch,
     RegionNotSimplyConnected,
     ScalarField,
+    SolveFailure,
+    _cg_solve,
+    _dirichlet_mask,
     bulk_energy,
     gradient,
     harmonic_conjugate,
@@ -22,10 +40,11 @@ from quasicrack.solver import (
     scale_datum,
     solve,
     solve_many,
+    stiffness_matrix,
     tangential_jump_max,
 )
 
-from oracles import tangential_jump_max_loop
+from oracles import scipy_cg_solve, tangential_jump_max_loop
 
 
 @pytest.fixture(scope="module")
@@ -146,17 +165,115 @@ def test_floating_component_pinned():
     assert np.max(np.abs(vals - expect)) <= 1e-9
 
 
-def test_solve_many_columns_bitwise_equal_solve():
-    # shared assembly and pinning, on a mesh with a floating component
+def _taper_mesh(refine: int):
+    h_tip = 1.0 / (64.0 * refine)
+    domain = taper_domain(TAPER_L, TAPER_H0, TAPER_H1)
+    return triangulate(domain, taper_crack(TAPER_A0), 8.0 * h_tip, h_tip)
+
+
+def _mixed_data():
+    """Seven columns that leave a block CG at different iterations.
+
+    On the refine-1 taper mesh scipy's `cg` takes 112, 0, 110, 111, 123,
+    112 and 0 iterations on them: the zero datum never enters the loop and
+    the constant's start is already its solution.
+    """
+    tap = taper_datum(TAPER_L, TAPER_H0, TAPER_H1)
+    return (
+        scale_datum(tap, 1e-3),
+        zero_datum(),
+        mode3_datum(1e3, (TAPER_A0, 0.0)),
+        linear_datum(1e-1, 1e1),
+        BoundaryDatum(lambda x, y: math.sin(3.0 * x) + y),
+        scale_datum(tap, 1e3),
+        constant_datum(1e2),
+    )
+
+
+def _scipy_rows(A, rhs, x0=None):
+    """`_cg_solve` as one scipy `cg` call per row."""
+    starts = [None] * len(rhs) if x0 is None else x0
+    return np.array([scipy_cg_solve(A, b, x0=x) for b, x in zip(rhs, starts)])
+
+
+def test_solve_many_columns_bitwise_equal_solve(monkeypatch):
+    # shared assembly, pinning and block CG, on a mesh with a floating
+    # component and on taper meshes at refine 1 and 2, for S = 1..7
     dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))
     crack = CrackSet((Polyline(((0.0, 0.5), (1.0, 0.5))),), 1)
-    mesh = triangulate(dom, crack, 0.1, 0.02)
-    data = (
+    floating = (
         BoundaryDatum(lambda x, y: 1.0 + x),
         BoundaryDatum(lambda x, y: math.sin(3.0 * x)),
     )
-    for g, u in zip(data, solve_many(mesh, data)):
-        assert u.nodal_values.tobytes() == solve(mesh, g).nodal_values.tobytes()
+    systems = [(triangulate(dom, crack, 0.1, 0.02), floating)]
+    systems += [(_taper_mesh(refine), _mixed_data()) for refine in (1, 2)]
+    for mesh, data in systems:
+        single = [solve(mesh, g).nodal_values.tobytes() for g in data]
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_cg_solve", _scipy_rows)
+            assert [solve(mesh, g).nodal_values.tobytes() for g in data] == single
+        for S in range(1, len(data) + 1):
+            block = [u.nodal_values.tobytes() for u in solve_many(mesh, data[:S])]
+            assert block == single[:S]
+
+
+@pytest.fixture(scope="module")
+def slit_system():
+    """Free-node stiffness block of a slit square (crack faces are free)."""
+    crack = CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1)
+    mesh = triangulate(DomainSpec.unit_square(), crack, 0.1, 0.05)
+    free = ~_dirichlet_mask(mesh)
+    return stiffness_matrix(mesh)[free][:, free]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.sampled_from(["none", "zero", "nonzero"]),
+    st.sets(st.integers(0, 4)),
+)
+def test_cg_solve_matches_scipy_cg(slit_system, seed, S, start, zero_rows):
+    A = slit_system
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal((S, A.shape[0])) * 10.0 ** rng.uniform(-3.0, 3.0, (S, 1))
+    rhs[[k for k in zero_rows if k < S]] = -0.0  # returned as is, sign bits too
+    x0 = {
+        "none": None,
+        "zero": np.zeros_like(rhs),
+        "nonzero": rng.standard_normal(rhs.shape),
+    }[start]
+    assert _cg_solve(A, rhs, x0).tobytes() == _scipy_rows(A, rhs, x0).tobytes()
+
+
+def _failure_message(monkeypatch, mesh, data) -> str:
+    """SolveFailure text of `solve_many`, the same from the block CG and scipy's `cg`."""
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolveFailure) as block:
+            solve_many(mesh, data)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_cg_solve", _scipy_rows)
+            with pytest.raises(SolveFailure) as reference:
+                solve_many(mesh, data)
+    assert str(block.value) == str(reference.value)
+    return str(block.value)
+
+
+def test_cg_failure_past_maxiter(monkeypatch, square_mesh):
+    _, mesh = square_mesh
+    maxiter = solver.CG_MAXITER_FACTOR * int(np.sum(~_dirichlet_mask(mesh)))
+    message = f"conjugate gradient did not converge (info={maxiter})"
+    with monkeypatch.context() as m:
+        m.setattr(solver, "CG_RTOL", 0.0)  # no residual is below 0
+        g = BoundaryDatum(lambda x, y: x * x - y)
+        assert _failure_message(monkeypatch, mesh, (g,)) == message
+    # one NaN column runs to maxiter after the others converged and left the block
+    data = (
+        BoundaryDatum(lambda x, y: x * x - y),
+        BoundaryDatum(lambda x, y: math.nan),
+        constant_datum(2.0),
+        zero_datum(),
+    )
+    assert _failure_message(monkeypatch, mesh, data) == message
 
 
 def test_harmonic_conjugate_of_linear(square_mesh):
