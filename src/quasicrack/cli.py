@@ -267,23 +267,29 @@ def _oracle_slit_sif(h_tip: float) -> list[tuple[str, bool, str]]:
 
 
 def _oracle_release_rate(h_tip: float) -> list[tuple[str, bool, str]]:
-    from .sif import fit_sif, release_rate_richardson
-    from .mesh import triangulate
-    from .solver import solve
+    from .energy import Evaluator
+    from .sif import fit_sif, richardson_release_rate
 
     domain = slit_disk_domain()
     crack = slit_disk_crack()
     tip = crack_tips(crack)[1]
     h_max = 32.0 * h_tip
+    kappas = (0.0, 0.5, 1.0)
+
+    def one_hot(t):
+        # at "time" t = j the datum is mode3_datum(kappas[j])
+        return tuple(1.0 if j == t else 0.0 for j in range(len(kappas))), (0.0,) * len(kappas)
+
+    # one evaluator meshes each of the three cracks once and solves all data on it
+    ev = Evaluator(domain, [mode3_datum(kap) for kap in kappas], one_hot, h_max, h_tip)
     out = []
-    mesh = triangulate(domain, crack, h_max, h_tip)
-    for kap in (0.0, 0.5, 1.0):
-        g = mode3_datum(kap)
+    for j, kap in enumerate(kappas):
         if kap == 0.0:
             k_fit = 0.0
         else:
-            k_fit = fit_sif(solve(mesh, g), tip, 16.0 * h_tip, 64.0 * h_tip).kappa
-        fd = release_rate_richardson(domain, crack, g, tip, h_max, h_tip)
+            u = ev.record(crack, j)[1]
+            k_fit = fit_sif(u, tip, 16.0 * h_tip, 64.0 * h_tip).kappa
+        fd = richardson_release_rate(ev, crack, tip, j)
         gap = abs(fd - (1.0 - k_fit**2))
         out.append(
             (

@@ -6,18 +6,27 @@ protection radii), deterministic multi-level hex lattice fill, Delaunay
 "unzip": interior crack nodes are duplicated into plus/minus face copies
 while tips stay single shared nodes.
 
-Sampling works on arrays, level by level, with the float operations of
-the per-point loops it replaced, so meshes keep their bits:
+Everything but qhull works on arrays, with the float operations of the
+loops it replaced (kept in the tests as the oracle), so meshes keep their
+bits:
 - boundary pieces and crack segments are bisected together, one
-  size-field call per level (`_subdivide`);
-- each lattice level is built per anchor, row by row (`_hex_lattice`),
-  and lattice points need a positive clearance from the features
-  (`geometry.segment_distances`) and from earlier points, so they are
-  appended without a dedupe lookup.
+  size-field call per level (`_subdivide`), and the samples are deduped
+  in one pass;
+- the lattices of all levels are built at once (`_hex_lattice`), and the
+  per-point filters (level band, polygon, clearance from the feature
+  segments by `geometry.segment_distances`) run once over every level's
+  candidates. Only the clearance from the points of earlier levels, a
+  KD-tree query, goes level by level. Kept points have a positive
+  clearance from all others, so they are appended without a dedupe lookup;
+- required edges are looked up among the triangles' sorted edge keys;
+- the unzip finds the crack nodes' triangles with a boolean lookup, splits
+  each fan from per-triangle angles, moves every minus-side corner in one
+  assignment, and takes the free edges and boundary tags from one sort of
+  the final edge keys. Boundary edges are tagged from the boundary cycle's
+  parent polygon edges.
 
-Edge topology (required-edge checks, free crack faces, and the solver's
-Euler and edge-jump checks) comes from one sorted table, `edge_table`.
-Boundary edges are tagged from the boundary cycle's parent polygon edges.
+`edge_table` (unique edges with counts and owners) serves the solver's
+Euler and edge-jump checks.
 """
 
 from __future__ import annotations
@@ -116,17 +125,20 @@ class CrackMesh:
         return len(self.triangles)
 
     def min_angle(self) -> float:
-        """Smallest interior angle over all triangles, in degrees."""
-        p = self.nodes[self.triangles]
-        angles = []
-        for i in range(3):
-            u = p[:, (i + 1) % 3] - p[:, i]
-            v = p[:, (i + 2) % 3] - p[:, i]
-            cosang = (u * v).sum(axis=1) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-            )
-            angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-        return float(np.min(angles))
+        """Smallest interior angle over all triangles, in degrees.
+
+        `arccos` is decreasing, so the smallest angle is the `arccos` of the
+        largest cosine; one `arccos` gives the bits of the per-corner minimum.
+        """
+        x = self.nodes[:, 0][self.triangles]
+        y = self.nodes[:, 1][self.triangles]
+        # edge i runs from corner i to corner i + 1; the angle at corner i
+        # lies between edge i and edge i - 1 reversed (negation is exact)
+        ex, ey = x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y
+        length = np.sqrt(ex * ex + ey * ey)
+        prev = [2, 0, 1]
+        cosines = -(ex * ex[:, prev] + ey * ey[:, prev]) / (length * length[:, prev])
+        return float(np.degrees(np.arccos(np.clip(np.max(cosines), -1.0, 1.0))))
 
     def fingerprint_bytes(self) -> bytes:
         parts = [self.nodes.tobytes(), self.triangles.tobytes()]
@@ -181,28 +193,43 @@ def edge_table(triangles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     no second.
     """
     t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    # triangle k's edges (0,1), (1,2), (2,0) sit at 3k..3k+2
-    pairs = np.stack([t.ravel(), t[:, [1, 2, 0]].ravel()], axis=1)
-    keys = _edge_keys(pairs, int(t.max(initial=0)) + 1)
+    n = int(t.max(initial=0)) + 1
+    keys = _triangle_edge_keys(t, n)
     order = np.argsort(keys, kind="stable")  # stable: owners in triangle order
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, len(keys)))
+    starts, counts = _runs(keys[order])
     owner = order // 3
     owners = np.full((len(starts), 2), -1, dtype=np.int64)
     owners[:, 0] = owner[starts]
     shared = counts > 1
     owners[shared, 1] = owner[starts[shared] + 1]
-    edges = np.sort(pairs[order[starts]], axis=1)
-    return edges, counts, owners
+    return _edges_of(keys[order[starts]], n), counts, owners
 
 
 def _edge_keys(pairs, n: int) -> np.ndarray:
-    """Orientation-free int64 key lo * n + hi of each node pair (ids < n)."""
+    """Orientation-free int64 key lo * n + hi of each node pair (ids < n).
+
+    Keys sort as the (lo, hi) pairs do; `_edges_of` inverts them.
+    """
     p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return np.minimum(p[:, 0], p[:, 1]) * n + np.maximum(p[:, 0], p[:, 1])
+
+
+def _edges_of(keys: np.ndarray, n: int) -> np.ndarray:
+    """(E, 2) node pairs (lo, hi) of edge keys made with the same n."""
+    return np.column_stack([keys // n, keys % n])
+
+
+def _triangle_edge_keys(t: np.ndarray, n: int) -> np.ndarray:
+    """Keys of triangle k's edges (0,1), (1,2), (2,0), at 3k..3k+2."""
+    return _edge_keys(np.stack([t.ravel(), t[:, [1, 2, 0]].ravel()], axis=1), n)
+
+
+def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of equal values in a sorted array."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(first)
+    return starts, np.diff(np.append(starts, len(sorted_keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,30 +249,33 @@ class _SizeField:
         pts = np.asarray(pts, float).reshape(-1, 2)
         if len(self.tips) == 0:
             return np.full(len(pts), self.h_max)
-        d = np.min(
-            np.linalg.norm(pts[:, None, :] - self.tips[None, :, :], axis=2), axis=1
-        )
+        dx = pts[:, 0, None] - self.tips[:, 0]
+        dy = pts[:, 1, None] - self.tips[:, 1]
+        d = np.sqrt(dx * dx + dy * dy).min(axis=1)
         return np.clip(
             self.h_tip + self.grading * (d - self.inner), self.h_tip, self.h_max
         )
 
 
-def _subdivide(pieces, size: _SizeField) -> list[list[Point]]:
+def _subdivide(pieces, size: _SizeField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Midpoint subdivision of each piece (a, b) against the size field.
 
     A part is split at its midpoint while its length exceeds the size field
     there. All pieces are split together, level by level, with one size-field
     call per level. A part's midpoint `(a + b) / 2.0` and its length
-    `math.hypot(b - a)` do not depend on the other parts, so each returned
-    list (ends included, in order) is exactly what a recursive bisection of
-    that piece gives.
+    `math.hypot(b - a)` do not depend on the other parts, so piece k's
+    points, its first part's start followed by every part's end, are
+    exactly what a recursive bisection of that piece gives.
+
+    Returns the final parts as `(piece, start, end)`, ordered by piece and
+    along each piece: (P,) piece indices and (P, 2) part ends.
     """
-    a = np.array([pc[0] for pc in pieces], float)
-    b = np.array([pc[1] for pc in pieces], float)
+    a = np.array([pc[0] for pc in pieces], float).reshape(-1, 2)
+    b = np.array([pc[1] for pc in pieces], float).reshape(-1, 2)
     piece = np.arange(len(pieces))
     key = np.zeros(len(pieces))  # a part's start along its piece: exact dyadic
     width = 1.0
-    done_piece, done_key, done_end = [], [], []
+    done_piece, done_key, done_start, done_end = [], [], [], []
     while len(a):
         mid = (a + b) / 2.0
         d = b - a
@@ -255,6 +285,7 @@ def _subdivide(pieces, size: _SizeField) -> list[list[Point]]:
         done = length <= size(mid)
         done_piece.append(piece[done])
         done_key.append(key[done])
+        done_start.append(a[done])
         done_end.append(b[done])
         split = ~done
         a, b, mid = a[split], b[split], mid[split]
@@ -264,39 +295,59 @@ def _subdivide(pieces, size: _SizeField) -> list[list[Point]]:
         key = np.concatenate([key, key + width])
     piece = np.concatenate(done_piece)
     order = np.lexsort((np.concatenate(done_key), piece))
-    ends = np.concatenate(done_end)[order].tolist()
-    stops = np.cumsum(np.bincount(piece, minlength=len(pieces))).tolist()
-    out, start = [], 0
-    for (p0, _), stop in zip(pieces, stops):
-        out.append([p0] + [tuple(e) for e in ends[start:stop]])
-        start = stop
-    return out
+    return (
+        piece[order],
+        np.concatenate(done_start)[order].reshape(-1, 2),
+        np.concatenate(done_end)[order].reshape(-1, 2),
+    )
 
 
-def _hex_lattice(anchored, s: float, xmin, xmax, ymin, ymax) -> np.ndarray:
-    """Hex lattice points of spacing s, one lattice per (anchor, box).
+def _hex_lattice(levels, xmin, xmax, ymin, ymax) -> tuple[np.ndarray, np.ndarray]:
+    """Hex lattice points of every level (anchored, s): spacing s, one
+    lattice per (anchor, box) of the level.
 
     Rows are y = ay + j*dy; odd rows shift by s/2, x = (ax + off) + i*s.
-    Each anchor's points come row by row, left to right. Points that
-    several anchors share are kept once, where first seen.
+    Levels come in order, a level's anchors in order, and each anchor's
+    points row by row, left to right. Points that several anchors of one
+    level share are kept once, where first seen. Returns the points (N, 2)
+    and each point's level.
     """
-    dy = s * math.sqrt(3.0) / 2.0
-    parts = []
-    for (ax, ay), (bx0, bx1, by0, by1) in anchored:
-        j0 = int(math.floor((max(by0, ymin) - ay) / dy))
-        j1 = int(math.ceil((min(by1, ymax) - ay) / dy))
-        j = np.arange(j0, j1 + 1)
-        off = np.where(j % 2 == 1, 0.5 * s, 0.0)
-        i0 = np.floor((max(bx0, xmin) - ax - off) / s).astype(np.int64)
-        i1 = np.ceil((min(bx1, xmax) - ax - off) / s).astype(np.int64)
-        n = np.maximum(i1 - i0 + 1, 0)
-        row = np.repeat(np.arange(len(j)), n)
-        i = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n) + i0[row]
-        parts.append(np.column_stack([(ax + off[row]) + i * s, ay + j[row] * dy]))
-    pts = np.concatenate(parts) if parts else np.empty((0, 2))
-    if len(anchored) > 1:
-        pts = np.array(list(dict.fromkeys(map(tuple, pts.tolist()))), float)
-    return pts.reshape(-1, 2)
+    anchors, j_first, n_rows, level_of = [], [], [], []
+    for level, (anchored, s) in enumerate(levels):
+        dy = s * math.sqrt(3.0) / 2.0
+        for (ax, ay), (bx0, bx1, by0, by1) in anchored:
+            j0 = int(math.floor((max(by0, ymin) - ay) / dy))
+            j1 = int(math.ceil((min(by1, ymax) - ay) / dy))
+            anchors.append((ax, ay, s, dy, max(bx0, xmin) - ax, min(bx1, xmax) - ax))
+            j_first.append(j0)
+            n_rows.append(max(j1 - j0 + 1, 0))
+            level_of.append(level)
+    ax, ay, s, dy, left, right = np.array(anchors, float).reshape(-1, 6).T
+    # per row: its anchor a and its j
+    a = np.repeat(np.arange(len(anchors)), n_rows)
+    j = np.arange(len(a)) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows)
+    j += np.repeat(np.array(j_first, dtype=np.int64), n_rows)
+    off = np.where(j % 2 == 1, 0.5 * s[a], 0.0)
+    i0 = np.floor((left[a] - off) / s[a]).astype(np.int64)
+    i1 = np.ceil((right[a] - off) / s[a]).astype(np.int64)
+    n = np.maximum(i1 - i0 + 1, 0)
+    # per point: its row and its i
+    row = np.repeat(np.arange(len(a)), n)
+    i = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n) + i0[row]
+    a = a[row]
+    pts = np.column_stack([(ax[a] + off[row]) + i * s[a], ay[a] + j[row] * dy[a]])
+    level = np.array(level_of, dtype=np.int64)[a]
+    shared = [lv for lv, (anchored, _) in enumerate(levels) if len(anchored) > 1]
+    if shared:
+        first = np.ones(len(pts), dtype=bool)
+        for lv in shared:
+            at = np.flatnonzero(level == lv)
+            seen: set[tuple] = set()
+            for k, p in zip(at.tolist(), map(tuple, pts[at].tolist())):
+                first[k] = p not in seen
+                seen.add(p)
+        pts, level = pts[first], level[first]
+    return pts.reshape(-1, 2), level
 
 
 def _thin(pts: np.ndarray, radius: np.ndarray) -> np.ndarray:
@@ -324,18 +375,16 @@ def _thin(pts: np.ndarray, radius: np.ndarray) -> np.ndarray:
 
 
 def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Vectorized ray-cast; callers keep a clearance so exactness is moot."""
-    x, y = pts[:, 0], pts[:, 1]
-    n = len(poly)
-    inside = np.zeros(len(pts), dtype=bool)
-    for i in range(n):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % n]
-        crosses = (ay > y) != (by > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = ax + (y - ay) * (bx - ax) / (by - ay)
-        inside ^= crosses & (x < xint)
-    return inside
+    """Ray-cast parity of each point (N, 2) over all polygon edges (E, 2) at
+    once, as an (N, E) broadcast; callers keep a clearance so exactness is
+    moot."""
+    x, y = pts[:, 0, None], pts[:, 1, None]
+    ax, ay = poly[:, 0], poly[:, 1]
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    crosses = (ay > y) != (by > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = ax + (y - ay) * (bx - ax) / (by - ay)
+    return np.logical_xor.reduce(crosses & (x < xint), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +450,55 @@ def triangulate(
     _validate_crack(domain, crack, h_tip)
     end_kinds, tips = _classify_ends(domain, crack)
     size = _SizeField([t.position for t in tips], h_max, h_tip)
+    poly_arr = np.array(domain.boundary, float)
 
-    # ---------------- feature sampling ----------------
+    features, cycle, cycle_parent, chain_ids = _feature_points(
+        domain, crack, end_kinds, size
+    )
+    pts_arr = _lattice_fill(domain, crack, tips, size, features, poly_arr)
+
+    # ---------------- Delaunay + required edges ----------------
+    required = np.concatenate(
+        [np.column_stack([ids[:-1], ids[1:]]) for ids in chain_ids]
+        + [np.column_stack([cycle, np.roll(cycle, -1)])]
+    )
+    tris = _delaunay_with_required(pts_arr, required, len(features))
+
+    # qhull emits exactly-degenerate slivers for collinear hull samples
+    # (e.g. the midpoint of a straight boundary edge); drop them first
+    x, y = pts_arr[:, 0][tris].T, pts_arr[:, 1][tris].T
+    det = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+    wx = np.maximum(np.maximum(x[0], x[1]), x[2]) - np.minimum(np.minimum(x[0], x[1]), x[2])
+    wy = np.maximum(np.maximum(y[0], y[1]), y[2]) - np.minimum(np.minimum(y[0], y[1]), y[2])
+    keep = np.abs(det) > 1e-12 * (wx * wx + wy * wy)
+    # drop triangles outside the (possibly non-convex) polygon
+    centroid = np.column_stack([(x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0])
+    keep[keep] = _points_in_polygon(centroid[keep], poly_arr)
+    tris = tris[keep]
+    # enforce CCW orientation
+    flip = det[keep] < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+
+    # ---------------- unzip the crack ----------------
+    return _unzip_and_finalize(
+        domain, end_kinds, chain_ids, pts_arr, tris, cycle, cycle_parent, h_max, h_tip
+    )
+
+
+def _feature_points(domain: DomainSpec, crack: CrackSet, end_kinds, size: _SizeField):
+    """Boundary and crack samples, each distinct point once, first seen first.
+
+    Returns the points (F, 2); the boundary cycle as node ids with each
+    node's parent polygon edge; and each component's chain of node ids.
+    """
     poly = domain.boundary
-    n_poly = len(poly)
-    boundary_pts_on_edge: dict[int, list[Point]] = {k: [] for k in range(n_poly)}
+    on_edge: dict[int, list[Point]] = {k: [] for k in range(len(poly))}
     # crack vertices sitting on the boundary must be boundary samples
     mandatory: list[Point] = list(poly)
     for comp, kinds in zip(crack.components, end_kinds):
         for v, kind in ((comp.vertices[0], kinds[0]), (comp.vertices[-1], kinds[1])):
             if kind == "boundary" and v not in poly:
-                boundary_pts_on_edge[domain.boundary_edge(v)].append(v)
+                on_edge[domain.boundary_edge(v)].append(v)
                 mandatory.append(v)
 
     # boundary pieces between consecutive anchors, then crack segments
@@ -419,89 +506,78 @@ def triangulate(
     parents: list[int] = []
     for k, (a, b) in enumerate(domain.edges()):
         anchors = [a] + sorted(
-            boundary_pts_on_edge[k],
+            on_edge[k],
             key=lambda p: (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2,
         ) + [b]
         pieces.extend(zip(anchors, anchors[1:]))
         parents.extend([k] * (len(anchors) - 1))
-    for comp in crack.components:
-        if not comp.is_point:
-            pieces.extend(comp.segments())
-    sampled = _subdivide(pieces, size)
-    boundary_samples = [  # (point, parent edge)
-        (p, k) for pts, k in zip(sampled, parents) for p in pts[:-1]
-    ]
-    # thin generated samples crowding a mandatory point
-    mand_set = set(mandatory)
+    n_boundary = len(pieces)
+    pieces.extend(crack.segments())
+    piece, start, end = _subdivide(pieces, size)
+
+    # a boundary piece's samples are its parts' starts; generated samples
+    # crowding a mandatory point are dropped
+    on_boundary = piece < n_boundary
+    bpts = start[on_boundary]
     mand_arr = np.array(mandatory, float)
-    bpts = np.array([p for p, _ in boundary_samples], float)
     dmin = np.min(
         np.linalg.norm(mand_arr[None, :, :] - bpts[:, None, :], axis=2), axis=1
     )
-    clear = dmin >= _JUNCTION_CLEARANCE * size(bpts)
-    boundary_samples = [
-        pk for pk, ok in zip(boundary_samples, clear.tolist()) if ok or pk[0] in mand_set
-    ]
+    keep = dmin >= _JUNCTION_CLEARANCE * size(bpts)
+    keep |= (bpts[:, None, :] == mand_arr[None, :, :]).all(axis=2).any(axis=1)
 
-    crack_sample_chains: list[list[Point]] = []
-    seg_samples = iter(sampled[len(parents):])
+    # a component's chain: its first vertex, then every part's end
+    chains = []
+    lo = n_boundary
     for comp in crack.components:
-        chain = [comp.vertices[0]]
-        for _ in comp.segments():
-            chain.extend(next(seg_samples)[1:])
-        crack_sample_chains.append(chain)
+        hi = lo + len(comp.vertices) - 1
+        first, last = np.searchsorted(piece, [lo, hi])
+        chains.append(np.vstack([np.array(comp.vertices[:1], float), end[first:last]]))
+        lo = hi
 
-    # ---------------- assemble point list ----------------
-    index_of: dict[Point, int] = {}
-    points: list[Point] = []
+    # equal points (as float tuples, so -0.0 == 0.0) share the first one's id
+    samples = np.vstack([bpts[keep]] + chains)
+    index_of: dict[tuple, int] = {}
+    ids = np.array(
+        [index_of.setdefault(p, len(index_of)) for p in map(tuple, samples.tolist())],
+        dtype=np.int64,
+    )
+    n_cycle = int(np.count_nonzero(keep))
+    stops = np.cumsum([n_cycle] + [len(c) for c in chains]).tolist()
+    chain_ids = [ids[lo:hi] for lo, hi in zip(stops, stops[1:])]
+    cycle_parent = np.array(parents)[piece[on_boundary][keep]]
+    points = np.array(list(index_of), float).reshape(-1, 2)
+    return points, ids[:n_cycle], cycle_parent, chain_ids
 
-    def add_point(p: Point) -> int:
-        idx = index_of.get(p)
-        if idx is None:
-            idx = len(points)
-            index_of[p] = idx
-            points.append(p)
-        return idx
 
-    boundary_cycle: list[tuple[int, int]] = []  # (node, parent edge)
-    for p, k in boundary_samples:
-        boundary_cycle.append((add_point(p), k))
-    chain_ids: list[list[int]] = []
-    for chain in crack_sample_chains:
-        chain_ids.append([add_point(p) for p in chain])
+def _lattice_fill(domain, crack, tips, size: _SizeField, features, poly_arr) -> np.ndarray:
+    """The feature points followed by the interior lattice points, by level.
 
-    n_feature = len(points)
-    feature_arr = np.array(points, float)
-
-    # feature segments that demand empty diametral circles
-    feat_segs = list(domain.edges())
-    for comp in crack.components:
-        feat_segs.extend(comp.segments())
-    feat_a, feat_b = np.array(feat_segs, float).reshape(-1, 2, 2).transpose(1, 0, 2)
-
-    # ---------------- interior lattice fill ----------------
-    # Every kept lattice point is at least a positive clearance away from
-    # the features and from the points kept before it, so the interior
-    # points are distinct from all others and are appended as they are.
+    Level 0 is one far-field lattice anchored at the domain bbox; each
+    finer level holds lattices anchored at the tips, so meshes near a tip
+    moving on a lattice-commensurate path are translates of each other
+    (keeps candidate-to-candidate energy noise down). A candidate is kept
+    if its size falls in its level's band, it lies inside the polygon, it
+    clears the feature segments, and it clears the points kept before it.
+    Only the last test depends on other levels, so the others run once
+    over every level's candidates; each is a per-point operation, so the
+    bits are those of a level-by-level pass. Every kept point has a
+    positive clearance from all others, so no dedupe lookup is needed.
+    """
+    h_max, h_tip = size.h_max, size.h_tip
     xmin, xmax, ymin, ymax = domain.bbox()
-    poly_arr = np.array(poly, float)
-    accepted = [feature_arr]
+    log07 = math.log(0.7)
     n_levels = (
         0
         if not tips or h_tip >= h_max
-        else int(math.ceil(math.log(h_tip / h_max) / math.log(0.7) - 1e-12))
+        else int(math.ceil(math.log(h_tip / h_max) / log07 - 1e-12))
     )
-    log07 = math.log(0.7)
-
+    levels = []
     for level in range(n_levels + 1):
         s = h_max * (0.7**level)
         if level == 0:
-            # far field: one lattice anchored at the domain bbox
             anchored = [((xmin, ymin), (xmin, xmax, ymin, ymax))]
         else:
-            # tip neighborhoods: lattices anchored at each tip, so meshes
-            # near a tip moving on a lattice-commensurate path are translates
-            # of each other (keeps candidate-to-candidate energy noise down)
             reach = size.inner + (h_max * (0.7 ** (level - 1)) - h_tip) / max(
                 size.grading, 1e-9
             )
@@ -514,90 +590,70 @@ def triangulate(
                 )
                 for t in tips
             ]
-        cand_arr = _hex_lattice(anchored, s, xmin, xmax, ymin, ymax)
-        if not len(cand_arr):
+        levels.append((anchored, s))
+    cand, level = _hex_lattice(levels, xmin, xmax, ymin, ymax)
+    sz = size(cand)
+    # the level responsible for each candidate's size
+    with np.errstate(divide="ignore"):
+        lev = np.ceil(np.log(sz / h_max) / log07 - 1e-12)
+    keep = np.clip(lev, 0, n_levels).astype(int) == level
+    keep[keep] = _points_in_polygon(cand[keep], poly_arr)
+    # feature segments demand empty diametral circles
+    feat = np.array(domain.edges() + crack.segments(), float).reshape(-1, 2, 2)
+    keep[keep] = (
+        segment_distances(cand[keep], feat[:, 0], feat[:, 1]).min(axis=1)
+        >= _SEG_CLEARANCE * sz[keep]
+    )
+    cand, radius = cand[keep], _PT_CLEARANCE * sz[keep]
+    bounds = np.searchsorted(level[keep], np.arange(n_levels + 2)).tolist()
+
+    accepted = [features]
+    for level, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if lo == hi:
             continue
-        sz = size(cand_arr)
-        # level responsible for this size
-        with np.errstate(divide="ignore"):
-            lev = np.ceil(np.log(sz / h_max) / log07 - 1e-12)
-        at_level = np.clip(lev, 0, n_levels).astype(int) == level
-        cand_arr, sz = cand_arr[at_level], sz[at_level]
-        keep = _points_in_polygon(cand_arr, poly_arr)
-        keep[keep] = (
-            segment_distances(cand_arr[keep], feat_a, feat_b).min(axis=1)
-            >= _SEG_CLEARANCE * sz[keep]
-        )
-        if not np.any(keep):
-            continue
-        cand_arr, sz = cand_arr[keep], sz[keep]
-        tree = cKDTree(np.vstack(accepted))
-        dist, _ = tree.query(cand_arr)
-        ok = dist >= _PT_CLEARANCE * sz
+        # a neighbor beyond the largest radius cannot reject: the search
+        # stops there and reports inf
+        tree = cKDTree(np.vstack(accepted), balanced_tree=False)
+        r = radius[lo:hi]
+        ok = tree.query(cand[lo:hi], distance_upper_bound=r.max())[0] >= r
         if not np.any(ok):
             continue
-        cand_arr, sz = cand_arr[ok], sz[ok]
+        pts, r = cand[lo:hi][ok], r[ok]
         if len(tips) > 1 and level > 0:
             # lattices from different tip anchors overlap; thin greedily
-            cand_arr = cand_arr[_thin(cand_arr, _PT_CLEARANCE * sz)]
-        accepted.append(cand_arr)
+            pts = pts[_thin(pts, r)]
+        accepted.append(pts)
+    return np.vstack(accepted)
 
-    # ---------------- Delaunay + required edges ----------------
-    required: set[tuple[int, int]] = set()
-    for ids in chain_ids:
-        for u, v in zip(ids, ids[1:]):
-            required.add((min(u, v), max(u, v)))
-    cyc = boundary_cycle
-    for (u, _), (v, _) in zip(cyc, cyc[1:] + cyc[:1]):
-        required.add((min(u, v), max(u, v)))
 
-    pts_arr = np.vstack(accepted)
-    tris = _delaunay_with_required(pts_arr, required, n_feature)
-
-    # qhull emits exactly-degenerate slivers for collinear hull samples
-    # (e.g. the midpoint of a straight boundary edge); drop them first
-    p = pts_arr[tris]
-    det = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 1, 1] - p[:, 0, 1]
-    ) * (p[:, 2, 0] - p[:, 0, 0])
-    extent2 = ((p.max(axis=1) - p.min(axis=1)) ** 2).sum(axis=1)
-    keep = np.abs(det) > 1e-12 * extent2
-    # drop triangles outside the (possibly non-convex) polygon
-    keep[keep] = _points_in_polygon(p[keep].mean(axis=1), poly_arr)
-    tris = tris[keep]
-    # enforce CCW orientation
-    flip = det[keep] < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-
-    # ---------------- unzip the crack ----------------
-    mesh = _unzip_and_finalize(
-        domain,
-        crack,
-        end_kinds,
-        chain_ids,
-        pts_arr,
-        tris,
-        boundary_cycle,
-        h_max,
-        h_tip,
-    )
-    return mesh
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each key in a sorted key array, and whether it is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < len(sorted_keys)
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return at, found
 
 
 def _delaunay_with_required(
-    pts_arr: np.ndarray, required: set[tuple[int, int]], n_feature: int
+    pts_arr: np.ndarray, required: np.ndarray, n_feature: int
 ) -> np.ndarray:
+    """qhull Delaunay triangles of the points, containing every required edge.
+
+    `required` (R, 2) holds node-id pairs, looked up among the triangles'
+    sorted edge keys. If some are missing, the non-feature points within
+    1.05 times the diametral circle of a missing edge are dropped and qhull
+    runs once more; edges still missing then raise.
+    """
     if len(pts_arr) < 3:
         raise MeshFailure("not enough points to triangulate")
     n = len(pts_arr)
-    req = np.array(list(required), dtype=np.int64).reshape(-1, 2)
+    req = np.unique(_edge_keys(required, n))
     keep_mask = np.ones(n, dtype=bool)
     for attempt in range(2):
         idx_map = np.flatnonzero(keep_mask)
-        dela = Delaunay(pts_arr[keep_mask])
-        tris = idx_map[dela.simplices]
-        edges = edge_table(tris)[0]
-        missing = req[~np.isin(_edge_keys(req, n), _edge_keys(edges, n))]
+        tris = idx_map[Delaunay(pts_arr[keep_mask]).simplices]
+        _, present = _find(np.sort(_triangle_edge_keys(tris, n)), req)
+        missing = _edges_of(req[~present], n)
         if not len(missing):
             return tris
         if attempt == 1:
@@ -610,164 +666,160 @@ def _delaunay_with_required(
             bad = (d < rad * 1.05) & keep_mask
             bad[:n_feature] = False
             keep_mask &= ~bad
-    raise MeshFailure("unreachable")
 
 
-def _fan_sides(
-    coords, tris, incident, v, theta_b, theta_a
-) -> tuple[list[int], list[int]]:
-    """Split the triangle fan at node v by the CCW interval theta_b -> theta_a."""
-    gap = (theta_a - theta_b) % (2.0 * math.pi)
-    pv = coords[v]
-    left, right = [], []
-    for ti in incident:
-        tri = tris[ti]
-        others = [n for n in tri if n != v]
-        p1, p2 = coords[others[0]], coords[others[1]]
-        t1 = math.atan2(p1[1] - pv[1], p1[0] - pv[0])
-        t2 = math.atan2(p2[1] - pv[1], p2[0] - pv[0])
-        d12 = (t2 - t1) % (2.0 * math.pi)
-        if d12 <= math.pi:
-            mid = t1 + 0.5 * d12
-        else:
-            mid = t2 + 0.5 * ((t1 - t2) % (2.0 * math.pi))
-        rel = (mid - theta_b) % (2.0 * math.pi)
-        (left if rel < gap else right).append(ti)
-    return left, right
+_TAU = 2.0 * math.pi
+
+
+def _fan_mid(t1: float, t2: float) -> float:
+    """Direction of the bisector of the angle a fan triangle spans at its node."""
+    d12 = (t2 - t1) % _TAU
+    if d12 <= math.pi:
+        return t1 + 0.5 * d12
+    return t2 + 0.5 * ((t1 - t2) % _TAU)
 
 
 def _unzip_and_finalize(
     domain,
-    crack,
     end_kinds,
     chain_ids,
     pts_arr,
     tris,
-    boundary_cycle,
+    cycle,
+    cycle_parent,
     h_max,
     h_tip,
 ) -> CrackMesh:
-    tris = tris.copy()
+    """Split the crack open, then tag the free edges.
+
+    Each crack node but a tip gets a copy that takes over the triangles on
+    the right of the chain (the minus face). The free edges of the result,
+    found with one sort of its edge keys, are the crack faces and the
+    boundary cycle's edges; a copy stands for the node it was split from.
+    """
     n_orig = len(pts_arr)
-    coords = pts_arr.tolist()
-    origin = list(range(n_orig))  # node id -> the node it was split from
 
-    # incidence for crack nodes only (row-major: increasing triangle ids)
-    crack_nodes = sorted({u for ids in chain_ids for u in ids})
-    incident: dict[int, list[int]] = {u: [] for u in crack_nodes}
-    for ti, col in zip(*np.nonzero(np.isin(tris, crack_nodes))):
-        incident[int(tris[ti, col])].append(int(ti))
-
-    edges, counts, _ = edge_table(tris)
-    two_sided = _edge_keys(edges[counts == 2], n_orig)
+    # incidence of the crack nodes: the hits of a node, in increasing
+    # triangle order, are hit[first[v]:first[v + 1]]
+    on_crack = np.zeros(n_orig, dtype=bool)
+    for ids in chain_ids:
+        on_crack[ids] = True
+    hit_tri, hit_col = np.nonzero(on_crack[tris])
+    hit_node = tris[hit_tri, hit_col]
+    order = np.argsort(hit_node, kind="stable")
+    hit_tri, hit_col, hit_node = hit_tri[order], hit_col[order], hit_node[order]
+    first = np.searchsorted(hit_node, np.arange(n_orig + 1)).tolist()
+    tri_of = hit_tri.tolist()
+    # a hit's other two corners, in triangle order; a node's copies share
+    # its coordinates, so the triangles before any split give the geometry
+    other1 = pts_arr[tris[hit_tri, np.where(hit_col == 0, 1, 0)]]
+    other2 = pts_arr[tris[hit_tri, np.where(hit_col == 2, 1, 2)]]
+    own = pts_arr[hit_node]
+    d1, d2 = other1 - own, other2 - own
+    mids = list(map(
+        _fan_mid,
+        map(math.atan2, d1[:, 1].tolist(), d1[:, 0].tolist()),
+        map(math.atan2, d2[:, 1].tolist(), d2[:, 0].tolist()),
+    ))
+    centroid = ((other1 + other2 + own) / 3.0).tolist()
 
     tip_nodes: list[int] = []
     chains: list[CrackChain] = []
-
+    face_pairs: list[FacePair] = []
+    split_from: list[int] = []  # copy n_orig + i stands for node split_from[i]
+    moved: list[list[int]] = []  # the hits whose node copy split_from[i] takes
     for comp_idx, ids in enumerate(chain_ids):
+        coords = pts_arr[ids].tolist()
+        ids = ids.tolist()
         kinds = end_kinds[comp_idx]
         if kinds[0] == "point":
             chains.append(
                 CrackChain(comp_idx, tuple(ids), tuple(ids), "point", "point")
             )
             continue
+        for u, v in zip(ids, ids[1:]):
+            shared = set(tri_of[first[u]:first[u + 1]])
+            if len(shared.intersection(tri_of[first[v]:first[v + 1]])) != 2:
+                raise MeshFailure("interior crack edge lacks two triangles")
         k = len(ids) - 1
-        if not np.all(np.isin(_edge_keys(list(zip(ids, ids[1:])), n_orig), two_sided)):
-            raise MeshFailure("interior crack edge lacks two triangles")
         minus_ids = list(ids)
         for i, v in enumerate(ids):
-            at_end = i == 0 or i == k
             kind = kinds[0] if i == 0 else (kinds[1] if i == k else "interior")
-            if at_end and kind == "tip":
+            if kind == "tip":
                 tip_nodes.append(v)
                 continue
-            pv = coords[v]
-            if i > 0:
-                pa = coords[ids[i - 1]]
+            hits = range(first[v], first[v + 1])
+            pv = coords[i]
+            if kind == "interior":
+                # the fan splits at the two crack edges: the left side is
+                # the CCW interval from the next node to the previous one
+                pa, pb = coords[i - 1], coords[i + 1]
                 theta_a = math.atan2(pa[1] - pv[1], pa[0] - pv[0])
-            if i < k:
-                pb = coords[ids[i + 1]]
                 theta_b = math.atan2(pb[1] - pv[1], pb[0] - pv[0])
-            if 0 < i < k:
-                left, right = _fan_sides(coords, tris, incident[v], v, theta_b, theta_a)
+                gap = (theta_a - theta_b) % _TAU
+                right = [h for h in hits if not (mids[h] - theta_b) % _TAU < gap]
             else:
                 # boundary end: split the open fan by the single crack edge
-                travel = (
-                    (pb[0] - pv[0], pb[1] - pv[1])
-                    if i == 0
-                    else (pv[0] - pa[0], pv[1] - pa[1])
+                pn = coords[1] if i == 0 else coords[i - 1]
+                tx, ty = (pn[0] - pv[0], pn[1] - pv[1]) if i == 0 else (
+                    pv[0] - pn[0], pv[1] - pn[1]
                 )
-                left, right = [], []
-                for ti in incident[v]:
-                    tri = tris[ti]
-                    others = [n for n in tri if n != v]
-                    p1, p2 = coords[others[0]], coords[others[1]]
-                    cx = (p1[0] + p2[0] + pv[0]) / 3.0
-                    cy = (p1[1] + p2[1] + pv[1]) / 3.0
-                    cross = travel[0] * (cy - pv[1]) - travel[1] * (cx - pv[0])
-                    (left if cross > 0 else right).append(ti)
-            if not left or not right:
+                right = [
+                    h for h in hits
+                    if not tx * (centroid[h][1] - pv[1]) - ty * (centroid[h][0] - pv[0]) > 0
+                ]
+            if not right or len(right) == len(hits):
                 raise MeshFailure("crack unzip found an empty face side")
-            dup = len(origin)
-            origin.append(v)
-            coords.append(pv)
-            minus_ids[i] = dup
-            for ti in right:
-                row = tris[ti]
-                row[row == v] = dup
+            minus_ids[i] = n_orig + len(split_from)
+            split_from.append(v)
+            moved.append(right)
+            face_pairs.append(FacePair(tuple(pv), v, minus_ids[i]))
         chains.append(
             CrackChain(comp_idx, tuple(ids), tuple(minus_ids), kinds[0], kinds[1])
         )
 
+    # each copy takes its node's place in the triangles on the minus side
+    tris = tris.copy()
+    hit = np.array([h for right in moved for h in right], dtype=np.int64)
+    tris[hit_tri[hit], hit_col[hit]] = np.repeat(
+        np.arange(n_orig, n_orig + len(moved)), [len(right) for right in moved]
+    )
+    origin = np.concatenate([np.arange(n_orig), np.array(split_from, dtype=np.int64)])
     pts_arr = pts_arr[origin]
+    n = len(pts_arr)
 
     # consistency: plus edges and minus edges each have exactly one triangle now
-    edges, counts, _ = edge_table(tris)
-    free = [tuple(e) for e in edges[counts == 1].tolist()]
-
-    face_edges: set[tuple[int, int]] = set()
-    face_pairs: list[FacePair] = []
-    for ch in chains:
-        if ch.start_kind == "point":
-            continue
-        for ids in (ch.node_ids, ch.minus_ids):
-            face_edges.update((min(u, v), max(u, v)) for u, v in zip(ids, ids[1:]))
-        for plus, minus in zip(ch.node_ids, ch.minus_ids):
-            if plus != minus:
-                face_pairs.append(
-                    FacePair(
-                        (float(pts_arr[plus][0]), float(pts_arr[plus][1])),
-                        plus,
-                        minus,
-                    )
-                )
-    if not face_edges.issubset(free):
+    keys = np.sort(_triangle_edge_keys(tris, n))
+    starts, counts = _runs(keys)
+    free = keys[starts[counts == 1]]
+    face = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + [
+        _edge_keys(np.column_stack([ids[:-1], ids[1:]]), n)
+        for ch in chains if ch.start_kind != "point"
+        for ids in (ch.node_ids, ch.minus_ids)
+    ]))
+    if not _find(free, face)[1].all():
         raise MeshFailure("crack face edge not free after unzip")
     if np.any(counts > 2):
         raise MeshFailure("non-manifold edge")
 
     # boundary tagging: a free edge off the crack faces must be a boundary
-    # cycle edge, which lies on the polygon edge of its first node; a
-    # duplicate stands for the node it was split from
-    parent_of = {}
-    for (u, k), (v, _) in zip(boundary_cycle, boundary_cycle[1:] + boundary_cycle[:1]):
-        parent_of[(min(u, v), max(u, v))] = k
-    boundary_edges: list[tuple[int, int, str]] = []
-    for e in free:
-        if e in face_edges:
-            boundary_edges.append((e[0], e[1], "crack_face"))
-            continue
-        u, v = origin[e[0]], origin[e[1]]
-        parent = parent_of.get((min(u, v), max(u, v)))
-        if parent is None:
-            raise MeshFailure("untagged boundary edge (hole in mesh?)")
-        boundary_edges.append((e[0], e[1], domain.edge_tag(parent)))
+    # cycle edge, which lies on the polygon edge of its first node
+    edges = _edges_of(free, n)
+    off_face = ~_find(face, free)[1]
+    cycle_keys = _edge_keys(np.column_stack([cycle, np.roll(cycle, -1)]), n_orig)
+    by_key = np.argsort(cycle_keys)
+    at, found = _find(cycle_keys[by_key], _edge_keys(origin[edges[off_face]], n_orig))
+    if not found.all():
+        raise MeshFailure("untagged boundary edge (hole in mesh?)")
+    n_poly = len(domain.boundary)
+    labels = np.array([domain.edge_tag(k) for k in range(n_poly)] + ["crack_face"])
+    tag = np.full(len(free), n_poly)
+    tag[off_face] = cycle_parent[by_key[at]]
+    tags = labels[tag]
+    boundary_edges = tuple(zip(edges[:, 0].tolist(), edges[:, 1].tolist(), tags.tolist()))
 
     # Dirichlet nodes and crack releases
-    dirichlet_nodes = set()
-    for i, j, tag in boundary_edges:
-        if tag == "dirichlet":
-            dirichlet_nodes.update((i, j))
+    dirichlet_nodes = set(edges[tags == "dirichlet"].ravel().tolist())
     crack_ids = set()
     for ch in chains:
         crack_ids.update(ch.node_ids)
@@ -778,10 +830,10 @@ def _unzip_and_finalize(
         nodes=pts_arr,
         triangles=tris,
         crack_face_pairs=tuple(face_pairs),
-        boundary_edges=tuple(boundary_edges),
+        boundary_edges=boundary_edges,
         tip_nodes=tuple(tip_nodes),
         crack_chains=tuple(chains),
-        dirichlet_nodes=frozenset(dirichlet_nodes - set(released)),
+        dirichlet_nodes=frozenset(dirichlet_nodes - released),
         released_nodes=released,
         h_max=h_max,
         h_tip=h_tip,

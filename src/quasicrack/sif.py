@@ -172,11 +172,13 @@ def _unit(t: float):
     return (1.0,), (0.0,)
 
 
-def _forward_difference(ev: Evaluator, crack: CrackSet, tip: Tip, dsigma: float) -> float:
-    """[E(K extended straight by dsigma) - E(K)] / dsigma; E(K) is memoized by `ev`."""
-    e0 = ev.energy(crack, 0.0)
+def _forward_difference(
+    ev: Evaluator, crack: CrackSet, tip: Tip, dsigma: float, t: float = 0.0
+) -> float:
+    """[E(K extended straight by dsigma) - E(K)] / dsigma at time t; E(K) is memoized by `ev`."""
+    e0 = ev.energy(crack, t)
     extended = extend_tip(crack, tip, 0.0, dsigma, domain=ev.domain)
-    return (ev.energy(extended, 0.0) - e0) / dsigma
+    return (ev.energy(extended, t) - e0) / dsigma
 
 
 def release_rate_fd(
@@ -211,7 +213,22 @@ def release_rate_richardson(
     Both differences share one evaluator, so E(K) is meshed once.
     """
     ev = Evaluator(domain, (g,), _unit, h_max, h_tip)
-    d1, d2 = (_forward_difference(ev, crack, tip, f * h_tip) for f in factors)
+    return richardson_release_rate(ev, crack, tip, 0.0, factors)
+
+
+def richardson_release_rate(
+    ev: Evaluator,
+    crack: CrackSet,
+    tip: Tip,
+    t: float,
+    factors: tuple[float, float] = (4.0, 8.0),
+) -> float:
+    """`release_rate_richardson` of the datum g(t) of an existing evaluator.
+
+    Steps are `factors` times the evaluator's h_tip; with an S-datum basis
+    each mesh is solved once for all S data.
+    """
+    d1, d2 = (_forward_difference(ev, crack, tip, f * ev.h_tip, t) for f in factors)
     w = factors[1] / factors[0]
     return (w * d1 - d2) / (w - 1.0)
 

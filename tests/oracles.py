@@ -17,7 +17,11 @@ against two direct scans: per-line interval merging for the length, and
 a per-segment cover walk over every segment of the larger set. The
 fit-window clearance is checked against explicit per-edge and
 per-segment loops. The solver's block CG is checked against scipy's
-`cg`, one right-hand side at a time.
+`cg`, one right-hand side at a time. The whole mesher is checked against
+`triangulate_loops`: the same pipeline with a loop wherever the mesher
+works on arrays (recursive bisection, point-by-point dedupe, one lattice
+level at a time, a per-edge ray cast, a set of required edges, and a
+node-by-node, row-by-row unzip).
 """
 
 import itertools
@@ -406,3 +410,393 @@ def fit_window_loop(domain, crack, tip, h_tip) -> tuple:
             q = comp.vertices[0]
             clearance = min(clearance, math.hypot(q[0] - p[0], q[1] - p[1]))
     return 4.0 * h_tip, min(16.0 * h_tip, 0.95 * clearance)
+
+
+# ---------------------------------------------------------------------------
+# the mesher as per-point, per-level and per-node loops
+# ---------------------------------------------------------------------------
+
+
+def points_in_polygon_loop(pts, poly) -> np.ndarray:
+    """Ray-cast parity, one polygon edge at a time."""
+    x, y = pts[:, 0], pts[:, 1]
+    n = len(poly)
+    inside = np.zeros(len(pts), dtype=bool)
+    for i in range(n):
+        ax, ay = poly[i]
+        bx, by = poly[(i + 1) % n]
+        crosses = (ay > y) != (by > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = ax + (y - ay) * (bx - ax) / (by - ay)
+        inside ^= crosses & (x < xint)
+    return inside
+
+
+def min_angle_loop(mesh) -> float:
+    """Smallest interior angle in degrees: an `arccos` per corner, then the minimum."""
+    p = mesh.nodes[mesh.triangles]
+    angles = []
+    for i in range(3):
+        u = p[:, (i + 1) % 3] - p[:, i]
+        v = p[:, (i + 2) % 3] - p[:, i]
+        cosang = (u * v).sum(axis=1) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        )
+        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    return float(np.min(angles))
+
+
+def _size_field_norm(tips, h_max, h_tip):
+    """The mesher's size field, distances from `np.linalg.norm`."""
+    from quasicrack.mesh import _GRADING, _TIP_RADIUS_FACTOR
+
+    tips = np.array(tips, float).reshape(-1, 2)
+
+    def size(pts):
+        pts = np.asarray(pts, float).reshape(-1, 2)
+        if len(tips) == 0:
+            return np.full(len(pts), h_max)
+        d = np.min(np.linalg.norm(pts[:, None, :] - tips[None, :, :], axis=2), axis=1)
+        return np.clip(h_tip + _GRADING * (d - _TIP_RADIUS_FACTOR * h_tip), h_tip, h_max)
+
+    return size
+
+
+def triangulate_loops(domain, crack, h_max, h_tip):
+    """`mesh.triangulate` with a Python loop wherever the mesher works on arrays.
+
+    Sampling is a recursive bisection per piece and a point-by-point
+    `add_point` dedupe; the lattice is filtered level by level with a full
+    KD-tree query; the required edges are a Python set checked against
+    `edge_table`; the unzip keeps per-node incidence lists, splits each fan
+    triangle by triangle, rewrites one row at a time and tags the boundary
+    edge by edge.
+    """
+    from quasicrack.geometry import segment_distances
+    from quasicrack.mesh import (
+        _GRADING,
+        _JUNCTION_CLEARANCE,
+        _PT_CLEARANCE,
+        _SEG_CLEARANCE,
+        _TIP_RADIUS_FACTOR,
+        MeshFailure,
+        _classify_ends,
+        _validate_crack,
+    )
+
+    if h_tip > h_max:
+        raise MeshFailure("h_tip must not exceed h_max")
+    _validate_crack(domain, crack, h_tip)
+    end_kinds, tips = _classify_ends(domain, crack)
+    size = _size_field_norm([t.position for t in tips], h_max, h_tip)
+
+    poly = domain.boundary
+    n_poly = len(poly)
+    boundary_pts_on_edge = {k: [] for k in range(n_poly)}
+    mandatory = list(poly)
+    for comp, kinds in zip(crack.components, end_kinds):
+        for v, kind in ((comp.vertices[0], kinds[0]), (comp.vertices[-1], kinds[1])):
+            if kind == "boundary" and v not in poly:
+                boundary_pts_on_edge[domain.boundary_edge(v)].append(v)
+                mandatory.append(v)
+    pieces, parents = [], []
+    for k, (a, b) in enumerate(domain.edges()):
+        anchors = [a] + sorted(
+            boundary_pts_on_edge[k],
+            key=lambda p: (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2,
+        ) + [b]
+        pieces.extend(zip(anchors, anchors[1:]))
+        parents.extend([k] * (len(anchors) - 1))
+    for comp in crack.components:
+        if not comp.is_point:
+            pieces.extend(comp.segments())
+    sampled = [bisect_polyline(a, b, size) for a, b in pieces]
+    boundary_samples = [(p, k) for pts, k in zip(sampled, parents) for p in pts[:-1]]
+    mand_set = set(mandatory)
+    mand_arr = np.array(mandatory, float)
+    bpts = np.array([p for p, _ in boundary_samples], float)
+    dmin = np.min(np.linalg.norm(mand_arr[None, :, :] - bpts[:, None, :], axis=2), axis=1)
+    clear = dmin >= _JUNCTION_CLEARANCE * size(bpts)
+    boundary_samples = [
+        pk for pk, ok in zip(boundary_samples, clear.tolist()) if ok or pk[0] in mand_set
+    ]
+    crack_sample_chains = []
+    seg_samples = iter(sampled[len(parents):])
+    for comp in crack.components:
+        chain = [comp.vertices[0]]
+        for _ in comp.segments():
+            chain.extend(next(seg_samples)[1:])
+        crack_sample_chains.append(chain)
+
+    index_of, points = {}, []
+
+    def add_point(p):
+        idx = index_of.get(p)
+        if idx is None:
+            idx = len(points)
+            index_of[p] = idx
+            points.append(p)
+        return idx
+
+    boundary_cycle = [(add_point(p), k) for p, k in boundary_samples]
+    chain_ids = [[add_point(p) for p in chain] for chain in crack_sample_chains]
+    n_feature = len(points)
+    feature_arr = np.array(points, float)
+    feat_segs = list(domain.edges())
+    for comp in crack.components:
+        feat_segs.extend(comp.segments())
+    feat_a, feat_b = np.array(feat_segs, float).reshape(-1, 2, 2).transpose(1, 0, 2)
+
+    xmin, xmax, ymin, ymax = domain.bbox()
+    poly_arr = np.array(poly, float)
+    accepted = [feature_arr]
+    n_levels = (
+        0
+        if not tips or h_tip >= h_max
+        else int(math.ceil(math.log(h_tip / h_max) / math.log(0.7) - 1e-12))
+    )
+    for level in range(n_levels + 1):
+        s = h_max * (0.7**level)
+        if level == 0:
+            anchored = [((xmin, ymin), (xmin, xmax, ymin, ymax))]
+        else:
+            reach = _TIP_RADIUS_FACTOR * h_tip + (h_max * (0.7 ** (level - 1)) - h_tip) / max(
+                _GRADING, 1e-9
+            )
+            reach += 2.0 * s
+            anchored = [
+                (t.position, (t.position[0] - reach, t.position[0] + reach,
+                              t.position[1] - reach, t.position[1] + reach))
+                for t in tips
+            ]
+        cand_arr = np.array(hex_lattice_loop(anchored, s, xmin, xmax, ymin, ymax), float)
+        cand_arr = cand_arr.reshape(-1, 2)
+        if not len(cand_arr):
+            continue
+        sz = size(cand_arr)
+        with np.errstate(divide="ignore"):
+            lev = np.ceil(np.log(sz / h_max) / math.log(0.7) - 1e-12)
+        at_level = np.clip(lev, 0, n_levels).astype(int) == level
+        cand_arr, sz = cand_arr[at_level], sz[at_level]
+        keep = points_in_polygon_loop(cand_arr, poly_arr)
+        keep[keep] = (
+            segment_distances(cand_arr[keep], feat_a, feat_b).min(axis=1)
+            >= _SEG_CLEARANCE * sz[keep]
+        )
+        if not np.any(keep):
+            continue
+        cand_arr, sz = cand_arr[keep], sz[keep]
+        dist, _ = cKDTree(np.vstack(accepted)).query(cand_arr)
+        ok = dist >= _PT_CLEARANCE * sz
+        if not np.any(ok):
+            continue
+        cand_arr, sz = cand_arr[ok], sz[ok]
+        if len(tips) > 1 and level > 0:
+            cand_arr = cand_arr[thin_greedy_loop(cand_arr, _PT_CLEARANCE * sz)]
+        accepted.append(cand_arr)
+
+    required = set()
+    for ids in chain_ids:
+        for u, v in zip(ids, ids[1:]):
+            required.add((min(u, v), max(u, v)))
+    cyc = boundary_cycle
+    for (u, _), (v, _) in zip(cyc, cyc[1:] + cyc[:1]):
+        required.add((min(u, v), max(u, v)))
+    pts_arr = np.vstack(accepted)
+    tris = delaunay_with_required_loop(pts_arr, required, n_feature)
+
+    p = pts_arr[tris]
+    det = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+        p[:, 1, 1] - p[:, 0, 1]
+    ) * (p[:, 2, 0] - p[:, 0, 0])
+    extent2 = ((p.max(axis=1) - p.min(axis=1)) ** 2).sum(axis=1)
+    keep = np.abs(det) > 1e-12 * extent2
+    keep[keep] = points_in_polygon_loop(p[keep].mean(axis=1), poly_arr)
+    tris = tris[keep]
+    flip = det[keep] < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    return unzip_loop(
+        domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_max, h_tip
+    )
+
+
+def delaunay_with_required_loop(pts_arr, required, n_feature):
+    """qhull, the required edges as a set checked against `edge_table` with
+    `np.isin`, and one repair pass."""
+    from scipy.spatial import Delaunay
+
+    from quasicrack.mesh import MeshFailure, _edge_keys, edge_table
+
+    if len(pts_arr) < 3:
+        raise MeshFailure("not enough points to triangulate")
+    n = len(pts_arr)
+    req = np.array(sorted(required), dtype=np.int64).reshape(-1, 2)
+    keep_mask = np.ones(n, dtype=bool)
+    for attempt in range(2):
+        idx_map = np.flatnonzero(keep_mask)
+        tris = idx_map[Delaunay(pts_arr[keep_mask]).simplices]
+        edges = edge_table(tris)[0]
+        missing = req[~np.isin(_edge_keys(req, n), _edge_keys(edges, n))]
+        if not len(missing):
+            return tris
+        if attempt == 1:
+            raise MeshFailure(f"{len(missing)} required edges missing after repair")
+        for u, v in missing:
+            mid = 0.5 * (pts_arr[u] + pts_arr[v])
+            rad = 0.5 * np.linalg.norm(pts_arr[v] - pts_arr[u])
+            d = np.linalg.norm(pts_arr - mid, axis=1)
+            bad = (d < rad * 1.05) & keep_mask
+            bad[:n_feature] = False
+            keep_mask &= ~bad
+
+
+def _fan_sides_loop(coords, tris, incident, v, theta_b, theta_a):
+    """Split the triangle fan at node v by the CCW interval theta_b -> theta_a."""
+    gap = (theta_a - theta_b) % (2.0 * math.pi)
+    pv = coords[v]
+    left, right = [], []
+    for ti in incident:
+        others = [n for n in tris[ti] if n != v]
+        p1, p2 = coords[others[0]], coords[others[1]]
+        t1 = math.atan2(p1[1] - pv[1], p1[0] - pv[0])
+        t2 = math.atan2(p2[1] - pv[1], p2[0] - pv[0])
+        d12 = (t2 - t1) % (2.0 * math.pi)
+        if d12 <= math.pi:
+            mid = t1 + 0.5 * d12
+        else:
+            mid = t2 + 0.5 * ((t1 - t2) % (2.0 * math.pi))
+        rel = (mid - theta_b) % (2.0 * math.pi)
+        (left if rel < gap else right).append(ti)
+    return left, right
+
+
+def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_max, h_tip):
+    """The crack unzip node by node: `boundary_cycle` lists (node, parent edge)."""
+    from quasicrack.mesh import (
+        _MIN_ANGLE_DEG,
+        CrackChain,
+        CrackMesh,
+        FacePair,
+        MeshFailure,
+        _edge_keys,
+        edge_table,
+    )
+
+    chain_ids = [list(map(int, ids)) for ids in chain_ids]
+    tris = tris.copy()
+    n_orig = len(pts_arr)
+    coords = pts_arr.tolist()
+    origin = list(range(n_orig))
+    crack_nodes = sorted({u for ids in chain_ids for u in ids})
+    incident = {u: [] for u in crack_nodes}
+    for ti, col in zip(*np.nonzero(np.isin(tris, crack_nodes))):
+        incident[int(tris[ti, col])].append(int(ti))
+    edges, counts, _ = edge_table(tris)
+    two_sided = _edge_keys(edges[counts == 2], n_orig)
+
+    tip_nodes, chains = [], []
+    for comp_idx, ids in enumerate(chain_ids):
+        kinds = end_kinds[comp_idx]
+        if kinds[0] == "point":
+            chains.append(CrackChain(comp_idx, tuple(ids), tuple(ids), "point", "point"))
+            continue
+        k = len(ids) - 1
+        if not np.all(np.isin(_edge_keys(list(zip(ids, ids[1:])), n_orig), two_sided)):
+            raise MeshFailure("interior crack edge lacks two triangles")
+        minus_ids = list(ids)
+        for i, v in enumerate(ids):
+            at_end = i == 0 or i == k
+            kind = kinds[0] if i == 0 else (kinds[1] if i == k else "interior")
+            if at_end and kind == "tip":
+                tip_nodes.append(v)
+                continue
+            pv = coords[v]
+            if i > 0:
+                pa = coords[ids[i - 1]]
+                theta_a = math.atan2(pa[1] - pv[1], pa[0] - pv[0])
+            if i < k:
+                pb = coords[ids[i + 1]]
+                theta_b = math.atan2(pb[1] - pv[1], pb[0] - pv[0])
+            if 0 < i < k:
+                left, right = _fan_sides_loop(coords, tris, incident[v], v, theta_b, theta_a)
+            else:
+                travel = (
+                    (pb[0] - pv[0], pb[1] - pv[1]) if i == 0 else (pv[0] - pa[0], pv[1] - pa[1])
+                )
+                left, right = [], []
+                for ti in incident[v]:
+                    others = [n for n in tris[ti] if n != v]
+                    p1, p2 = coords[others[0]], coords[others[1]]
+                    cx = (p1[0] + p2[0] + pv[0]) / 3.0
+                    cy = (p1[1] + p2[1] + pv[1]) / 3.0
+                    cross = travel[0] * (cy - pv[1]) - travel[1] * (cx - pv[0])
+                    (left if cross > 0 else right).append(ti)
+            if not left or not right:
+                raise MeshFailure("crack unzip found an empty face side")
+            dup = len(origin)
+            origin.append(v)
+            coords.append(pv)
+            minus_ids[i] = dup
+            for ti in right:
+                row = tris[ti]
+                row[row == v] = dup
+        chains.append(CrackChain(comp_idx, tuple(ids), tuple(minus_ids), kinds[0], kinds[1]))
+
+    pts_arr = pts_arr[origin]
+    edges, counts, _ = edge_table(tris)
+    free = [tuple(e) for e in edges[counts == 1].tolist()]
+    face_edges, face_pairs = set(), []
+    for ch in chains:
+        if ch.start_kind == "point":
+            continue
+        for ids in (ch.node_ids, ch.minus_ids):
+            face_edges.update((min(u, v), max(u, v)) for u, v in zip(ids, ids[1:]))
+        for plus, minus in zip(ch.node_ids, ch.minus_ids):
+            if plus != minus:
+                face_pairs.append(
+                    FacePair((float(pts_arr[plus][0]), float(pts_arr[plus][1])), plus, minus)
+                )
+    if not face_edges.issubset(free):
+        raise MeshFailure("crack face edge not free after unzip")
+    if np.any(counts > 2):
+        raise MeshFailure("non-manifold edge")
+    parent_of = {}
+    for (u, k), (v, _) in zip(boundary_cycle, boundary_cycle[1:] + boundary_cycle[:1]):
+        parent_of[(min(u, v), max(u, v))] = k
+    boundary_edges = []
+    for e in free:
+        if e in face_edges:
+            boundary_edges.append((e[0], e[1], "crack_face"))
+            continue
+        u, v = origin[e[0]], origin[e[1]]
+        parent = parent_of.get((min(u, v), max(u, v)))
+        if parent is None:
+            raise MeshFailure("untagged boundary edge (hole in mesh?)")
+        boundary_edges.append((e[0], e[1], domain.edge_tag(parent)))
+    dirichlet_nodes = set()
+    for i, j, tag in boundary_edges:
+        if tag == "dirichlet":
+            dirichlet_nodes.update((i, j))
+    crack_ids = set()
+    for ch in chains:
+        crack_ids.update(ch.node_ids)
+        crack_ids.update(ch.minus_ids)
+    released = frozenset(dirichlet_nodes & crack_ids)
+    mesh = CrackMesh(
+        nodes=pts_arr,
+        triangles=tris,
+        crack_face_pairs=tuple(face_pairs),
+        boundary_edges=tuple(boundary_edges),
+        tip_nodes=tuple(tip_nodes),
+        crack_chains=tuple(chains),
+        dirichlet_nodes=frozenset(dirichlet_nodes - set(released)),
+        released_nodes=released,
+        h_max=h_max,
+        h_tip=h_tip,
+    )
+    if np.any(mesh.areas <= 0):
+        raise MeshFailure("non-positive triangle area")
+    ang = min_angle_loop(mesh)
+    if ang < _MIN_ANGLE_DEG:
+        raise MeshFailure(f"min angle {ang:.2f} deg below bound {_MIN_ANGLE_DEG}")
+    return mesh

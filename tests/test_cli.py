@@ -176,6 +176,44 @@ def test_oracle_known_case():
         assert lines and all(line.startswith("PASS") for line in lines), r.stdout
 
 
+def test_release_rate_oracle_meshes_each_crack_once(monkeypatch):
+    # one three-datum evaluator: the base crack and its two extensions,
+    # each meshed once, and the lines of one single-datum path per kappa
+    import quasicrack.energy
+    from quasicrack.cases import mode3_datum, slit_disk_crack, slit_disk_domain
+    from quasicrack.cli import _oracle_release_rate
+    from quasicrack.geometry import crack_tips
+    from quasicrack.mesh import triangulate
+    from quasicrack.sif import fit_sif, release_rate_richardson
+    from quasicrack.solver import solve
+
+    h_tip = 1 / 64
+    meshes = []
+
+    def counting(*args):
+        meshes.append(args[1].fingerprint())
+        return triangulate(*args)
+
+    monkeypatch.setattr(quasicrack.energy, "triangulate", counting)
+    got = [label for label, _, _ in _oracle_release_rate(h_tip)]
+    assert len(meshes) == 3 and len(set(meshes)) == 3
+    monkeypatch.undo()
+
+    domain, crack = slit_disk_domain(), slit_disk_crack()
+    tip = crack_tips(crack)[1]
+    mesh = triangulate(domain, crack, 32 * h_tip, h_tip)
+    want = []
+    for kap in (0.0, 0.5, 1.0):
+        g = mode3_datum(kap)
+        k_fit = fit_sif(solve(mesh, g), tip, 16 * h_tip, 64 * h_tip).kappa if kap else 0.0
+        fd = release_rate_richardson(domain, crack, g, tip, 32 * h_tip, h_tip)
+        gap = abs(fd - (1.0 - k_fit**2))
+        want.append(
+            f"release-rate kappa={kap:g}: fd={fd:.4f} fit-law={1.0 - k_fit ** 2:.4f} gap={gap:.4f}"
+        )
+    assert got == want
+
+
 def test_oracle_unknown_case():
     r = run_cli("oracle", "no-such-case")
     assert r.returncode == 2

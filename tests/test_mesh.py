@@ -8,17 +8,30 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
-from oracles import bisect_polyline, edge_owners_loop, hex_lattice_loop, thin_greedy_loop
+from oracles import (
+    bisect_polyline,
+    delaunay_with_required_loop,
+    edge_owners_loop,
+    hex_lattice_loop,
+    min_angle_loop,
+    points_in_polygon_loop,
+    thin_greedy_loop,
+    triangulate_loops,
+    unzip_loop,
+)
 from quasicrack import cases
 from quasicrack.domain import DomainSpec, regular_polygon_disk
-from quasicrack.geometry import CrackSet, Polyline
+from quasicrack.geometry import CrackSet, GeometryViolation, Polyline
 from quasicrack.mesh import (
     CrackMesh,
     MeshFailure,
+    _delaunay_with_required,
     _hex_lattice,
+    _points_in_polygon,
     _SizeField,
     _subdivide,
     _thin,
+    _unzip_and_finalize,
     edge_table,
     triangulate,
 )
@@ -132,22 +145,113 @@ def test_released_nodes_at_dirichlet_touch():
 def test_mesh_failures():
     dom = DomainSpec.unit_square()
     outside = CrackSet((Polyline(((0.5, 0.5), (1.5, 0.5))),), 1)
-    with pytest.raises(MeshFailure):
+    with pytest.raises(MeshFailure, match="^crack leaves the closure of the domain$"):
         triangulate(dom, outside, 0.1, 0.02)
-    with pytest.raises(MeshFailure):
-        triangulate(dom, CrackSet((), 1), 0.1, 0.2)  # h_tip > h_max
+    with pytest.raises(MeshFailure, match="^h_tip must not exceed h_max$"):
+        triangulate(dom, CrackSet((), 1), 0.1, 0.2)
     tiny_seg = CrackSet((Polyline(((0.3, 0.5), (0.305, 0.5), (0.7, 0.5))),), 1)
-    with pytest.raises(MeshFailure):
+    with pytest.raises(MeshFailure, match="^crack segment shorter than h_tip$"):
         triangulate(dom, tiny_seg, 0.1, 0.02)
     along = CrackSet((Polyline(((0.2, 0.0), (0.8, 0.0))),), 1)
-    with pytest.raises(MeshFailure):
+    with pytest.raises(
+        MeshFailure, match="^crack running along the boundary is unsupported$"
+    ):
         triangulate(dom, along, 0.1, 0.02)
+    notched = DomainSpec(((0.0, 0.0), (1.0, 0.0), (0.75, 0.25), (1.0, 1.0), (0.0, 1.0)))
+    crossing = CrackSet((Polyline(((0.95, 0.02), (0.95, 0.9))),), 1)
+    with pytest.raises(MeshFailure, match="^crack segment crosses the boundary$"):
+        triangulate(notched, crossing, 0.1, 0.02)
     touching = CrackSet(
         (Polyline(((0.3, 0.5), (0.6, 0.5))), Polyline(((0.6, 0.5), (0.6, 0.8)))),
         m=2,
     )
-    with pytest.raises(MeshFailure):
+    with pytest.raises(MeshFailure, match="^touching crack components are unsupported$"):
         triangulate(dom, touching, 0.1, 0.02)
+    with pytest.raises(MeshFailure, match="^not enough points to triangulate$"):
+        _delaunay_with_required(np.zeros((2, 2)), np.zeros((0, 2), dtype=np.int64), 2)
+
+
+# Crafted inputs to the unzip, one per failure after triangulation. Each
+# case: chains as (node ids, end kinds), points, triangles, boundary cycle
+# (nodes, parent polygon edges), and the message.
+_FAN = [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
+_UNZIP_FAILURES = {
+    "one_sided_edge": (
+        [([0, 1], ("tip", "tip"))], _FAN + [(0.0, 1.0)], [[0, 1, 3]], ([0, 1, 3], [0, 1, 2]),
+        "interior crack edge lacks two triangles",
+    ),
+    "empty_side": (
+        [([0, 1, 2], ("tip", "tip"))], _FAN + [(0.0, 1.0), (0.0, 2.0)],
+        [[0, 1, 3], [1, 2, 3], [0, 1, 4], [1, 2, 4]], ([0, 2, 4], [0, 1, 2]),
+        "crack unzip found an empty face side",
+    ),
+    "face_not_free": (
+        [([0, 1, 2], ("tip", "tip"))],
+        _FAN + [(-0.5, 1.0), (-0.5, 2.0), (0.5, -1.0), (0.5, 1.0)],
+        [[0, 1, 3], [0, 1, 4], [1, 2, 6], [2, 1, 5]], ([0, 5, 2], [0, 1, 2]),
+        "crack face edge not free after unzip",
+    ),
+    "non_manifold": (
+        [], [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)],
+        [[0, 1, 2], [1, 0, 3], [0, 1, 4]], ([0, 3, 1, 2], [0, 1, 2, 3]),
+        "non-manifold edge",
+    ),
+    "untagged": (
+        [], [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.0, 1.0)], [[0, 1, 2]],
+        ([0, 1, 3], [0, 1, 2]),
+        "untagged boundary edge (hole in mesh?)",
+    ),
+    "clockwise": (
+        [], [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)], [[0, 2, 1]], ([0, 1, 2], [0, 1, 2]),
+        "non-positive triangle area",
+    ),
+    "sliver": (
+        [], [(0.0, 0.0), (1.0, 0.0), (0.5, 0.01)], [[0, 1, 2]], ([0, 1, 2], [0, 1, 2]),
+        "min angle 1.15 deg below bound 5.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNZIP_FAILURES))
+def test_unzip_failures(name):
+    chains, pts, tris, (cycle, parent), message = _UNZIP_FAILURES[name]
+    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))
+    kinds = [k for _, k in chains]
+    pts, tris = np.array(pts, float), np.array(tris, dtype=np.int64)
+    with pytest.raises(MeshFailure) as got:
+        _unzip_and_finalize(
+            dom, kinds, [np.array(ids, dtype=np.int64) for ids, _ in chains], pts, tris,
+            np.array(cycle, dtype=np.int64), np.array(parent), 1.0, 1.0,
+        )
+    assert str(got.value) == message
+    with pytest.raises(MeshFailure) as want:
+        unzip_loop(dom, kinds, [ids for ids, _ in chains], pts, tris,
+                   list(zip(cycle, parent)), 1.0, 1.0)
+    assert str(want.value) == message
+
+
+# a required edge (0, 1) blocked by points 4 and 5 on either side of it
+_BLOCKED = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 0.05), (0.5, -0.05)])
+
+
+def test_delaunay_repair_recovers_required_edge():
+    required = np.array([[1, 0], [0, 2]], dtype=np.int64)
+    assert [0, 1] not in edge_table(Delaunay(_BLOCKED).simplices)[0].tolist()
+    tris = _delaunay_with_required(_BLOCKED, required, 4)
+    # the blocking points were not features, so the repair dropped them
+    assert set(tris.ravel().tolist()) == {0, 1, 2, 3}
+    assert [0, 1] in edge_table(tris)[0].tolist()
+    want = delaunay_with_required_loop(_BLOCKED, {(0, 1), (0, 2)}, 4)
+    assert tris.tobytes() == want.tobytes()
+
+
+def test_delaunay_repair_fails_on_feature_blockers():
+    required = np.array([[0, 1]], dtype=np.int64)
+    message = "1 required edges missing after repair"
+    with pytest.raises(MeshFailure, match=f"^{message}$"):
+        _delaunay_with_required(_BLOCKED, required, 6)
+    with pytest.raises(MeshFailure, match=f"^{message}$"):
+        delaunay_with_required_loop(_BLOCKED, {(0, 1)}, 6)
 
 
 def test_point_component_is_single_node():
@@ -230,26 +334,40 @@ _xy = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_subdivide_matches_recursive_bisection(pieces, tips, h_tip, ratio, grading):
     size = _SizeField(tips, ratio * h_tip, h_tip)
     size.grading = grading  # the mesher's grading is fixed; bisection must agree for any
-    got = _subdivide(pieces, size)
-    assert len(got) == len(pieces)
-    for pts, (a, b) in zip(got, pieces):
+    piece, start, end = _subdivide(pieces, size)
+    assert piece.tolist() == sorted(piece.tolist())
+    assert set(piece.tolist()) == set(range(len(pieces)))
+    for k, (a, b) in enumerate(pieces):
+        # a piece's points: its first part's start, then every part's end
+        at = piece == k
+        assert (start[at][1:] == end[at][:-1]).all()
+        pts = np.vstack([start[at][:1], end[at]])
         want = np.array(bisect_polyline(a, b, size), float)
-        assert np.array(pts, float).tobytes() == want.tobytes()
+        assert pts.tobytes() == want.tobytes()
 
 
 @given(
-    st.lists(_xy, min_size=1, max_size=3),
-    st.floats(0.05, 0.4),
+    st.lists(
+        st.tuples(st.lists(_xy, min_size=1, max_size=3), st.floats(0.05, 0.4)),
+        min_size=1,
+        max_size=3,
+    ),
     st.floats(0.1, 1.5),
 )
-def test_hex_lattice_matches_point_loop(anchors, s, reach):
+def test_hex_lattice_matches_point_loop(levels, reach):
+    # all levels at once equal one point loop per level, in level order
     bbox = (-1.0, 1.5, -0.5, 1.0)
-    anchored = [
-        ((ax, ay), (ax - reach, ax + reach, ay - reach, ay + reach))
-        for ax, ay in anchors
+    levels = [
+        (
+            [((ax, ay), (ax - reach, ax + reach, ay - reach, ay + reach)) for ax, ay in anchors],
+            s,
+        )
+        for anchors, s in levels
     ]
-    want = np.array(hex_lattice_loop(anchored, s, *bbox), float).reshape(-1, 2)
-    assert _hex_lattice(anchored, s, *bbox).tobytes() == want.tobytes()
+    want = [hex_lattice_loop(anchored, s, *bbox) for anchored, s in levels]
+    pts, level = _hex_lattice(levels, *bbox)
+    assert pts.tobytes() == np.array(sum(want, []), float).reshape(-1, 2).tobytes()
+    assert level.tolist() == [k for k, w in enumerate(want) for _ in w]
 
 
 @given(st.integers(2, 120), st.integers(0, 2**32 - 1))
@@ -358,3 +476,95 @@ def test_builtin_samplers_match_evaluators(name):
         assert g.mesh_sampler is not None
         per_node = np.array([g.evaluator(x, y) for x, y in mesh.nodes], dtype=float)
         assert g.sample(mesh).tobytes() == per_node.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the array mesher keeps the bits of its loop oracle
+# ---------------------------------------------------------------------------
+
+_grid = st.integers(-4, 4).map(lambda k: k / 4.0)
+
+
+@given(
+    st.lists(st.tuples(_grid, _grid), min_size=3, max_size=10),
+    st.lists(st.tuples(_grid, _grid), max_size=20),
+    st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), max_size=20),
+)
+def test_points_in_polygon_matches_edge_loop(poly, on_grid, anywhere):
+    # grid points sit on vertex ordinates and on horizontal edges, where
+    # the ray test divides by zero
+    poly = np.array(poly, float)
+    pts = np.array(on_grid + anywhere + [tuple(v) for v in poly], float).reshape(-1, 2)
+    got = _points_in_polygon(pts, poly)
+    assert got.dtype == bool and got.tolist() == points_in_polygon_loop(pts, poly).tolist()
+
+
+def _mesh_fields(mesh):
+    return (
+        mesh.nodes.tobytes(),
+        mesh.triangles.tobytes(),
+        mesh.crack_face_pairs,
+        mesh.boundary_edges,
+        mesh.tip_nodes,
+        mesh.crack_chains,
+        mesh.dirichlet_nodes,
+        mesh.released_nodes,
+        mesh.h_max,
+        mesh.h_tip,
+    )
+
+
+def _slit(x, y, angle, ell):
+    return (x, y), (x + ell * math.cos(angle), y + ell * math.sin(angle))
+
+
+@st.composite
+def _test_cracks(draw, kind):
+    """A straight or kinked slit, a slit from the boundary, two components,
+    or point components, in the unit square."""
+    u = st.floats(0.25, 0.75)
+    angle = st.floats(0.0, 2.0 * math.pi)
+    ell = st.floats(0.08, 0.3)
+    if kind == "slit":
+        return (_slit(draw(u), draw(u), draw(angle), draw(ell)),)
+    if kind == "kinked":
+        a, b = _slit(draw(u), draw(u), draw(angle), draw(ell))
+        turn = draw(st.floats(-1.2, 1.2))
+        return (
+            (a, b, _slit(*b, math.atan2(b[1] - a[1], b[0] - a[0]) + turn, draw(ell))[1]),
+        )
+    if kind == "boundary":
+        # from the bottom edge into the square
+        return (_slit(draw(u), 0.0, draw(st.floats(0.4, math.pi - 0.4)), draw(ell)),)
+    if kind == "two":
+        return (
+            _slit(draw(st.floats(0.2, 0.5)), draw(st.floats(0.2, 0.35)), draw(angle), 0.12),
+            _slit(draw(st.floats(0.5, 0.8)), draw(st.floats(0.65, 0.8)), draw(angle), 0.12),
+        )
+    return ((draw(u), draw(u)),) + draw(st.sampled_from([(), (((0.2, 0.2), (0.3, 0.25)),)]))
+
+
+@pytest.mark.parametrize("kind", ["slit", "kinked", "boundary", "two", "point"])
+@given(data=st.data(), sizes=st.sampled_from([(0.1, 0.025), (0.2, 0.05), (0.1, 0.1)]))
+def test_triangulate_matches_loop_oracle(kind, data, sizes):
+    # every CrackMesh field, including those fingerprint_bytes leaves out,
+    # and the failure message when there is one
+    polylines = data.draw(_test_cracks(kind))
+    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))
+    comps = tuple(
+        Polyline(p) if isinstance(p[0], tuple) else Polyline((p,)) for p in polylines
+    )
+    try:
+        crack = CrackSet(comps, len(comps))
+    except GeometryViolation:
+        assume(False)
+    try:
+        want = triangulate_loops(dom, crack, *sizes)
+    except MeshFailure as exc:
+        with pytest.raises(MeshFailure) as got:
+            triangulate(dom, crack, *sizes)
+        assert str(got.value) == str(exc)
+        return
+    got = triangulate(dom, crack, *sizes)
+    assert _mesh_fields(got) == _mesh_fields(want)
+    assert got.min_angle() == min_angle_loop(got)

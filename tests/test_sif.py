@@ -23,6 +23,7 @@ from quasicrack.sif import (
     griffith_audit,
     release_rate_fd,
     release_rate_richardson,
+    richardson_release_rate,
     safe_fit_window,
     sif_history_csv,
 )
@@ -163,6 +164,24 @@ def test_richardson_meshes_base_crack_once(slit_setup, monkeypatch):
     d1 = release_rate_fd(domain, crack, g, tip, 4 / 64, 1 / 8, 1 / 64)
     d2 = release_rate_fd(domain, crack, g, tip, 8 / 64, 1 / 8, 1 / 64)
     assert fd == (2.0 * d1 - d2) / (2.0 - 1.0)
+
+
+def test_richardson_on_a_multi_datum_evaluator(slit_setup):
+    # one-hot coefficients pick each datum of one evaluator; every value
+    # equals the single-datum path's bit for bit
+    from quasicrack.energy import Evaluator
+
+    domain, crack, tip, _ = slit_setup
+    data = [mode3_datum(0.5), zero_datum(), mode3_datum(1.0)]
+
+    def one_hot(t):
+        return tuple(float(j == t) for j in range(3)), (0.0,) * 3
+
+    ev = Evaluator(domain, data, one_hot, 1 / 8, 1 / 64)
+    for j, g in enumerate(data):
+        want = release_rate_richardson(domain, crack, g, tip, 1 / 8, 1 / 64)
+        assert richardson_release_rate(ev, crack, tip, j) == want
+    assert richardson_release_rate(ev, crack, tip, 0) == 0.7489298257844101
 
 
 def test_estimator_consistency_improves():
