@@ -268,7 +268,7 @@ def _oracle_slit_sif(h_tip: float) -> list[tuple[str, bool, str]]:
 
 def _oracle_release_rate(h_tip: float) -> list[tuple[str, bool, str]]:
     from .energy import Evaluator
-    from .sif import fit_sif, richardson_release_rate
+    from .sif import fit_sif, release_rate_richardson_at
 
     domain = slit_disk_domain()
     crack = slit_disk_crack()
@@ -278,7 +278,8 @@ def _oracle_release_rate(h_tip: float) -> list[tuple[str, bool, str]]:
 
     def one_hot(t):
         # at "time" t = j the datum is mode3_datum(kappas[j])
-        return tuple(1.0 if j == t else 0.0 for j in range(len(kappas))), (0.0,) * len(kappas)
+        c = tuple(1.0 if j == t else 0.0 for j in range(len(kappas)))
+        return c, (0.0,) * len(kappas)
 
     # one evaluator meshes each of the three cracks once and solves all data on it
     ev = Evaluator(domain, [mode3_datum(kap) for kap in kappas], one_hot, h_max, h_tip)
@@ -289,7 +290,7 @@ def _oracle_release_rate(h_tip: float) -> list[tuple[str, bool, str]]:
         else:
             u = ev.record(crack, j)[1]
             k_fit = fit_sif(u, tip, 16.0 * h_tip, 64.0 * h_tip).kappa
-        fd = richardson_release_rate(ev, crack, tip, j)
+        fd = release_rate_richardson_at(ev, crack, tip, j)
         gap = abs(fd - (1.0 - k_fit**2))
         out.append(
             (

@@ -792,11 +792,12 @@ def _unzip_and_finalize(
     keys = np.sort(_triangle_edge_keys(tris, n))
     starts, counts = _runs(keys)
     free = keys[starts[counts == 1]]
-    face = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + [
-        _edge_keys(np.column_stack([ids[:-1], ids[1:]]), n)
+    face = np.unique(_edge_keys([
+        pair
         for ch in chains if ch.start_kind != "point"
         for ids in (ch.node_ids, ch.minus_ids)
-    ]))
+        for pair in zip(ids, ids[1:])
+    ], n))
     if not _find(free, face)[1].all():
         raise MeshFailure("crack face edge not free after unzip")
     if np.any(counts > 2):

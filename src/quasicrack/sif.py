@@ -213,10 +213,10 @@ def release_rate_richardson(
     Both differences share one evaluator, so E(K) is meshed once.
     """
     ev = Evaluator(domain, (g,), _unit, h_max, h_tip)
-    return richardson_release_rate(ev, crack, tip, 0.0, factors)
+    return release_rate_richardson_at(ev, crack, tip, 0.0, factors)
 
 
-def richardson_release_rate(
+def release_rate_richardson_at(
     ev: Evaluator,
     crack: CrackSet,
     tip: Tip,

@@ -23,7 +23,7 @@ from quasicrack.sif import (
     griffith_audit,
     release_rate_fd,
     release_rate_richardson,
-    richardson_release_rate,
+    release_rate_richardson_at,
     safe_fit_window,
     sif_history_csv,
 )
@@ -180,8 +180,8 @@ def test_richardson_on_a_multi_datum_evaluator(slit_setup):
     ev = Evaluator(domain, data, one_hot, 1 / 8, 1 / 64)
     for j, g in enumerate(data):
         want = release_rate_richardson(domain, crack, g, tip, 1 / 8, 1 / 64)
-        assert richardson_release_rate(ev, crack, tip, j) == want
-    assert richardson_release_rate(ev, crack, tip, 0) == 0.7489298257844101
+        assert release_rate_richardson_at(ev, crack, tip, j) == want
+    assert release_rate_richardson_at(ev, crack, tip, 0) == 0.7489298257844101
 
 
 def test_estimator_consistency_improves():
