@@ -1,4 +1,10 @@
-"""Polygonal domains with labeled Dirichlet/Neumann boundary arcs."""
+"""Polygonal domains with labeled Dirichlet/Neumann boundary arcs.
+
+Point and segment queries are exact. Each edge keeps its closed bounding
+box, and a query runs the exact orientation test (itself float-filtered,
+see `geometry._orient`) only on the edges whose box the point or segment
+meets; a point left of an edge's box is decided by the box alone.
+"""
 
 from __future__ import annotations
 
@@ -27,9 +33,10 @@ class DomainSpec:
     counterclockwise; edge k joins vertex k to vertex k+1 (mod n). Arcs must
     not overlap; every edge not in a Dirichlet arc is Neumann.
 
-    Point queries are exact, except `distance_to_boundary` (float).
-    `boundary_edge(p)` is the one lookup of the edge holding p; the mesher
-    places boundary crack ends with it and `on_boundary` tests it for None.
+    Point and segment queries are exact, except `distance_to_boundary`
+    (float). `boundary_edge(p)` is the one lookup of the edge holding p; the
+    mesher places boundary crack ends with it and `on_boundary` tests it
+    for None.
     """
 
     boundary: tuple[Point, ...]
@@ -69,6 +76,11 @@ class DomainSpec:
                 dir_edges.add(k)
                 k = (k + 1) % n
         object.__setattr__(self, "_dirichlet_edges", frozenset(dir_edges))
+        # each edge with its closed box (xmin, xmax, ymin, ymax)
+        object.__setattr__(self, "_edge_boxes", tuple(
+            ((a, b), (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1])))
+            for a, b in edges
+        ))
 
     # ------------------------------------------------------------------
     # derived geometry
@@ -109,40 +121,82 @@ class DomainSpec:
 
     def boundary_edge(self, p: Point) -> int | None:
         """Index of the first edge whose closed segment holds p (exact), or None."""
-        return next((k for k, e in enumerate(self.edges()) if _on_segment(p, *e)), None)
+        px, py = p
+        for k, ((a, b), (x0, x1, y0, y1)) in enumerate(self._edge_boxes):  # type: ignore[attr-defined]
+            if x0 <= px <= x1 and y0 <= py <= y1 and _orient(a, b, p) == 0:
+                return k
+        return None
 
     def on_boundary(self, p: Point) -> bool:
         return self.boundary_edge(p) is not None
 
     def contains_point(self, p: Point, *, strict: bool = False) -> bool:
         """Point-in-polygon; boundary points count as inside unless strict."""
-        if self.on_boundary(p):
-            return not strict
-        v = self.boundary
-        n = len(v)
-        inside = False
+        return self._locate(p) >= (1 if strict else 0)
+
+    def _locate(self, p: Point) -> int:
+        """+1 inside, 0 on the boundary, -1 outside: an exact ray cast toward +x."""
         px, py = p
-        for i in range(n):
-            a, b = v[i], v[(i + 1) % n]
-            if (a[1] > py) != (b[1] > py):
-                # exact side-of-edge decision at the crossing ordinate
-                side = _orient(a, b, p)
-                if side == 0:
-                    return not strict
-                upward = b[1] > a[1]
-                if upward == (side > 0):
-                    inside = not inside
-        return inside
+        inside = False
+        for (a, b), (x0, x1, y0, y1) in self._edge_boxes:  # type: ignore[attr-defined]
+            if py < y0 or py > y1 or px > x1:
+                continue  # neither holds p nor meets the ray
+            crosses = (a[1] > py) != (b[1] > py)
+            if px < x0:
+                inside ^= crosses  # the edge lies right of p
+                continue
+            side = _orient(a, b, p)
+            if side == 0:
+                return 0  # collinear and inside the edge's box
+            if crosses and (b[1] > a[1]) == (side > 0):
+                inside = not inside
+        return 1 if inside else -1
 
     def contains_segment(self, p: Point, q: Point) -> bool:
-        """Closed segment [p,q] stays in the closed polygon, never crossing out."""
-        if not self.contains_point(p) or not self.contains_point(q):
+        """Closed segment [p,q] stays in the closed polygon, never crossing out.
+
+        [p, q] must cross no edge, and it is cut at the polygon vertices on
+        it. Each open piece then misses the boundary or runs along one edge,
+        so it is inside if one of its ends is strictly inside, and else if
+        it leaves its first end into the polygon.
+        """
+        ends = [self._locate(p), self._locate(q)]
+        if min(ends) < 0:
             return False
-        for e in self.edges():
-            if _segments_properly_cross(p, q, *e):
+        x0, x1 = min(p[0], q[0]), max(p[0], q[0])
+        y0, y1 = min(p[1], q[1]), max(p[1], q[1])
+        cuts = []
+        for (a, b), (ex0, ex1, ey0, ey1) in self._edge_boxes:  # type: ignore[attr-defined]
+            if ex1 < x0 or ex0 > x1 or ey1 < y0 or ey0 > y1:
+                continue
+            if _segments_properly_cross(p, q, a, b):
                 return False
-        mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-        return self.contains_point(mid)
+            if a != p and a != q and _on_segment(a, p, q):
+                cuts.append(a)
+        sx, sy = (1.0 if q[0] >= p[0] else -1.0), (1.0 if q[1] >= p[1] else -1.0)
+        pts = [p, *sorted(cuts, key=lambda c: (sx * c[0], sy * c[1])), q]
+        where = [ends[0]] + [0] * len(cuts) + [ends[1]]  # cut vertices lie on the boundary
+        return all(
+            where[i] > 0 or where[i + 1] > 0 or self._leaves_inward(pts[i], pts[i + 1])
+            for i in range(len(pts) - 1)
+            if pts[i] != pts[i + 1]
+        )
+
+    def _leaves_inward(self, u: Point, v: Point) -> bool:
+        """For u on the boundary: whether [u, v] starts into the closed
+        polygon (left of u's edge, or inside the cone between the two edges
+        at a vertex u; along an edge counts)."""
+        k = self.boundary_edge(u)
+        (a, b), _ = self._edge_boxes[k]  # type: ignore[attr-defined]
+        if u != a and u != b:
+            return _orient(a, b, v) >= 0
+        n = len(self.boundary)
+        j = k if u == a else (k + 1) % n
+        prev, nxt = self.boundary[j - 1], self.boundary[(j + 1) % n]
+        left_of_in, left_of_out = _orient(prev, u, v) >= 0, _orient(u, nxt, v) >= 0
+        if _orient(prev, u, nxt) >= 0:  # convex or straight vertex
+            return left_of_in and left_of_out
+        return left_of_in or left_of_out
 
     def distance_to_boundary(self, p: Point) -> float:
         """Unsigned float distance from p to the boundary polyline."""

@@ -39,6 +39,7 @@ from .geometry import (
     crack_tips,
     extend_tip,
     length,
+    tips_on_boundary,
 )
 from .mesh import MeshFailure
 from .sif import (
@@ -427,7 +428,7 @@ def _evaluator_of(state: EvolutionState) -> Evaluator:
 
 
 def _active_tips(domain: DomainSpec, crack: CrackSet) -> list[Tip]:
-    tips = [t for t in crack_tips(crack) if not domain.on_boundary(t.position)]
+    tips = [t for t, on in tips_on_boundary(crack, domain) if not on]
     return sorted(tips, key=lambda t: (t.component_id, t.end))
 
 

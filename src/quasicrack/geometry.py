@@ -2,13 +2,24 @@
 
 Crack sets are finite unions of simple polyline arcs (single points allowed
 as degenerate components). All types are immutable values; every operation
-is pure. Geometric predicates use a float fast path with a conservative
-error filter and fall back to exact rational arithmetic on ties.
+is pure.
 
-Each crack set caches one exact union table (`_union_table`): per
-supporting line, its segments and the merged closed intervals they cover.
+Predicates are exact. `_orient` decides from floats when the determinant
+clears Shewchuk's error bound, or when the signs of its two products
+settle it (every axis-aligned collinear triple); only the rest is
+recomputed in Fractions. The other predicates build on it behind
+bounding-box tests, which float compares decide exactly.
+
+Each crack set caches one exact union table: per supporting line, its
+segments and the merged closed intervals they cover, with float endpoints.
 The length of the union and exact containment (`contains` at tol 0) are
-both read from it.
+both read from it. A crack with no parent builds its table segment by
+segment. `extend_tip` tests its new segment exactly against only the rows
+of the crack whose bounding box meets it, and returns a crack that keeps
+its base: its table is the base's with one segment added, and
+`tips_on_boundary` and the mesher's validation redo only what that
+segment changed. The one Fraction left on this path is the slope of a
+multi-segment line that is not axis-aligned.
 
 Distances from arrays of points are one kernel, `segment_distances`, an
 (N, S) matrix over segments in which an isolated point q is [q, q];
@@ -25,14 +36,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 Point = tuple[float, float]
 
-#: coordinate tolerance for geometric predicates on a unit-scaled domain
-EPS_GEOM = 1e-12
+#: Shewchuk's bound (3 + 16 eps) eps, eps = 2**-53, on the rounding error of
+#: a 2x2 orientation determinant relative to the sum of its product magnitudes
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
 
 class GeometryViolation(Exception):
@@ -47,34 +59,37 @@ class GeometryViolation(Exception):
 def _orient(a: Point, b: Point, c: Point) -> int:
     """Sign of cross(b - a, c - a): +1 left turn, -1 right turn, 0 collinear.
 
-    Float arithmetic decides when the determinant is safely above the
-    rounding error; otherwise the sign is recomputed with Fractions
-    (floats convert exactly, so this branch is exact).
+    The float determinant decides when it clears Shewchuk's error bound
+    for this expression (plus an absolute term against underflow). Else
+    the signs of the two products decide when they differ or one is zero:
+    a float difference is zero only for equal operands and rounding keeps
+    every sign, so this is exact and settles axis-aligned collinear
+    triples. Only the rest is recomputed in Fractions (floats convert
+    exactly).
     """
     ux, uy = b[0] - a[0], b[1] - a[1]
     vx, vy = c[0] - a[0], c[1] - a[1]
-    det = ux * vy - uy * vx
-    scale = (abs(ux) + abs(uy)) * (abs(vx) + abs(vy))
-    if abs(det) > 1e-12 * scale:
-        return 1 if det > 0.0 else -1
+    left, right = ux * vy, uy * vx
+    det = left - right
+    if abs(det) > _ORIENT_ERR * (abs(left) + abs(right)) + 1e-300:
+        return 1 if det > 0 else -1
+    sl = ((ux > 0) - (ux < 0)) * ((vy > 0) - (vy < 0))
+    sr = ((uy > 0) - (uy < 0)) * ((vx > 0) - (vx < 0))
+    if sl != sr or sl == 0:
+        return (sl > sr) - (sl < sr)
     ax, ay = Fraction(a[0]), Fraction(a[1])
     det_exact = (Fraction(b[0]) - ax) * (Fraction(c[1]) - ay) - (
         Fraction(b[1]) - ay
     ) * (Fraction(c[0]) - ax)
-    if det_exact > 0:
-        return 1
-    if det_exact < 0:
-        return -1
-    return 0
+    return (det_exact > 0) - (det_exact < 0)
 
 
 def _on_segment(p: Point, a: Point, b: Point) -> bool:
     """Exact test: p lies on the closed segment [a, b]."""
-    if _orient(a, b, p) != 0:
-        return False
     return (
         min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
         and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+        and _orient(a, b, p) == 0
     )
 
 
@@ -183,12 +198,26 @@ class Tip:
     tangent: Point
 
 
+class _Extension(NamedTuple):
+    """How `extend_tip` made a crack: `segment` appended at `end` of the
+    component `component_id` of `base`, checked against `domain`."""
+
+    base: "CrackSet"
+    component_id: int
+    end: str
+    segment: tuple[Point, Point]
+    domain: object
+
+
 @dataclass(frozen=True)
 class CrackSet:
     """Finite union of polyline components with a component budget m."""
 
     components: tuple[Polyline, ...]
     m: int
+
+    # set by `extend_tip` on the crack it returns; not a dataclass field
+    _origin = None
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -200,10 +229,13 @@ class CrackSet:
             )
 
     @classmethod
-    def _unchecked(cls, components: tuple[Polyline, ...], m: int) -> "CrackSet":
+    def _unchecked(
+        cls, components: tuple[Polyline, ...], m: int, origin: _Extension | None = None
+    ) -> "CrackSet":
         obj = object.__new__(cls)
         object.__setattr__(obj, "components", components)
         object.__setattr__(obj, "m", m)
+        object.__setattr__(obj, "_origin", origin)
         return obj
 
     @property
@@ -223,12 +255,32 @@ class CrackSet:
         return tuple(c.vertices for c in self.components)
 
     @cached_property
-    def _lines(self) -> dict:
-        return _union_table(self.segments())
+    def _lines(self) -> tuple["_Line", ...]:
+        return _union_table(self)
 
     @cached_property
     def _length(self) -> float:
         return _union_length(self._lines)
+
+    @cached_property
+    def _rows(self) -> tuple[list, np.ndarray]:
+        """Each component's segments in order, a point component q as [q, q]:
+        the (component, a, b) rows and their (R, 4) boxes
+        [xmin, ymin, -xmax, -ymax], for the float filter of `extend_tip`."""
+        rows = [
+            (ci, a, b)
+            for ci, comp in enumerate(self.components)
+            for a, b in (comp.segments() or [(comp.vertices[0], comp.vertices[0])])
+        ]
+        arr = np.array([(a, b) for _, a, b in rows], float).reshape(-1, 2, 2)
+        return rows, np.hstack([np.minimum(arr[:, 0], arr[:, 1]), -np.maximum(arr[:, 0], arr[:, 1])])
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Facts about this crack in a domain, filled in by their users:
+        `tips_on_boundary` under ("tips", domain), the mesher's validation
+        under ("valid", domain, h_tip)."""
+        return {}
 
     def to_json(self) -> list:
         return [[[x, y] for x, y in c.vertices] for c in self.components]
@@ -244,44 +296,77 @@ class CrackSet:
 # ---------------------------------------------------------------------------
 
 
-def _line_key(a: Point, b: Point):
-    """Canonical exact key for the supporting line of segment [a, b]."""
-    ax, ay = Fraction(a[0]), Fraction(a[1])
-    bx, by = Fraction(b[0]), Fraction(b[1])
-    nx, ny = ay - by, bx - ax  # normal
-    c = nx * ax + ny * ay
-    if nx != 0:
-        return ("v", ny / nx, c / nx)
-    return ("h", c / ny)
+class _Line(NamedTuple):
+    """One supporting line of a crack's union.
 
-
-def _interval(seg: tuple[Point, Point], dom: int) -> tuple[Fraction, Fraction]:
-    """Closed parameter interval of a segment along coordinate `dom`."""
-    lo, hi = Fraction(seg[0][dom]), Fraction(seg[1][dom])
-    return (lo, hi) if lo <= hi else (hi, lo)
-
-
-def _union_table(segs: list[tuple[Point, Point]]) -> dict:
-    """The exact union, one entry per supporting line: (dom, segments, merged).
-
-    `dom` is the dominant coordinate of the line's first segment, which
-    parametrizes the line; `merged` lists the disjoint closed intervals
-    (touching ones joined) that the line's segments cover, in Fractions.
+    `group` holds the crack's segments on the line, `group[0]` the first in
+    `CrackSet.segments()` order and `comp` its component. `dom`, the
+    dominant coordinate of `group[0]`, parametrizes the line; `merged`
+    lists the disjoint closed intervals (touching ones joined) that the
+    segments cover along it, in float endpoints. `unit` is the line's
+    length per unit of `dom` for two or more segments, else None.
     """
-    groups: dict = {}
-    for s in segs:
-        groups.setdefault(_line_key(*s), []).append(s)
-    table = {}
-    for key, group in groups.items():
-        a0, b0 = group[0]
-        dom = 0 if abs(b0[0] - a0[0]) >= abs(b0[1] - a0[1]) else 1
-        merged: list[list[Fraction]] = []
-        for lo, hi in sorted(_interval(s, dom) for s in group):
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        table[key] = (dom, group, merged)
+
+    group: tuple[tuple[Point, Point], ...]
+    comp: int
+    dom: int
+    merged: tuple[tuple[float, float], ...]
+    unit: float | None
+
+
+def _line(group: tuple, comp: int, unit: float | None = None) -> _Line:
+    """The `_Line` of `group`; `unit` may carry over from a line with the
+    same `group[0]`."""
+    a0, b0 = group[0]
+    dom = 0 if abs(b0[0] - a0[0]) >= abs(b0[1] - a0[1]) else 1
+    merged: list[list[float]] = []
+    for lo, hi in sorted((min(a[dom], b[dom]), max(a[dom], b[dom])) for a, b in group):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    if len(group) > 1 and unit is None:
+        oth = 1 - dom
+        if b0[oth] == a0[oth]:
+            unit = 1.0  # axis-aligned: slope 0
+        else:
+            slope = (Fraction(b0[oth]) - Fraction(a0[oth])) / (
+                Fraction(b0[dom]) - Fraction(a0[dom])
+            )
+            unit = math.sqrt(1.0 + float(slope) ** 2)
+    return _Line(group, comp, dom, tuple((lo, hi) for lo, hi in merged), unit)
+
+
+def _find_line(table: tuple[_Line, ...], seg: tuple[Point, Point]) -> int:
+    """Index of the line in `table` that holds `seg`, or -1 (exact)."""
+    for k, line in enumerate(table):
+        a0, b0 = line.group[0]
+        if _orient(a0, b0, seg[0]) == 0 and _orient(a0, b0, seg[1]) == 0:
+            return k
+    return -1
+
+
+def _with_segment(table: tuple[_Line, ...], seg, comp: int, end: str) -> tuple[_Line, ...]:
+    """`table` with `seg` added at `end` ("start" or "finish") of component
+    `comp`'s segments; only the line that holds `seg` is rebuilt."""
+    k = _find_line(table, seg)
+    if k < 0:
+        return table + (_line((seg,), comp),)
+    line = table[k]
+    # a segment added before the line's first one becomes `group[0]`
+    if line.comp > comp or (end == "start" and line.comp == comp):
+        new = _line((seg,) + line.group, comp)
+    else:
+        new = _line(line.group + (seg,), line.comp, line.unit)
+    return table[:k] + (new,) + table[k + 1 :]
+
+
+def _union_table(crack: CrackSet) -> tuple[_Line, ...]:
+    """The exact union of a crack with no parent, one `_Line` per line."""
+    table: tuple[_Line, ...] = ()
+    for ci, comp in enumerate(crack.components):
+        for seg in comp.segments():
+            table = _with_segment(table, seg, ci, "finish")
     return table
 
 
@@ -293,19 +378,15 @@ def length(crack: CrackSet) -> float:
     return crack._length
 
 
-def _union_length(table: dict) -> float:
+def _union_length(table: tuple[_Line, ...]) -> float:
+    # a width hi - lo of float endpoints is the exact width rounded once
     terms: list[float] = []
-    for dom, group, merged in table.values():
-        a0, b0 = group[0]
-        if len(group) == 1:
+    for line in table:
+        if line.unit is None:
+            (a0, b0), = line.group
             terms.append(math.hypot(b0[0] - a0[0], b0[1] - a0[1]))
-            continue
-        oth = 1 - dom
-        slope = (Fraction(b0[oth]) - Fraction(a0[oth])) / (
-            Fraction(b0[dom]) - Fraction(a0[dom])
-        )
-        unit = math.sqrt(1.0 + float(slope) ** 2)
-        terms.extend(float(hi - lo) * unit for lo, hi in merged)
+        else:
+            terms.extend((hi - lo) * line.unit for lo, hi in line.merged)
     return math.fsum(terms)
 
 
@@ -367,12 +448,18 @@ def segment_distances(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     `_dist_to_segment` except that `sqrt` of the summed squares replaces
     `hypot`, so an entry may differ from it in the last bits.
     """
-    px, py = pts[:, 0, None], pts[:, 1, None]
-    dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    return _distances(pts[:, 0, None], pts[:, 1, None], a, b)
+
+
+def _distances(px: np.ndarray, py: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances from points (px, py) to closed segments [a, b] (..., 2),
+    elementwise under broadcasting: a pair gives the same bits here as in
+    the `segment_distances` matrix."""
+    dx, dy = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
     dd = np.maximum(dx * dx + dy * dy, 1e-300)
-    t = np.clip(((px - a[:, 0]) * dx + (py - a[:, 1]) * dy) / dd, 0.0, 1.0)
-    ex = a[:, 0] + t * dx - px
-    ey = a[:, 1] + t * dy - py
+    t = np.clip(((px - a[..., 0]) * dx + (py - a[..., 1]) * dy) / dd, 0.0, 1.0)
+    ex = a[..., 0] + t * dx - px
+    ey = a[..., 1] + t * dy - py
     return np.sqrt(ex * ex + ey * ey)
 
 
@@ -482,11 +569,11 @@ def contains(k_big: CrackSet, k_small: CrackSet, tol: float) -> bool:
                 return False
         lines = k_big._lines
         for seg in k_small.segments():
-            line = lines.get(_line_key(*seg))
-            if line is None:
+            k = _find_line(lines, seg)
+            if k < 0:
                 return False
-            dom, _, merged = line
-            lo, hi = _interval(seg, dom)
+            dom, merged = lines[k].dom, lines[k].merged
+            lo, hi = min(seg[0][dom], seg[1][dom]), max(seg[0][dom], seg[1][dom])
             if not any(mlo <= lo and hi <= mhi for mlo, mhi in merged):
                 return False
         return True
@@ -505,30 +592,43 @@ def _normalize(v: tuple[float, float]) -> tuple[float, float]:
     return (v[0] / n, v[1] / n)
 
 
+def _end_tip(ci: int, end: str, v: tuple[Point, ...]) -> Tip:
+    p, q = (v[0], v[1]) if end == "start" else (v[-1], v[-2])
+    return Tip(component_id=ci, end=end, position=p, tangent=_normalize((p[0] - q[0], p[1] - q[1])))
+
+
 def crack_tips(crack: CrackSet) -> tuple[Tip, ...]:
     """Both ends of every non-degenerate component, tangents pointing out."""
-    tips = []
-    for ci, comp in enumerate(crack.components):
-        if comp.is_point:
-            continue
-        v = comp.vertices
-        tips.append(
-            Tip(
-                component_id=ci,
-                end="start",
-                position=v[0],
-                tangent=_normalize((v[0][0] - v[1][0], v[0][1] - v[1][1])),
+    return tuple(
+        _end_tip(ci, end, comp.vertices)
+        for ci, comp in enumerate(crack.components)
+        if not comp.is_point
+        for end in ("start", "finish")
+    )
+
+
+def tips_on_boundary(crack: CrackSet, domain) -> tuple[tuple[Tip, bool], ...]:
+    """Each tip of `crack_tips(crack)` with whether `domain.on_boundary` holds it.
+
+    Memoized on the crack per domain. A crack from `extend_tip` whose base
+    has the answer copies it and tests only the tip it moved.
+    """
+    key = ("tips", domain)
+    memo = crack._memo
+    if key not in memo:
+        ext = crack._origin
+        known = None if ext is None else ext.base._memo.get(key)
+        if known is None:
+            memo[key] = tuple((t, domain.on_boundary(t.position)) for t in crack_tips(crack))
+        else:
+            moved = _end_tip(ext.component_id, ext.end, crack.components[ext.component_id].vertices)
+            memo[key] = tuple(
+                (moved, domain.on_boundary(moved.position))
+                if (t.component_id, t.end) == (moved.component_id, moved.end)
+                else (t, on)
+                for t, on in known
             )
-        )
-        tips.append(
-            Tip(
-                component_id=ci,
-                end="finish",
-                position=v[-1],
-                tangent=_normalize((v[-1][0] - v[-2][0], v[-1][1] - v[-2][1])),
-            )
-        )
-    return tuple(tips)
+    return memo[key]
 
 
 def extend_tip(
@@ -546,7 +646,9 @@ def extend_tip(
     The original vertex lists are preserved verbatim, so the result always
     contains the input exactly. `domain`, when given, must expose
     ``contains_segment(p, q)``; the extension may touch the boundary at its
-    far endpoint but must not cross it.
+    far endpoint but must not cross it. The new segment is tested exactly
+    against the rows of the crack whose bounding box meets its own; the
+    result's union table is its base's plus the new segment.
     """
     if step <= 0.0:
         raise GeometryViolation("extension step must be positive")
@@ -557,7 +659,8 @@ def extend_tip(
     comp = crack.components[tip.component_id]
     if comp.is_point:
         raise GeometryViolation("cannot extend a point component")
-    anchor = comp.vertices[0] if tip.end == "start" else comp.vertices[-1]
+    v = comp.vertices
+    anchor, adjacent = (v[0], (v[0], v[1])) if tip.end == "start" else (v[-1], (v[-2], v[-1]))
     if anchor != tip.position:
         raise GeometryViolation("stale tip: position does not match component end")
 
@@ -570,32 +673,39 @@ def extend_tip(
         sa = 0.0
     dx, dy = ca * tx - sa * ty, sa * tx + ca * ty
     new_pt = (anchor[0] + step * dx, anchor[1] + step * dy)
-    new_seg = (anchor, new_pt)
+    # oriented as `segments()` lists it
+    new_seg = (new_pt, anchor) if tip.end == "start" else (anchor, new_pt)
 
     if domain is not None and not domain.contains_segment(anchor, new_pt):
         raise GeometryViolation("extension exits the domain or crosses its boundary")
 
-    for ci, other in enumerate(crack.components):
-        if other.is_point:
-            if _on_segment(other.vertices[0], *new_seg) and other.vertices[0] != anchor:
+    # rows whose closed box misses the new segment's cannot touch it
+    rows, boxes = crack._rows
+    reach = (
+        max(anchor[0], new_pt[0]), max(anchor[1], new_pt[1]),
+        -min(anchor[0], new_pt[0]), -min(anchor[1], new_pt[1]),
+    )
+    for i in np.flatnonzero((boxes <= reach).all(axis=1)).tolist():
+        ci, a, b = rows[i]
+        if a == b:
+            if a != anchor and _on_segment(a, *new_seg):
                 raise GeometryViolation("extension hits another component")
-            continue
-        segs = other.segments()
-        for si, seg in enumerate(segs):
-            adjacent = ci == tip.component_id and (
-                (tip.end == "finish" and si == len(segs) - 1)
-                or (tip.end == "start" and si == 0)
-            )
-            if adjacent:
-                if _intersect_beyond_shared(new_seg, seg):
-                    raise GeometryViolation("extension folds back onto the crack")
-            elif _segments_intersect(*new_seg, *seg):
-                raise GeometryViolation("extension intersects the existing crack")
+        elif ci == tip.component_id and (a, b) == adjacent:
+            if _intersect_beyond_shared(new_seg, (a, b)):
+                raise GeometryViolation("extension folds back onto the crack")
+        elif _segments_intersect(*new_seg, a, b):
+            raise GeometryViolation("extension intersects the existing crack")
 
     if tip.end == "start":
-        new_vertices = (new_pt,) + comp.vertices
+        new_vertices = (new_pt,) + v
     else:
-        new_vertices = comp.vertices + (new_pt,)
+        new_vertices = v + (new_pt,)
     comps = list(crack.components)
     comps[tip.component_id] = Polyline._unchecked(new_vertices)
-    return CrackSet._unchecked(tuple(comps), crack.m)
+    out = CrackSet._unchecked(
+        tuple(comps), crack.m, _Extension(crack, tip.component_id, tip.end, new_seg, domain)
+    )
+    object.__setattr__(
+        out, "_lines", _with_segment(crack._lines, new_seg, tip.component_id, tip.end)
+    )
+    return out

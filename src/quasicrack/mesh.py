@@ -14,10 +14,13 @@ bits:
   in one pass;
 - the lattices of all levels are built at once (`_hex_lattice`), and the
   per-point filters (level band, polygon, clearance from the feature
-  segments by `geometry.segment_distances`) run once over every level's
-  candidates. Only the clearance from the points of earlier levels, a
-  KD-tree query, goes level by level. Kept points have a positive
-  clearance from all others, so they are appended without a dedupe lookup;
+  segments) run once over every level's candidates. The polygon test
+  casts each point against the edges spanning its slab only, and the
+  clearance is computed only on the point–segment pairs that the widened
+  bounding boxes cannot rule out: no pruned pair could change a result.
+  Only the clearance from the points of earlier levels, a KD-tree query,
+  goes level by level. Kept points have a positive clearance from all
+  others, so they are appended without a dedupe lookup;
 - required edges are looked up among the triangles' sorted edge keys;
 - the unzip finds the crack nodes' triangles with a boolean lookup, splits
   each fan from per-triangle angles, moves every minus-side corner in one
@@ -37,7 +40,14 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .domain import DomainSpec
-from .geometry import CrackSet, Point, Tip, _components_touch, crack_tips, segment_distances
+from .geometry import (
+    CrackSet,
+    Point,
+    Tip,
+    _components_touch,
+    _distances,
+    tips_on_boundary,
+)
 
 # protection constants (fractions of the local size)
 _SEG_CLEARANCE = 0.62
@@ -375,16 +385,55 @@ def _thin(pts: np.ndarray, radius: np.ndarray) -> np.ndarray:
 
 
 def _points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Ray-cast parity of each point (N, 2) over all polygon edges (E, 2) at
-    once, as an (N, E) broadcast; callers keep a clearance so exactness is
-    moot."""
-    x, y = pts[:, 0, None], pts[:, 1, None]
+    """Ray-cast parity of each point (N, 2) over the polygon edges (E, 2)
+    whose y-range spans it.
+
+    The vertex ordinates cut the plane into slabs, and an edge spans every
+    point of a slab or none; each point is cast only against its slab's
+    edges. An edge that does not span a point adds nothing to its parity,
+    and each pair is the arithmetic of an (N, E) broadcast, so the result
+    is that broadcast's. Callers keep a clearance, so exactness is moot.
+    """
     ax, ay = poly[:, 0], poly[:, 1]
     bx, by = np.roll(ax, -1), np.roll(ay, -1)
-    crosses = (ay > y) != (by > y)
+    ys = np.unique(ay)
+    # edge e spans slab [ys[k], ys[k+1]) iff min(ay, by) <= ys[k] < max(ay, by)
+    spans = (np.minimum(ay, by) <= ys[:, None]) & (ys[:, None] < np.maximum(ay, by))
+    width = max(int(spans.sum(axis=1).max()), 1)
+    slab_edges = np.argsort(~spans, axis=1, kind="stable")[:, :width]
+    # per slab and edge slot: ax, ay, bx - ax, by - ay, and 1 if the edge
+    # spans the slab; a last slab of zeros serves points below every vertex
+    coef = np.zeros((len(ys) + 1, width, 5))
+    coef[:-1, :, :4] = np.stack([ax, ay, bx - ax, by - ay], axis=-1)[slab_edges]
+    coef[:-1, :, 4] = np.take_along_axis(spans, slab_edges, axis=1)
+    c = coef[np.searchsorted(ys, pts[:, 1], side="right") - 1]
+    y = pts[:, 1, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        xint = ax + (y - ay) * (bx - ax) / (by - ay)
-    return np.logical_xor.reduce(crosses & (x < xint), axis=1)
+        xint = c[..., 0] + (y - c[..., 1]) * c[..., 2] / c[..., 3]
+    return np.logical_xor.reduce((c[..., 4] > 0.0) & (pts[:, 0, None] < xint), axis=1)
+
+
+def _clears_segments(pts: np.ndarray, a: np.ndarray, b: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """Whether each point (N, 2) is at least `need` (N,) from every segment
+    [a_j, b_j] (S, 2), decided as over the full `segment_distances` matrix.
+
+    A segment whose bounding box, widened by max(need), misses a point is
+    farther from it than any need (the 1e-6 relative slack dwarfs the
+    rounding of the box), so it cannot decide against the point; the
+    distances are computed on the other pairs alone, each with the
+    matrix's bits.
+    """
+    reach = need.max(initial=0.0) * (1.0 + 1e-6)
+    lo, hi = np.minimum(a, b) - reach, np.maximum(a, b) + reach
+    x, y = pts[:, 0, None], pts[:, 1, None]
+    pt, seg = np.nonzero((x >= lo[:, 0]) & (x <= hi[:, 0]) & (y >= lo[:, 1]) & (y <= hi[:, 1]))
+    dmin = np.full(len(pts), np.inf)
+    if len(pt):
+        # np.nonzero lists the pairs point by point
+        first = np.flatnonzero(np.r_[True, pt[1:] != pt[:-1]])
+        d = _distances(pts[pt, 0], pts[pt, 1], a[seg], b[seg])
+        dmin[pt[first]] = np.minimum.reduceat(d, first)
+    return dmin >= need
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +445,14 @@ def _classify_ends(domain: DomainSpec, crack: CrackSet):
     """Per component: ('tip'|'boundary'|'point') for each end; tips list."""
     kinds = []
     tip_list: list[Tip] = []
-    tips_by_comp = {}
-    for t in crack_tips(crack):
-        tips_by_comp.setdefault(t.component_id, {})[t.end] = t
-    for ci, comp in enumerate(crack.components):
+    ends = iter(tips_on_boundary(crack, domain))
+    for comp in crack.components:
         if comp.is_point:
             kinds.append(("point", "point"))
             continue
         pair = []
-        for end in ("start", "finish"):
-            t = tips_by_comp[ci][end]
-            if domain.on_boundary(t.position):
+        for t, on in (next(ends), next(ends)):  # start, then finish
+            if on:
                 pair.append("boundary")
             else:
                 pair.append("tip")
@@ -415,17 +461,53 @@ def _classify_ends(domain: DomainSpec, crack: CrackSet):
     return kinds, tip_list
 
 
+def _check_segment(domain: DomainSpec, a: Point, b: Point, h_tip: float):
+    if math.hypot(b[0] - a[0], b[1] - a[1]) < h_tip * (1.0 - 1e-9):
+        raise MeshFailure("crack segment shorter than h_tip")
+    mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+    if domain.on_boundary(mid):
+        raise MeshFailure("crack running along the boundary is unsupported")
+
+
 def _validate_crack(domain: DomainSpec, crack: CrackSet, h_tip: float):
+    """Raise MeshFailure unless the crack can be meshed in `domain` at `h_tip`.
+
+    A pass is memoized on the crack. A crack that `extend_tip` made in the
+    same domain from a base that passed needs only its new segment's length
+    and midpoint checked: `extend_tip` proved the segment inside the domain
+    and clear of the rest of the crack. So the chain of such extensions
+    back to a crack that passed, or to one without a parent, is checked
+    from its top down.
+    """
+    key = ("valid", domain, h_tip)
+    chain = []
+    while key not in crack._memo:
+        chain.append(crack)
+        ext = crack._origin
+        if ext is None or ext.domain != domain:
+            break
+        crack = ext.base
+    for c in reversed(chain):
+        ext = c._origin
+        try:
+            if ext is not None and ext.domain == domain and key in ext.base._memo:
+                _check_segment(domain, *ext.segment, h_tip)
+            else:
+                _check_whole(domain, c, h_tip)
+        except MeshFailure:
+            # the requested crack holds all of c, so it fails too: with its own message
+            _check_whole(domain, chain[0], h_tip)
+            raise
+        c._memo[key] = True
+
+
+def _check_whole(domain: DomainSpec, crack: CrackSet, h_tip: float):
     for comp in crack.components:
         for v in comp.vertices:
             if not domain.contains_point(v):
                 raise MeshFailure("crack leaves the closure of the domain")
         for a, b in comp.segments():
-            if math.hypot(b[0] - a[0], b[1] - a[1]) < h_tip * (1.0 - 1e-9):
-                raise MeshFailure("crack segment shorter than h_tip")
-            mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-            if domain.on_boundary(mid):
-                raise MeshFailure("crack running along the boundary is unsupported")
+            _check_segment(domain, a, b, h_tip)
             if not domain.contains_segment(a, b):
                 raise MeshFailure("crack segment crosses the boundary")
     for ci in range(len(crack.components)):
@@ -600,10 +682,7 @@ def _lattice_fill(domain, crack, tips, size: _SizeField, features, poly_arr) -> 
     keep[keep] = _points_in_polygon(cand[keep], poly_arr)
     # feature segments demand empty diametral circles
     feat = np.array(domain.edges() + crack.segments(), float).reshape(-1, 2, 2)
-    keep[keep] = (
-        segment_distances(cand[keep], feat[:, 0], feat[:, 1]).min(axis=1)
-        >= _SEG_CLEARANCE * sz[keep]
-    )
+    keep[keep] = _clears_segments(cand[keep], feat[:, 0], feat[:, 1], _SEG_CLEARANCE * sz[keep])
     cand, radius = cand[keep], _PT_CLEARANCE * sz[keep]
     bounds = np.searchsorted(level[keep], np.arange(n_levels + 2)).tolist()
 

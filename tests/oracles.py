@@ -8,7 +8,9 @@ topology and edge jumps come from per-triangle Python loops, not from the
 sorted `edge_table`; the best joint tip move comes from an exhaustive loop
 over every combination, not from the step search's candidate generator.
 Geometric predicates are decided in `Fraction` arithmetic only, with no
-float filter and no bounding-box rejection. The mesher's batched sampling,
+float filter and no bounding-box rejection; the domain's point queries
+use explicit crossing abscissae, and segment containment cuts the segment
+at every parameter where it meets the boundary. The mesher's batched sampling,
 lattice and thinning are checked against the per-point loops they
 replaced: a recursive bisection, a nested-loop lattice with a `seen` set,
 and a greedy thinning that rebuilds its KD-tree after every kept point.
@@ -254,6 +256,56 @@ def segments_intersect_exact(p1, p2, p3, p4) -> bool:
         or on_segment(p4, p1, p2)
         or on_segment(p1, p3, p4)
         or on_segment(p2, p3, p4)
+    )
+
+
+def boundary_edge_exact(domain, p):
+    """Index of the first polygon edge holding p, in Fractions only."""
+    return next((k for k, e in enumerate(domain.edges()) if on_segment_exact(p, *e)), None)
+
+
+def contains_point_exact(domain, p, strict=False) -> bool:
+    """Point-in-polygon in Fractions only: the boundary first, then the
+    parity of the edges whose explicit crossing abscissa lies right of p."""
+    if boundary_edge_exact(domain, p) is not None:
+        return not strict
+    px, py = Fraction(p[0]), Fraction(p[1])
+    inside = False
+    for a, b in domain.edges():
+        ax, ay, bx, by = (Fraction(c) for c in (*a, *b))
+        if (ay > py) != (by > py) and px < ax + (py - ay) * (bx - ax) / (by - ay):
+            inside = not inside
+    return inside
+
+
+def contains_segment_exact(domain, p, q) -> bool:
+    """[p, q] lies in the closed polygon, in Fractions only: every parameter
+    at which [p, q] meets the boundary (a crossing, a touch, or the ends of
+    a collinear overlap) cuts it, and the midpoint of each piece, like
+    both ends, must be inside."""
+    P, Q = (Fraction(p[0]), Fraction(p[1])), (Fraction(q[0]), Fraction(q[1]))
+    if not contains_point_exact(domain, P) or not contains_point_exact(domain, Q):
+        return False
+    dx, dy = Q[0] - P[0], Q[1] - P[1]
+    if dx == 0 and dy == 0:
+        return True
+    ts = {Fraction(0), Fraction(1)}
+    for a, b in domain.edges():
+        A, B = (Fraction(a[0]), Fraction(a[1])), (Fraction(b[0]), Fraction(b[1]))
+        ex, ey = B[0] - A[0], B[1] - A[1]
+        den = dx * ey - dy * ex
+        if den == 0:
+            if orient_exact(P, Q, A) == 0:  # collinear: the edge's ends along [p, q]
+                for E in (A, B):
+                    t = ((E[0] - P[0]) * dx + (E[1] - P[1]) * dy) / (dx * dx + dy * dy)
+                    if 0 <= t <= 1:
+                        ts.add(t)
+        elif segments_intersect_exact(P, Q, A, B):
+            ts.add(((A[0] - P[0]) * ey - (A[1] - P[1]) * ex) / den)
+    ts = sorted(ts)
+    return all(
+        contains_point_exact(domain, (P[0] + (t0 + t1) / 2 * dx, P[1] + (t0 + t1) / 2 * dy))
+        for t0, t1 in zip(ts, ts[1:])
     )
 
 

@@ -540,3 +540,31 @@ def test_balance_defect_monotone_decay_coarse_deltas():
         rep = audit_conditions(st, minimality_samples=0)
         defects.append(rep["energy_balance"]["one_sided_defect"])
     assert defects[0] > defects[1] > defects[2] > 0.0
+
+
+def test_taper_search_constructs_no_fraction(monkeypatch):
+    # every predicate of the candidate search decides in floats, and each
+    # candidate's union table is its base's plus one segment. Counted in
+    # this run: 14,596 Fraction constructions in `geometry` and `domain`
+    # before incremental candidate geometry, 0 after.
+    from fractions import Fraction
+
+    from quasicrack import cli, domain, geometry
+
+    count = 0
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            nonlocal count
+            count += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "Fraction", Counting)
+    monkeypatch.setattr(domain, "Fraction", Counting, raising=False)
+    dom, k0, loading, grid, policy, h_max, h_tip = cli.load_config(
+        growth_benchmark_config(delta=1.0 / 16.0, refine=1)
+    )
+    state = run_evolution(dom, k0, loading, grid, policy, h_max, h_tip, with_audit=False)
+    assert sum(rec.grew for rec in state.steps) == 8
+    assert state.steps[-1].energy.total == 3.0027029029934864
+    assert count < 100

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quasicrack.domain import DomainSpec
+from quasicrack.cases import taper_domain
+from quasicrack.domain import DomainSpec, regular_polygon_disk
 from quasicrack.geometry import (
     CrackSet,
     GeometryViolation,
@@ -20,15 +21,21 @@ from quasicrack.geometry import (
     segment_distances,
     _dist_to_segment,
     _intersect_beyond_shared,
+    _on_segment,
     _orient,
     _segments_intersect,
     length,
 )
+from quasicrack.mesh import MeshFailure, triangulate
 
 from oracles import (
+    boundary_edge_exact,
+    contains_point_exact,
     contains_scan,
+    contains_segment_exact,
     folds_back_exact,
     hausdorff_bruteforce,
+    on_segment_exact,
     orient_exact,
     random_crackset,
     segments_intersect_exact,
@@ -438,6 +445,24 @@ def test_extend_tip_kink_bound():
         extend_tip(k, tip, 0.9, 0.1, max_kink=math.radians(45))
 
 
+# a notch cut from the top edge down to (3, 2): the line y = 4 meets the
+# boundary only at the notch's vertices (2, 4) and (4, 4)
+NOTCHED = ((0, 0), (10, 0), (10, 8), (3.5, 8), (4, 4), (3, 2), (2, 4), (2.5, 8), (0, 8))
+
+
+def test_extension_through_two_notch_vertices_raises():
+    dom = DomainSpec(NOTCHED)
+    assert not dom.contains_point((3.0, 4.0))
+    assert not dom.contains_segment((1.0, 4.0), (9.0, 4.0))
+    assert dom.contains_segment((1.0, 4.0), (2.0, 4.0))
+    assert dom.contains_segment((4.0, 4.0), (9.0, 4.0))
+    k = seg((0.5, 4.0), (1.0, 4.0))
+    with pytest.raises(GeometryViolation, match="exits the domain"):
+        extend_tip(k, crack_tips(k)[1], 0.0, 8.0, domain=dom)
+    with pytest.raises(MeshFailure, match="crack segment crosses the boundary"):
+        triangulate(dom, seg((0.5, 4.0), (9.0, 4.0)), 1.0, 0.25)
+
+
 # ---------------------------------------------------------------------------
 # polyline validity, serialization
 # ---------------------------------------------------------------------------
@@ -517,6 +542,7 @@ def test_predicates_match_fraction_oracle(pair):
     pts = (p1, p2, p3, p4)
     for a, b, c in itertools.permutations(pts, 3):
         assert _orient(a, b, c) == orient_exact(a, b, c)
+        assert _on_segment(c, a, b) == on_segment_exact(c, a, b)
     assert _segments_intersect(p1, p2, p3, p4) == segments_intersect_exact(p1, p2, p3, p4)
     assert _segments_intersect(p3, p4, p1, p2) == segments_intersect_exact(p3, p4, p1, p2)
 
@@ -574,3 +600,161 @@ def test_fold_back_matches_fraction_oracle(pair):
     want = folds_back_exact(shared, a, b)
     assert _intersect_beyond_shared(seg, other) == want
     assert _intersect_beyond_shared(other, seg) == want
+
+
+# degenerate triples: on a shared axis-parallel line, on a line through
+# two points with the third nudged by a few ulps, or scaled down to where
+# the float products underflow
+_tiny = st.sampled_from([1.0, 2.0**-500, 2.0**-530, 2.0**-1000, 5e-324])
+
+
+@st.composite
+def _degenerate_triple(draw):
+    a = (draw(st.one_of(_dyadic, _real)), draw(st.one_of(_dyadic, _real)))
+    kind = draw(st.sampled_from(["horizontal", "vertical", "line", "tiny"]))
+    if kind in ("horizontal", "vertical"):
+        axis = 1 if kind == "horizontal" else 0
+        pts = [list(a), list(a), list(a)]
+        for p in pts[1:]:
+            p[1 - axis] = draw(st.one_of(_dyadic, _real))
+    elif kind == "line":
+        d = (draw(_real), draw(_real))
+        ts = draw(st.lists(st.sampled_from([-1.0, 0.5, 1.0, 2.0, 0.1]), min_size=2, max_size=2))
+        pts = [list(a)] + [[a[0] + t * d[0], a[1] + t * d[1]] for t in ts]
+    else:
+        scale = draw(_tiny)
+        pts = [[draw(_dyadic) * scale, draw(_dyadic) * scale] for _ in range(3)]
+    k, axis = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    pts[k][axis] = _nudge(pts[k][axis], draw(st.integers(-3, 3)))
+    return [tuple(p) for p in pts]
+
+
+@given(_degenerate_triple())
+@settings(max_examples=300)
+def test_orient_matches_fraction_oracle_on_degenerate_triples(triple):
+    for a, b, c in itertools.permutations(triple):
+        assert _orient(a, b, c) == orient_exact(a, b, c)
+        assert _on_segment(c, a, b) == on_segment_exact(c, a, b)
+    (a, b, c) = triple
+    if a not in (b, c):
+        seg_, other = (a, b), (a, c)
+        assert _intersect_beyond_shared(seg_, other) == folds_back_exact(a, b, c)
+
+
+# ---------------------------------------------------------------------------
+# domain queries against a Fraction-only oracle
+# ---------------------------------------------------------------------------
+
+_DOMAINS = [
+    DomainSpec.unit_square(),
+    taper_domain(3.0, 0.35, 0.725),
+    DomainSpec(regular_polygon_disk(8)),
+    DomainSpec(NOTCHED),
+    # two notches with horizontal edges and vertices at shared ordinates
+    DomainSpec(((0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (2, 2), (1, 1), (1, 3), (0, 3))),
+]
+
+
+@st.composite
+def _domain_point(draw, dom):
+    """A vertex, a point on (or rounded off) an edge, a point at a vertex's
+    ordinate, or a free point; sometimes nudged by a few ulps."""
+    verts = dom.boundary
+    kind = draw(st.sampled_from(["vertex", "edge", "level", "free"]))
+    xmin, xmax, ymin, ymax = dom.bbox()
+    coord = st.floats(xmin - 1.0, xmax + 1.0), st.floats(ymin - 1.0, ymax + 1.0)
+    if kind == "vertex":
+        p = list(draw(st.sampled_from(verts)))
+    elif kind == "edge":
+        a, b = draw(st.sampled_from(dom.edges()))
+        t = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0 / 3.0]))
+        p = [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
+    elif kind == "level":
+        p = [draw(st.one_of(coord[0], st.sampled_from([v[0] for v in verts]))),
+             draw(st.sampled_from([v[1] for v in verts]))]
+    else:
+        p = [draw(coord[0]), draw(coord[1])]
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, 1))
+        p[axis] = _nudge(p[axis], draw(st.integers(-3, 3)))
+    return tuple(p)
+
+
+@st.composite
+def _domain_segment(draw):
+    dom = draw(st.sampled_from(_DOMAINS))
+    p = draw(_domain_point(dom))
+    kind = draw(st.sampled_from(["free", "through_vertex", "along_edge"]))
+    if kind == "through_vertex":  # [p, q] continues past a vertex v
+        v = draw(st.sampled_from(dom.boundary))
+        k = draw(st.sampled_from([1.5, 2.0, 3.0]))
+        q = (p[0] + k * (v[0] - p[0]), p[1] + k * (v[1] - p[1]))
+    elif kind == "along_edge":
+        a, b = draw(st.sampled_from(dom.edges()))
+        t0, t1 = draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]),
+                               min_size=2, max_size=2, unique=True))
+        p = (a[0] + t0 * (b[0] - a[0]), a[1] + t0 * (b[1] - a[1]))
+        q = (a[0] + t1 * (b[0] - a[0]), a[1] + t1 * (b[1] - a[1]))
+    else:
+        q = draw(_domain_point(dom))
+    return dom, p, q
+
+
+@given(st.sampled_from(_DOMAINS).flatmap(lambda d: st.tuples(st.just(d), _domain_point(d))))
+@settings(max_examples=300)
+def test_point_queries_match_fraction_oracle(case):
+    dom, p = case
+    assert dom.boundary_edge(p) == boundary_edge_exact(dom, p)
+    assert dom.on_boundary(p) == (boundary_edge_exact(dom, p) is not None)
+    assert dom.contains_point(p) == contains_point_exact(dom, p)
+    assert dom.contains_point(p, strict=True) == contains_point_exact(dom, p, strict=True)
+
+
+@given(_domain_segment())
+@settings(max_examples=300)
+def test_contains_segment_matches_fraction_oracle(case):
+    dom, p, q = case
+    assert dom.contains_segment(p, q) == contains_segment_exact(dom, p, q)
+
+
+# ---------------------------------------------------------------------------
+# derived union tables
+# ---------------------------------------------------------------------------
+
+
+def _canonical(table):
+    """A union table up to line order and the order of `group` past its
+    first segment, neither of which any answer reads."""
+    return sorted(
+        (line.group[0], tuple(sorted(line.group)), line.comp, line.dom, line.merged, line.unit)
+        for line in table
+    )
+
+
+_MOVES = st.lists(
+    st.tuples(
+        st.integers(0, 9),
+        st.sampled_from([0.0, 0.0, 0.0, math.pi / 2, -math.pi / 2, math.pi / 4, 0.3, -1.2]),
+        st.sampled_from([0.25, 0.5, 1.0, 0.3]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(_lines().flatmap(lambda lines: _crack_on(lines)), _MOVES)
+@settings(max_examples=300)
+def test_derived_union_table_matches_scratch(crack, moves):
+    # chains of extensions at either end of any component, often along a
+    # line that other components share
+    for pick, angle, step in moves:
+        tips = crack_tips(crack)
+        if not tips:
+            break
+        try:
+            crack = extend_tip(crack, tips[pick % len(tips)], angle, step)
+        except GeometryViolation:
+            continue
+        scratch = CrackSet._unchecked(crack.components, crack.m)
+        assert _canonical(crack._lines) == _canonical(scratch._lines)
+        assert length(crack) == length(scratch) == union_length_scan(crack)

@@ -21,7 +21,7 @@ from oracles import (
 )
 from quasicrack import cases
 from quasicrack.domain import DomainSpec, regular_polygon_disk
-from quasicrack.geometry import CrackSet, GeometryViolation, Polyline
+from quasicrack.geometry import CrackSet, GeometryViolation, Polyline, crack_tips, extend_tip
 from quasicrack.mesh import (
     CrackMesh,
     MeshFailure,
@@ -169,6 +169,38 @@ def test_mesh_failures():
         triangulate(dom, touching, 0.1, 0.02)
     with pytest.raises(MeshFailure, match="^not enough points to triangulate$"):
         _delaunay_with_required(np.zeros((2, 2)), np.zeros((0, 2), dtype=np.int64), 2)
+
+
+def test_extension_of_a_meshed_crack_checks_its_new_segment():
+    # a crack from `extend_tip` whose base passed is checked on its new
+    # segment only; each failure must carry the message of a whole check
+    dom = DomainSpec.unit_square()
+
+    def grow(crack, end, angle, step):
+        tip = next(t for t in crack_tips(crack) if t.end == end)
+        return extend_tip(crack, tip, angle, step, domain=dom)
+
+    def message(crack):
+        with pytest.raises(MeshFailure) as err:
+            triangulate(dom, crack, 0.1, 0.02)
+        fresh = CrackSet.from_json(crack.to_json())
+        with pytest.raises(MeshFailure, match=f"^{err.value}$"):
+            triangulate(dom, fresh, 0.1, 0.02)
+        return str(err.value)
+
+    base = CrackSet((Polyline(((0.2, 0.5), (0.5, 0.5))),), 1)
+    triangulate(dom, base, 0.1, 0.02)
+    assert message(grow(base, "finish", 0.0, 0.01)) == "crack segment shorter than h_tip"
+    to_edge = grow(base, "finish", 0.0, 0.5)  # ends on the edge x = 1
+    along = grow(to_edge, "finish", math.pi / 2, 0.25)
+    assert message(along) == "crack running along the boundary is unsupported"
+    # two unmeshed extensions: the first fails, the second adds a short
+    # segment at the start, which a whole check meets first
+    assert message(grow(along, "start", 0.0, 0.01)) == "crack segment shorter than h_tip"
+    grown = grow(grow(base, "start", 0.0, 0.1), "finish", 0.3, 0.1)
+    assert triangulate(dom, grown, 0.1, 0.02).fingerprint_bytes() == triangulate(
+        dom, CrackSet.from_json(grown.to_json()), 0.1, 0.02
+    ).fingerprint_bytes()
 
 
 # Crafted inputs to the unzip, one per failure after triangulation. Each
