@@ -477,7 +477,7 @@ def _validate_crack(domain: DomainSpec, crack: CrackSet, h_tip: float):
     and midpoint checked: `extend_tip` proved the segment inside the domain
     and clear of the rest of the crack. So the chain of such extensions
     back to a crack that passed, or to one without a parent, is checked
-    from its top down.
+    from its oldest link to the crack itself.
     """
     key = ("valid", domain, h_tip)
     chain = []

@@ -543,10 +543,11 @@ def test_balance_defect_monotone_decay_coarse_deltas():
 
 
 def test_taper_search_constructs_no_fraction(monkeypatch):
-    # every predicate of the candidate search decides in floats, and each
-    # candidate's union table is its base's plus one segment. Counted in
-    # this run: 14,596 Fraction constructions in `geometry` and `domain`
-    # before incremental candidate geometry, 0 after.
+    # On this run every predicate of the candidate search is decided in
+    # floats, and each candidate's union table is its base's plus one
+    # segment. Counted here: 14,596 Fraction constructions in `geometry`
+    # and `domain` before the tables were derived, 0 after. `domain` has no
+    # `Fraction` of its own; patching it anyway counts one it gains.
     from fractions import Fraction
 
     from quasicrack import cli, domain, geometry
