@@ -16,7 +16,7 @@ import numpy as np
 from .domain import DomainSpec, regular_polygon_disk
 from .geometry import CrackSet, Point, Polyline
 from .mesh import CrackMesh
-from .solver import BoundaryDatum, ScalarField
+from .solver import BoundaryDatum
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +63,6 @@ def mode3_datum(kappa: float = 1.0, tip: Point = (0.0, 0.0)) -> BoundaryDatum:
         return vals
 
     return BoundaryDatum(evaluator=ev, mesh_sampler=sampler)
-
-
-def sample_mode3_field(mesh: CrackMesh, kappa: float = 1.0, tip: Point = (0.0, 0.0)) -> ScalarField:
-    """Exact singular field sampled nodally on a slit mesh (side-aware)."""
-    return ScalarField(mesh, mode3_datum(kappa, tip).sample(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +202,3 @@ def growth_benchmark_config(
         },
         "audit": {"enabled": audit, "monotone_pairs": 10},
     }
-
-
-def subcritical_benchmark_config(delta: float = 1.0 / 16.0) -> dict:
-    """Same strip loaded linearly well below critical: no growth, exact t^2 law."""
-    cfg = growth_benchmark_config(delta=delta)
-    cfg["loading"]["profile"] = {"type": "linear", "rate": 0.25}
-    return cfg

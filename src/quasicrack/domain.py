@@ -130,6 +130,26 @@ class DomainSpec:
     def on_boundary(self, p: Point) -> bool:
         return self.boundary_edge(p) is not None
 
+    def along_boundary(self, p: Point, q: Point) -> bool:
+        """Whether [p, q] runs along an edge: both ends lie on the edge's line
+        and the two overlap in more than a point (exact).
+
+        Collinear segments overlap in more than a point iff their boxes do
+        along x, or along y for a vertical line. So [p, q] is caught when
+        both its ends lie on one closed edge, and also where it runs on
+        across a straight vertex into the next edge.
+        """
+        x0, x1 = min(p[0], q[0]), max(p[0], q[0])
+        y0, y1 = min(p[1], q[1]), max(p[1], q[1])
+        for (a, b), (ex0, ex1, ey0, ey1) in self._edge_boxes:  # type: ignore[attr-defined]
+            if (
+                (max(x0, ex0) < min(x1, ex1) or max(y0, ey0) < min(y1, ey1))
+                and _orient(a, b, p) == 0
+                and _orient(a, b, q) == 0
+            ):
+                return True
+        return False
+
     def contains_point(self, p: Point, *, strict: bool = False) -> bool:
         """Point-in-polygon; boundary points count as inside unless strict."""
         return self._locate(p) >= (1 if strict else 0)

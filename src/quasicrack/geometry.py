@@ -22,10 +22,10 @@ segment changed. The one Fraction left on this path is the slope of a
 multi-segment line that is not axis-aligned.
 
 Distances from arrays of points are one kernel, `segment_distances`, an
-(N, S) matrix over segments in which an isolated point q is [q, q];
-`distance_to_crack` takes its row minimum. The Hausdorff distance and
-containment at tol > 0 bound it by branch and bound; the mesher and the
-solver's and conformance checks call it directly.
+(N, S) matrix over segments in which an isolated point q is [q, q]. The
+Hausdorff distance and containment at tol > 0 bound it by branch and
+bound; the mesher's clearance test computes its entries on the pairs that
+bounding boxes cannot rule out.
 """
 
 from __future__ import annotations
@@ -468,14 +468,6 @@ def _elements(crack: CrackSet) -> tuple[np.ndarray, np.ndarray]:
     segs = crack.segments() + [(q, q) for q in crack.isolated_points()]
     arr = np.array(segs, float).reshape(-1, 2, 2)
     return arr[:, 0], arr[:, 1]
-
-
-def distance_to_crack(crack: CrackSet, pts: np.ndarray) -> np.ndarray:
-    """(N,) distance from each point (N, 2) to the crack; inf for an empty set."""
-    a, b = _elements(crack)
-    if not len(a):
-        return np.full(len(pts), math.inf)
-    return segment_distances(pts, a, b).min(axis=1)
 
 
 def _directed_distance(src: CrackSet, tgt: CrackSet, tol: float) -> float:

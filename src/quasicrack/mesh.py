@@ -27,9 +27,6 @@ bits:
   assignment, and takes the free edges and boundary tags from one sort of
   the final edge keys. Boundary edges are tagged from the boundary cycle's
   parent polygon edges.
-
-`edge_table` (unique edges with counts and owners) serves the solver's
-Euler and edge-jump checks.
 """
 
 from __future__ import annotations
@@ -162,57 +159,10 @@ class CrackMesh:
         )
         return b"".join(parts)
 
-    # ------------------------------------------------------------------
-    # exports
-    # ------------------------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = [f"{self.n_nodes} {self.n_triangles} {len(self.boundary_edges)}"]
-        lines.extend(f"{x!r} {y!r}" for x, y in self.nodes)
-        lines.extend(f"{a} {b} {c}" for a, b, c in self.triangles)
-        lines.extend(f"{i} {j} {tag}" for i, j, tag in self.boundary_edges)
-        return "\n".join(lines) + "\n"
-
-    def to_vtk(self) -> str:
-        out = [
-            "# vtk DataFile Version 3.0",
-            "crack mesh",
-            "ASCII",
-            "DATASET UNSTRUCTURED_GRID",
-            f"POINTS {self.n_nodes} double",
-        ]
-        out.extend(f"{x!r} {y!r} 0.0" for x, y in self.nodes)
-        out.append(f"CELLS {self.n_triangles} {4 * self.n_triangles}")
-        out.extend(f"3 {a} {b} {c}" for a, b, c in self.triangles)
-        out.append(f"CELL_TYPES {self.n_triangles}")
-        out.extend("5" for _ in range(self.n_triangles))
-        return "\n".join(out) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # edge topology
 # ---------------------------------------------------------------------------
-
-
-def edge_table(triangles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique edges of a triangle list, with their triangle counts and owners.
-
-    Returns `edges` (E, 2), lower node id first, in lexicographic order;
-    `counts` (E,), the number of triangles on each edge; and `owners`
-    (E, 2), the two lowest triangle ids on each edge, -1 where there is
-    no second.
-    """
-    t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    n = int(t.max(initial=0)) + 1
-    keys = _triangle_edge_keys(t, n)
-    order = np.argsort(keys, kind="stable")  # stable: owners in triangle order
-    starts, counts = _runs(keys[order])
-    owner = order // 3
-    owners = np.full((len(starts), 2), -1, dtype=np.int64)
-    owners[:, 0] = owner[starts]
-    shared = counts > 1
-    owners[shared, 1] = owner[starts[shared] + 1]
-    return _edges_of(keys[order[starts]], n), counts, owners
 
 
 def _edge_keys(pairs, n: int) -> np.ndarray:
@@ -318,9 +268,10 @@ def _hex_lattice(levels, xmin, xmax, ymin, ymax) -> tuple[np.ndarray, np.ndarray
 
     Rows are y = ay + j*dy; odd rows shift by s/2, x = (ax + off) + i*s.
     Levels come in order, a level's anchors in order, and each anchor's
-    points row by row, left to right. Points that several anchors of one
-    level share are kept once, where first seen. Returns the points (N, 2)
-    and each point's level.
+    points row by row, left to right. A point that several anchors of one
+    level share comes once per anchor; `_lattice_fill` thins such levels,
+    which drops every repeat. Returns the points (N, 2) and each point's
+    level.
     """
     anchors, j_first, n_rows, level_of = [], [], [], []
     for level, (anchored, s) in enumerate(levels):
@@ -346,18 +297,7 @@ def _hex_lattice(levels, xmin, xmax, ymin, ymax) -> tuple[np.ndarray, np.ndarray
     i = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n) + i0[row]
     a = a[row]
     pts = np.column_stack([(ax[a] + off[row]) + i * s[a], ay[a] + j[row] * dy[a]])
-    level = np.array(level_of, dtype=np.int64)[a]
-    shared = [lv for lv, (anchored, _) in enumerate(levels) if len(anchored) > 1]
-    if shared:
-        first = np.ones(len(pts), dtype=bool)
-        for lv in shared:
-            at = np.flatnonzero(level == lv)
-            seen: set[tuple] = set()
-            for k, p in zip(at.tolist(), map(tuple, pts[at].tolist())):
-                first[k] = p not in seen
-                seen.add(p)
-        pts, level = pts[first], level[first]
-    return pts.reshape(-1, 2), level
+    return pts.reshape(-1, 2), np.array(level_of, dtype=np.int64)[a]
 
 
 def _thin(pts: np.ndarray, radius: np.ndarray) -> np.ndarray:
@@ -464,8 +404,7 @@ def _classify_ends(domain: DomainSpec, crack: CrackSet):
 def _check_segment(domain: DomainSpec, a: Point, b: Point, h_tip: float):
     if math.hypot(b[0] - a[0], b[1] - a[1]) < h_tip * (1.0 - 1e-9):
         raise MeshFailure("crack segment shorter than h_tip")
-    mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-    if domain.on_boundary(mid):
+    if domain.along_boundary(a, b):
         raise MeshFailure("crack running along the boundary is unsupported")
 
 
@@ -474,8 +413,8 @@ def _validate_crack(domain: DomainSpec, crack: CrackSet, h_tip: float):
 
     A pass is memoized on the crack. A crack that `extend_tip` made in the
     same domain from a base that passed needs only its new segment's length
-    and midpoint checked: `extend_tip` proved the segment inside the domain
-    and clear of the rest of the crack. So the chain of such extensions
+    and boundary overlap checked: `extend_tip` proved the segment inside the
+    domain and clear of the rest of the crack. So the chain of such extensions
     back to a crack that passed, or to one without a parent, is checked
     from its oldest link to the crack itself.
     """
@@ -699,7 +638,9 @@ def _lattice_fill(domain, crack, tips, size: _SizeField, features, poly_arr) -> 
             continue
         pts, r = cand[lo:hi][ok], r[ok]
         if len(tips) > 1 and level > 0:
-            # lattices from different tip anchors overlap; thin greedily
+            # lattices from different tip anchors overlap, and a point two
+            # anchors share comes twice; thin greedily, which drops the
+            # repeat (it passed every filter alike, at distance 0 < r)
             pts = pts[_thin(pts, r)]
         accepted.append(pts)
     return np.vstack(accepted)
@@ -924,47 +865,3 @@ def _unzip_and_finalize(
     if ang < _MIN_ANGLE_DEG:
         raise MeshFailure(f"min angle {ang:.2f} deg below bound {_MIN_ANGLE_DEG}")
     return mesh
-
-
-# ---------------------------------------------------------------------------
-# point location / interpolation
-# ---------------------------------------------------------------------------
-
-
-class TriangleLocator:
-    """Deterministic point-to-triangle lookup via centroid KD-tree."""
-
-    def __init__(self, mesh: CrackMesh):
-        self.mesh = mesh
-        self.centroids = mesh.nodes[mesh.triangles].mean(axis=1)
-        self.tree = cKDTree(self.centroids)
-
-    def locate(self, p, k: int = 24) -> tuple[int, np.ndarray]:
-        """Containing triangle index and barycentric coordinates of p."""
-        mesh = self.mesh
-        kq = min(k, len(self.centroids))
-        while True:
-            _, cand = self.tree.query(p, k=kq)
-            cand = np.atleast_1d(cand)
-            best = None
-            for ti in cand:
-                tri = mesh.triangles[ti]
-                bary = self._bary(ti, p)
-                neg = float(np.min(bary))
-                if neg >= -1e-10:
-                    return int(ti), bary
-                if best is None or neg > best[0]:
-                    best = (neg, int(ti), bary)
-            if kq >= len(self.centroids):
-                # fall back to the least-bad candidate (point on/near boundary)
-                if best is not None and best[0] > -1e-6:
-                    return best[1], best[2]
-                raise MeshFailure(f"point {p} not inside any triangle")
-            kq = min(4 * kq, len(self.centroids))
-
-    def _bary(self, ti: int, p) -> np.ndarray:
-        a, b, c = self.mesh.nodes[self.mesh.triangles[ti]]
-        det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        l1 = ((b[0] - p[0]) * (c[1] - p[1]) - (b[1] - p[1]) * (c[0] - p[0])) / det
-        l2 = ((c[0] - p[0]) * (a[1] - p[1]) - (c[1] - p[1]) * (a[0] - p[0])) / det
-        return np.array([l1, l2, 1.0 - l1 - l2])

@@ -3,7 +3,7 @@
 Two independent estimators: an annulus least-squares fit of the nodal
 field against the singular shape sqrt(2 rho / pi) sin(theta / 2), and a
 finite difference of the total energy under a straight tip extension,
-evaluated by a one-datum `energy.Evaluator`.
+evaluated by an `energy.Evaluator`.
 The release rate of the singular field is 1 - kappa^2 per unit length.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from .domain import DomainSpec
 from .energy import Evaluator
 from .geometry import CrackSet, Tip, _dist_to_segment, extend_tip
-from .solver import BoundaryDatum, ScalarField
+from .solver import ScalarField
 
 #: tip neighborhood must be straight within this angle for the fit window
 KINK_TOLERANCE_RAD = math.radians(10.0)
@@ -167,11 +167,6 @@ def safe_fit_window(
 # ---------------------------------------------------------------------------
 
 
-def _unit(t: float):
-    """Coefficients of a one-datum basis: g itself at every time."""
-    return (1.0,), (0.0,)
-
-
 def _forward_difference(
     ev: Evaluator, crack: CrackSet, tip: Tip, dsigma: float, t: float = 0.0
 ) -> float:
@@ -181,41 +176,6 @@ def _forward_difference(
     return (ev.energy(extended, t) - e0) / dsigma
 
 
-def release_rate_fd(
-    domain: DomainSpec,
-    crack: CrackSet,
-    g: BoundaryDatum,
-    tip: Tip,
-    dsigma: float,
-    h_max: float,
-    h_tip: float,
-) -> float:
-    """[E(K extended straight by dsigma) - E(K)] / dsigma.
-
-    Surface contributes +1 per unit length exactly; the bulk term tends
-    to -kappa^2 as dsigma -> 0.
-    """
-    ev = Evaluator(domain, (g,), _unit, h_max, h_tip)
-    return _forward_difference(ev, crack, tip, dsigma)
-
-
-def release_rate_richardson(
-    domain: DomainSpec,
-    crack: CrackSet,
-    g: BoundaryDatum,
-    tip: Tip,
-    h_max: float,
-    h_tip: float,
-    factors: tuple[float, float] = (4.0, 8.0),
-) -> float:
-    """Richardson extrapolation of the forward difference over two steps.
-
-    Both differences share one evaluator, so E(K) is meshed once.
-    """
-    ev = Evaluator(domain, (g,), _unit, h_max, h_tip)
-    return release_rate_richardson_at(ev, crack, tip, 0.0, factors)
-
-
 def release_rate_richardson_at(
     ev: Evaluator,
     crack: CrackSet,
@@ -223,10 +183,13 @@ def release_rate_richardson_at(
     t: float,
     factors: tuple[float, float] = (4.0, 8.0),
 ) -> float:
-    """`release_rate_richardson` of the datum g(t) of an existing evaluator.
+    """Release rate of the datum g(t) of an existing evaluator: the
+    Richardson extrapolation of the forward difference over two steps.
 
-    Steps are `factors` times the evaluator's h_tip; with an S-datum basis
-    each mesh is solved once for all S data.
+    Steps are `factors` times the evaluator's h_tip. Both differences share
+    E(K), which the evaluator memoizes, and with an S-datum basis each mesh
+    is solved once for all S data. The surface term contributes +1 per unit
+    length exactly; the bulk term tends to -kappa^2 as the step shrinks.
     """
     d1, d2 = (_forward_difference(ev, crack, tip, f * ev.h_tip, t) for f in factors)
     w = factors[1] / factors[0]
@@ -287,16 +250,3 @@ def griffith_audit(
         "tol_growth": tol_growth,
         "pass": not violations,
     }
-
-
-def sif_history_csv(state) -> str:
-    """CSV export: step, t, tip_id, sigma, kappa, release_rate, fit_residual."""
-    lines = ["step,t,tip_id,sigma,kappa,release_rate,fit_residual"]
-    for step in state.steps:
-        for (comp, end), (sigma, kappa, resid) in step.tips.items():
-            row = f"{step.step},{step.energy.time!r},{comp}:{end},{sigma!r}"
-            if kappa is None:
-                lines.append(f"{row},,,")
-            else:
-                lines.append(f"{row},{kappa!r},{1.0 - kappa * kappa!r},{resid!r}")
-    return "\n".join(lines) + "\n"

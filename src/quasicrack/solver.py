@@ -10,15 +10,14 @@ node) are pinned at their lowest node index.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import distance_to_crack
-from .mesh import CrackMesh, TriangleLocator, edge_table
+from .mesh import CrackMesh
 
 CG_RTOL = 1e-10
 CG_MAXITER_FACTOR = 20
@@ -30,10 +29,6 @@ class SolveFailure(Exception):
 
 class MeshMismatch(Exception):
     """Operands live on different meshes."""
-
-
-class RegionNotSimplyConnected(Exception):
-    """Conjugate recovery requested on a non-disk region."""
 
 
 @dataclass(frozen=True)
@@ -85,15 +80,6 @@ class ScalarField:
         for i, ((x, y), v) in enumerate(zip(self.mesh.nodes, self.nodal_values)):
             buf.write(f"{i},{x!r},{y!r},{v!r}\n")
         return buf.getvalue()
-
-    def to_vtk(self, name: str = "u") -> str:
-        out = self.mesh.to_vtk()
-        lines = [out.rstrip("\n")]
-        lines.append(f"POINT_DATA {self.mesh.n_nodes}")
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v!r}" for v in self.nodal_values)
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -291,128 +277,3 @@ def gram_matrix(fields) -> tuple[tuple[float, ...], ...]:
         for k in range(j, len(grads)):
             G[j][k] = G[k][j] = inner_product(gj, grads[k])
     return tuple(tuple(row) for row in G)
-
-
-def residual_norm(u: ScalarField, g: BoundaryDatum) -> float:
-    """Max |assembled residual| over free nodes (Galerkin orthogonality)."""
-    mesh = u.mesh
-    K = stiffness_matrix(mesh)
-    r = K @ u.nodal_values
-    free = ~_dirichlet_mask(mesh)
-    return float(np.max(np.abs(r[free]))) if np.any(free) else 0.0
-
-
-# ---------------------------------------------------------------------------
-# harmonic conjugate (verification operation)
-# ---------------------------------------------------------------------------
-
-
-def harmonic_conjugate(
-    u: ScalarField, region: tuple[float, float, float, float]
-) -> ScalarField:
-    """Least-squares potential v with grad v ~ R grad u on a sub-rectangle.
-
-    R is the 90-degree rotation (x, y) -> (-y, x). The conjugate is
-    single-valued across the crack, so face duplicates are merged before
-    the recovery; the result is zero-mean on the region and NaN outside.
-    """
-    mesh = u.mesh
-    xmin, xmax, ymin, ymax = region
-    cent = mesh.nodes[mesh.triangles].mean(axis=1)
-    sel = (
-        (cent[:, 0] >= xmin)
-        & (cent[:, 0] <= xmax)
-        & (cent[:, 1] >= ymin)
-        & (cent[:, 1] <= ymax)
-    )
-    tri_idx = np.flatnonzero(sel)
-    if len(tri_idx) == 0:
-        raise RegionNotSimplyConnected("region contains no triangles")
-    tris = mesh.triangles[tri_idx]
-
-    # merge crack-face duplicates: v is continuous across traction-free cracks
-    canon = np.arange(mesh.n_nodes)
-    for fp in mesh.crack_face_pairs:
-        canon[fp.minus_node] = fp.plus_node
-    merged = canon[tris]
-    used = np.unique(merged)
-    local = -np.ones(mesh.n_nodes, dtype=np.int64)
-    local[used] = np.arange(len(used))
-    ltris = local[merged]
-
-    # Euler check certifies the merged region is a disk
-    euler = len(used) - len(edge_table(ltris)[0]) + len(ltris)
-    if euler != 1:
-        raise RegionNotSimplyConnected(
-            f"region Euler characteristic {euler} != 1 after face merge"
-        )
-
-    gu = gradient(u)
-    rot = np.stack(
-        [-gu.values[tri_idx, 1], gu.values[tri_idx, 0]], axis=1
-    )  # R grad u
-    areas = mesh.areas[tri_idx]
-    gx = mesh.grad_x[tri_idx]
-    gy = mesh.grad_y[tri_idx]
-
-    nloc = len(used)
-    K = _assemble(ltris, areas, gx, gy, nloc)
-    b = np.zeros(nloc)
-    for i in range(3):
-        np.add.at(
-            b, ltris[:, i], areas * (gx[:, i] * rot[:, 0] + gy[:, i] * rot[:, 1])
-        )
-
-    # pin one node against the constant null space, then re-center
-    free = np.ones(nloc, dtype=bool)
-    free[0] = False
-    vloc = np.zeros(nloc)
-    vloc[free] = _cg_solve(K[free][:, free], b[free][None])[0]
-
-    # area-weighted zero mean
-    lumped = np.zeros(nloc)
-    for i in range(3):
-        np.add.at(lumped, ltris[:, i], areas / 3.0)
-    vloc -= np.sum(lumped * vloc) / np.sum(lumped)
-
-    vals_full = np.full(mesh.n_nodes, np.nan)
-    has = local[canon] >= 0
-    vals_full[has] = vloc[local[canon[has]]]
-    return ScalarField(mesh, vals_full)
-
-
-def tangential_jump_max(
-    u: ScalarField, *, away_from=None, clearance: float = 0.0
-) -> float:
-    """Max jump of the tangential component of R grad u across interior edges.
-
-    Crack-face and boundary edges are excluded. With `away_from` (a crack
-    set) and `clearance`, edges whose midpoint lies within `clearance` of
-    the crack are skipped too: near the tip singularity the per-edge jump
-    grows under refinement even though the smooth-region jumps shrink.
-    """
-    mesh = u.mesh
-    g = gradient(u)
-    edges, counts, owners = edge_table(mesh.triangles)
-    edges, owners = edges[counts == 2], owners[counts == 2]
-    if away_from is not None and clearance > 0.0:
-        mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-        far = distance_to_crack(away_from, mid) >= clearance
-        edges, owners = edges[far], owners[far]
-    if not len(edges):
-        return 0.0
-    t = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
-    t /= np.linalg.norm(t, axis=1)[:, None]
-    rot = np.stack([-g.values[:, 1], g.values[:, 0]], axis=1)
-    jump = ((rot[owners[:, 0]] - rot[owners[:, 1]]) * t).sum(axis=1)
-    return float(np.max(np.abs(jump)))
-
-
-def interpolate_at(u: ScalarField, pts, locator: TriangleLocator | None = None):
-    """P1 interpolation of u at arbitrary points inside the domain."""
-    loc = locator or TriangleLocator(u.mesh)
-    out = np.empty(len(pts))
-    for k, p in enumerate(pts):
-        ti, bary = loc.locate(p)
-        out[k] = float(bary @ u.nodal_values[u.mesh.triangles[ti]])
-    return out

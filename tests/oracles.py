@@ -4,16 +4,18 @@ These deliberately avoid the code paths they check: Hausdorff distances
 come from dense point sampling with a KD-tree, not from the
 branch-and-bound implementation; energies and powers come from a direct
 solve of the datum g(t), not from the evaluator's Gram matrix; edge
-topology and edge jumps come from per-triangle Python loops, not from the
-sorted `edge_table`; the best joint tip move comes from an exhaustive loop
-over every combination, not from the step search's candidate generator.
+topology (`edge_owners_loop`, which the Euler checks and the mesher's loop
+version count edges with) and edge jumps come from per-triangle Python
+loops, not from the mesher's sorted edge keys; the best joint tip move
+comes from an exhaustive loop over every combination, not from the step
+search's candidate generator.
 Geometric predicates are decided in `Fraction` arithmetic only, with no
 float filter and no bounding-box rejection; the domain's point queries
 use explicit crossing abscissae, and segment containment cuts the segment
 at every parameter where it meets the boundary. The mesher's batched sampling,
 lattice and thinning are checked against the per-point loops they
-replaced: a recursive bisection, a nested-loop lattice with a `seen` set,
-and a greedy thinning that rebuilds its KD-tree after every kept point.
+replaced: a recursive bisection, a nested-loop lattice, and a greedy
+thinning that rebuilds its KD-tree after every kept point.
 The exact union table behind `length` and `contains(., ., 0)` is checked
 against two direct scans: per-line interval merging for the length, and
 a per-segment cover walk over every segment of the larger set. The
@@ -22,8 +24,9 @@ per-segment loops. The solver's block CG is checked against scipy's
 `cg`, one right-hand side at a time. The whole mesher is checked against
 `triangulate_loops`: the same pipeline with a loop wherever the mesher
 works on arrays (recursive bisection, point-by-point dedupe, one lattice
-level at a time, a per-edge ray cast, a set of required edges, and a
-node-by-node, row-by-row unzip).
+level at a time with a `seen` set for the points tip anchors share, a
+per-edge ray cast, a set of required edges, and a node-by-node, row-by-row
+unzip).
 """
 
 import itertools
@@ -318,9 +321,9 @@ def bisect_polyline(a, b, size) -> list:
 
 
 def hex_lattice_loop(anchored, s, xmin, xmax, ymin, ymax) -> list:
-    """Hex lattice points per (anchor, box), point by point, first seen first."""
+    """Hex lattice points per (anchor, box), point by point; a point that
+    several anchors share comes once per anchor."""
     dy = s * math.sqrt(3.0) / 2.0
-    seen: set = set()
     cand = []
     for (ax, ay), (bx0, bx1, by0, by1) in anchored:
         j0 = int(math.floor((max(by0, ymin) - ay) / dy))
@@ -331,10 +334,7 @@ def hex_lattice_loop(anchored, s, xmin, xmax, ymin, ymax) -> list:
             i0 = int(math.floor((max(bx0, xmin) - ax - off) / s))
             i1 = int(math.ceil((min(bx1, xmax) - ax - off) / s))
             for i in range(i0, i1 + 1):
-                p = (ax + off + i * s, y)
-                if p not in seen:
-                    seen.add(p)
-                    cand.append(p)
+                cand.append((ax + off + i * s, y))
     return cand
 
 
@@ -518,11 +518,11 @@ def triangulate_loops(domain, crack, h_max, h_tip):
     """`mesh.triangulate` with a Python loop wherever the mesher works on arrays.
 
     Sampling is a recursive bisection per piece and a point-by-point
-    `add_point` dedupe; the lattice is filtered level by level with a full
-    KD-tree query; the required edges are a Python set checked against
-    `edge_table`; the unzip keeps per-node incidence lists, splits each fan
-    triangle by triangle, rewrites one row at a time and tags the boundary
-    edge by edge.
+    `add_point` dedupe; the lattice is deduped and filtered level by level
+    with a full KD-tree query; the required edges are a Python set checked
+    against `edge_owners_loop`; the unzip keeps per-node incidence lists,
+    counts edges with `edge_owners_loop`, splits each fan triangle by
+    triangle, rewrites one row at a time and tags the boundary edge by edge.
     """
     from quasicrack.geometry import segment_distances
     from quasicrack.mesh import (
@@ -621,8 +621,13 @@ def triangulate_loops(domain, crack, h_max, h_tip):
                               t.position[1] - reach, t.position[1] + reach))
                 for t in tips
             ]
-        cand_arr = np.array(hex_lattice_loop(anchored, s, xmin, xmax, ymin, ymax), float)
-        cand_arr = cand_arr.reshape(-1, 2)
+        # a point that several tip anchors share is kept once, where first seen
+        cand, seen = [], set()
+        for p in hex_lattice_loop(anchored, s, xmin, xmax, ymin, ymax):
+            if p not in seen:
+                seen.add(p)
+                cand.append(p)
+        cand_arr = np.array(cand, float).reshape(-1, 2)
         if not len(cand_arr):
             continue
         sz = size(cand_arr)
@@ -673,11 +678,11 @@ def triangulate_loops(domain, crack, h_max, h_tip):
 
 
 def delaunay_with_required_loop(pts_arr, required, n_feature):
-    """qhull, the required edges as a set checked against `edge_table` with
-    `np.isin`, and one repair pass."""
+    """qhull, the required edges as a set checked against `edge_owners_loop`,
+    and one repair pass."""
     from scipy.spatial import Delaunay
 
-    from quasicrack.mesh import MeshFailure, _edge_keys, edge_table
+    from quasicrack.mesh import MeshFailure
 
     if len(pts_arr) < 3:
         raise MeshFailure("not enough points to triangulate")
@@ -687,8 +692,8 @@ def delaunay_with_required_loop(pts_arr, required, n_feature):
     for attempt in range(2):
         idx_map = np.flatnonzero(keep_mask)
         tris = idx_map[Delaunay(pts_arr[keep_mask]).simplices]
-        edges = edge_table(tris)[0]
-        missing = req[~np.isin(_edge_keys(req, n), _edge_keys(edges, n))]
+        edges = edge_owners_loop(tris)
+        missing = req[[(u, v) not in edges for u, v in req.tolist()]]
         if not len(missing):
             return tris
         if attempt == 1:
@@ -730,8 +735,6 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
         CrackMesh,
         FacePair,
         MeshFailure,
-        _edge_keys,
-        edge_table,
     )
 
     chain_ids = [list(map(int, ids)) for ids in chain_ids]
@@ -743,8 +746,7 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
     incident = {u: [] for u in crack_nodes}
     for ti, col in zip(*np.nonzero(np.isin(tris, crack_nodes))):
         incident[int(tris[ti, col])].append(int(ti))
-    edges, counts, _ = edge_table(tris)
-    two_sided = _edge_keys(edges[counts == 2], n_orig)
+    two_sided = {e for e, owners in edge_owners_loop(tris).items() if len(owners) == 2}
 
     tip_nodes, chains = [], []
     for comp_idx, ids in enumerate(chain_ids):
@@ -753,7 +755,7 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
             chains.append(CrackChain(comp_idx, tuple(ids), tuple(ids), "point", "point"))
             continue
         k = len(ids) - 1
-        if not np.all(np.isin(_edge_keys(list(zip(ids, ids[1:])), n_orig), two_sided)):
+        if not all((min(u, v), max(u, v)) in two_sided for u, v in zip(ids, ids[1:])):
             raise MeshFailure("interior crack edge lacks two triangles")
         minus_ids = list(ids)
         for i, v in enumerate(ids):
@@ -795,8 +797,8 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
         chains.append(CrackChain(comp_idx, tuple(ids), tuple(minus_ids), kinds[0], kinds[1]))
 
     pts_arr = pts_arr[origin]
-    edges, counts, _ = edge_table(tris)
-    free = [tuple(e) for e in edges[counts == 1].tolist()]
+    owners_of = edge_owners_loop(tris)
+    free = sorted(e for e, owners in owners_of.items() if len(owners) == 1)
     face_edges, face_pairs = set(), []
     for ch in chains:
         if ch.start_kind == "point":
@@ -810,7 +812,7 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
                 )
     if not face_edges.issubset(free):
         raise MeshFailure("crack face edge not free after unzip")
-    if np.any(counts > 2):
+    if any(len(owners) > 2 for owners in owners_of.values()):
         raise MeshFailure("non-manifold edge")
     parent_of = {}
     for (u, k), (v, _) in zip(boundary_cycle, boundary_cycle[1:] + boundary_cycle[:1]):

@@ -19,10 +19,8 @@ from quasicrack.cases import (
     mode3_datum,
     slit_disk_crack,
     slit_disk_domain,
-    subcritical_benchmark_config,
 )
 from quasicrack.cli import _run_from_config
-from quasicrack.conformance import length_lsc_trend_ok, perturbed_family
 from quasicrack.evolution import audit_conditions, audit_monotone_loading
 from quasicrack.geometry import (
     CrackSet,
@@ -33,10 +31,16 @@ from quasicrack.geometry import (
     length,
 )
 from quasicrack.mesh import triangulate
-from quasicrack.sif import fit_sif, griffith_audit, release_rate_richardson
+from quasicrack.sif import fit_sif, griffith_audit
 from quasicrack.solver import ScalarField, bulk_energy, solve
 
 from oracles import hausdorff_bruteforce, random_crackset
+from verification import (
+    length_lsc_trend_ok,
+    perturbed_family,
+    release_rate_richardson,
+    subcritical_benchmark_config,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:

@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
-from quasicrack.cases import growth_benchmark_config, subcritical_benchmark_config
+from quasicrack.cases import growth_benchmark_config
 from quasicrack.cli import ConfigError, load_config, main, replay_state
 from quasicrack.evolution import LoadingProgram, run_evolution
+
+from verification import subcritical_benchmark_config
 
 
 def run_cli(*args):
@@ -184,8 +186,9 @@ def test_release_rate_oracle_meshes_each_crack_once(monkeypatch):
     from quasicrack.cli import _oracle_release_rate
     from quasicrack.geometry import crack_tips
     from quasicrack.mesh import triangulate
-    from quasicrack.sif import fit_sif, release_rate_richardson
+    from quasicrack.sif import fit_sif
     from quasicrack.solver import solve
+    from verification import release_rate_richardson
 
     h_tip = 1 / 64
     meshes = []

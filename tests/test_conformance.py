@@ -12,9 +12,11 @@ from quasicrack.cases import (
     taper_domain,
     zero_datum,
 )
-from quasicrack.conformance import (
+from quasicrack.evolution import CandidatePolicy, LoadingProgram, Profile, TimeGrid, run_evolution
+from quasicrack.geometry import CrackSet, Polyline, hausdorff_distance, length
+
+from verification import (
     ConvergenceScenario,
-    aggregate_reports,
     check_energy_continuity,
     check_minimizer_convergence,
     constant_family,
@@ -24,8 +26,6 @@ from quasicrack.conformance import (
     slit_angle_family,
     slit_length_family,
 )
-from quasicrack.evolution import CandidatePolicy, LoadingProgram, Profile, TimeGrid, run_evolution
-from quasicrack.geometry import CrackSet, Polyline, hausdorff_distance, length
 
 
 MESH = (1 / 8, 1 / 48)
@@ -57,21 +57,6 @@ def test_slit_angle_family_converges():
     )
     rep = check_minimizer_convergence(scen, *MESH)
     assert rep["pass"], rep
-
-
-def test_aggregate_reports_shape():
-    agg = aggregate_reports(
-        [{"name": "a", "pass": True}, {"name": "b", "pass": False}]
-    )
-    assert agg == {
-        "n_scenarios": 2,
-        "n_passed": 1,
-        "failed": ["b"],
-        "pass": False,
-    }
-    import json
-
-    json.dumps(agg)
 
 
 def test_scenario_hypothesis_certification():

@@ -10,17 +10,13 @@ from quasicrack.cases import (
     zero_datum,
 )
 from quasicrack.domain import DomainSpec
-from quasicrack.energy import (
-    BallSpec,
-    EnergyRecord,
-    Evaluator,
-    local_energy,
-    trace_of,
-)
+from quasicrack.energy import EnergyRecord, Evaluator
 from quasicrack.evolution import LoadingProgram, Profile
 from quasicrack.geometry import CrackSet, Polyline, length
 from quasicrack.mesh import triangulate
 from quasicrack.solver import BoundaryDatum, bulk_energy, solve
+
+from verification import BallSpec, local_energy, trace_of
 
 
 SQUARE = DomainSpec.all_dirichlet(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))

@@ -15,7 +15,6 @@ from quasicrack.geometry import (
     component_count,
     contains,
     crack_tips,
-    distance_to_crack,
     extend_tip,
     hausdorff_distance,
     segment_distances,
@@ -41,6 +40,7 @@ from oracles import (
     segments_intersect_exact,
     union_length_scan,
 )
+from verification import distance_to_crack
 
 
 def seg(a, b, m=1):

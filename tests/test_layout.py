@@ -1,0 +1,61 @@
+"""Layout of the package: every public name in `src/` serves a run.
+
+A public top-level function or class of `src/quasicrack` must be
+referenced from some other top-level statement in `src/`, `scripts/` or
+`perfbench/`. Verification-only code lives in `tests/` instead.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quasicrack"
+#: validated by the acceptance suite as part of the product; the sweep's
+#: refinement study is to call it
+ALLOWED_UNREFERENCED = {"hausdorff_distance"}
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Names a tree refers to: `Name`s, `Attribute` names and `ImportFrom` entries."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unreferenced_public_names() -> list[str]:
+    """`module.name` of every public top-level definition no other code refers to."""
+    sources = [
+        *sorted(PACKAGE.glob("*.py")),
+        *sorted((ROOT / "scripts").glob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+    ]
+    refs = Counter()  # per name, the top-level statements that refer to it
+    public = []  # (module, name, 1 if its own definition refers to it, else 0)
+    for path in sources:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            names = _referenced(node)
+            refs.update(names)
+            if (
+                path.parent == PACKAGE
+                and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+            ):
+                public.append((path.stem, node.name, int(node.name in names)))
+    # no statement but the name's own definition refers to it
+    return [
+        f"{module}.{name}"
+        for module, name, own in public
+        if refs[name] == own and name not in ALLOWED_UNREFERENCED
+    ]
+
+
+def test_every_public_src_name_has_a_caller():
+    found = unreferenced_public_names()
+    assert not found, f"public names in src/ with no caller in src/, scripts/ or perfbench/: {found}"

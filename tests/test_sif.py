@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from quasicrack.cases import (
     mode3_datum,
-    sample_mode3_field,
     slit_disk_crack,
     slit_disk_domain,
     zero_datum,
@@ -21,15 +20,13 @@ from quasicrack.sif import (
     TipGeometryInvalid,
     fit_sif,
     griffith_audit,
-    release_rate_fd,
-    release_rate_richardson,
     release_rate_richardson_at,
     safe_fit_window,
-    sif_history_csv,
 )
 from quasicrack.solver import ScalarField, solve
 
 from oracles import boundary_distance_loop, fit_window_loop, random_crackset
+from verification import release_rate_fd, release_rate_richardson
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +40,7 @@ def slit_setup():
 
 def test_fit_exact_field_unit_kappa(slit_setup):
     _, _, tip, mesh = slit_setup
-    u = sample_mode3_field(mesh, kappa=1.0)
+    u = ScalarField(mesh, mode3_datum(1.0).sample(mesh))
     est = fit_sif(u, tip, 4 / 64, 16 / 64)
     assert est.kappa == pytest.approx(1.0, abs=1e-10)
     assert est.fit_residual <= 1e-12
@@ -60,7 +57,7 @@ def test_fit_zero_field(slit_setup):
 
 def test_fit_negative_kappa_and_linearity(slit_setup):
     _, _, tip, mesh = slit_setup
-    u1 = sample_mode3_field(mesh, kappa=1.0)
+    u1 = ScalarField(mesh, mode3_datum(1.0).sample(mesh))
     est1 = fit_sif(u1, tip, 4 / 64, 16 / 64)
     u2 = ScalarField(mesh, -0.5 * u1.nodal_values)
     est2 = fit_sif(u2, tip, 4 / 64, 16 / 64)
@@ -85,7 +82,7 @@ def test_window_robustness(slit_setup):
 
 def test_annulus_unresolved(slit_setup):
     _, _, tip, mesh = slit_setup
-    u = sample_mode3_field(mesh, 1.0)
+    u = ScalarField(mesh, mode3_datum(1.0).sample(mesh))
     with pytest.raises(AnnulusUnresolved):
         fit_sif(u, tip, 1 / 64, 16 / 64)  # r1 below 2 h_tip
     with pytest.raises(AnnulusUnresolved):
@@ -102,7 +99,7 @@ def test_tip_geometry_invalid_on_kink():
     )
     mesh = triangulate(dom, crack, 1 / 8, h_tip)
     tip = crack_tips(crack)[1]
-    u = sample_mode3_field(mesh, 1.0)
+    u = ScalarField(mesh, mode3_datum(1.0).sample(mesh))
     with pytest.raises(TipGeometryInvalid):
         fit_sif(u, tip, 2 * h_tip, 16 * h_tip)
 
@@ -216,13 +213,6 @@ def test_griffith_audit_sigma_nondecreasing(benchmark_state):
         assert all(b >= a for a, b in zip(sig, sig[1:]))
 
 
-def test_sif_history_csv(benchmark_state):
-    text = sif_history_csv(benchmark_state)
-    lines = text.strip().splitlines()
-    assert lines[0] == "step,t,tip_id,sigma,kappa,release_rate,fit_residual"
-    assert len(lines) == 1 + sum(len(s.tips) for s in benchmark_state.steps)
-
-
 def test_griffith_audit_kink_steps_reported_separately():
     # an off-critical growth step is excluded from violations when the
     # winning candidate kinked (reported in kink_steps instead)
@@ -282,4 +272,4 @@ def test_griffith_audit_and_csv_same_after_replay(benchmark_state, tmp_path):
     benchmark_state.save(str(tmp_path / "state.json"))
     replayed = replay_state(str(tmp_path / "state.json"))
     assert griffith_audit(replayed) == griffith_audit(benchmark_state)
-    assert sif_history_csv(replayed) == sif_history_csv(benchmark_state)
+    assert [s.tips for s in replayed.steps] == [s.tips for s in benchmark_state.steps]
