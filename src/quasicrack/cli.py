@@ -227,7 +227,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_slit_energy(h_tip: float) -> list[tuple[str, bool, str]]:
+def _oracle_slit_energy(h_tip: float) -> list[tuple[str, bool]]:
     from .mesh import triangulate
     from .solver import bulk_energy, solve
 
@@ -237,16 +237,11 @@ def _oracle_slit_energy(h_tip: float) -> list[tuple[str, bool, str]]:
     u = solve(mesh, mode3_datum(1.0))
     e = bulk_energy(u)
     tol = 0.03 if h_tip >= 1.0 / 256.0 else 0.015
-    return [
-        (
-            f"slit-energy h_tip={h_tip:g}: bulk={e:.5f} vs 1.0 (tol {tol:.3f})",
-            abs(e - 1.0) <= tol,
-            "",
-        )
-    ]
+    label = f"slit-energy h_tip={h_tip:g}: bulk={e:.5f} vs 1.0 (tol {tol:.3f})"
+    return [(label, abs(e - 1.0) <= tol)]
 
 
-def _oracle_slit_sif(h_tip: float) -> list[tuple[str, bool, str]]:
+def _oracle_slit_sif(h_tip: float) -> list[tuple[str, bool]]:
     from .mesh import triangulate
     from .sif import fit_sif
     from .solver import solve
@@ -257,16 +252,11 @@ def _oracle_slit_sif(h_tip: float) -> list[tuple[str, bool, str]]:
     mesh = triangulate(domain, crack, 32.0 * h_tip, h_tip)
     u = solve(mesh, mode3_datum(1.0))
     est = fit_sif(u, tip, 16.0 * h_tip, 64.0 * h_tip)
-    return [
-        (
-            f"slit-sif h_tip={h_tip:g}: kappa={est.kappa:.4f} vs 1.0 (tol 0.02)",
-            abs(est.kappa - 1.0) <= 0.02,
-            "",
-        )
-    ]
+    label = f"slit-sif h_tip={h_tip:g}: kappa={est.kappa:.4f} vs 1.0 (tol 0.02)"
+    return [(label, abs(est.kappa - 1.0) <= 0.02)]
 
 
-def _oracle_release_rate(h_tip: float) -> list[tuple[str, bool, str]]:
+def _oracle_release_rate(h_tip: float) -> list[tuple[str, bool]]:
     from .energy import Evaluator
     from .sif import fit_sif, release_rate_richardson_at
 
@@ -292,31 +282,21 @@ def _oracle_release_rate(h_tip: float) -> list[tuple[str, bool, str]]:
             k_fit = fit_sif(u, tip, 16.0 * h_tip, 64.0 * h_tip).kappa
         fd = release_rate_richardson_at(ev, crack, tip, j)
         gap = abs(fd - (1.0 - k_fit**2))
-        out.append(
-            (
-                f"release-rate kappa={kap:g}: fd={fd:.4f} fit-law={1.0 - k_fit ** 2:.4f} gap={gap:.4f}",
-                gap <= 0.1,
-                "",
-            )
-        )
+        label = f"release-rate kappa={kap:g}: fd={fd:.4f} fit-law={1.0 - k_fit ** 2:.4f} gap={gap:.4f}"
+        out.append((label, gap <= 0.1))
     return out
 
 
-def _oracle_taper_growth(h_tip: float) -> list[tuple[str, bool, str]]:
+def _oracle_taper_growth(h_tip: float) -> list[tuple[str, bool]]:
     cfg = growth_benchmark_config()
     state = _run_from_config(cfg, with_audit=True)
     from .sif import griffith_audit
 
     rep = griffith_audit(state)
-    out = [
-        (f"taper-growth: audit pass={state.audit['pass']}", bool(state.audit["pass"]), ""),
-        (
-            f"taper-growth: griffith violations={len(rep['violations'])}",
-            rep["pass"],
-            "",
-        ),
+    return [
+        (f"taper-growth: audit pass={state.audit['pass']}", bool(state.audit["pass"])),
+        (f"taper-growth: griffith violations={len(rep['violations'])}", rep["pass"]),
     ]
-    return out
 
 
 ORACLES = {
@@ -335,7 +315,7 @@ def cmd_oracle(args) -> int:
         )
         return 2
     checks = ORACLES[args.case](args.h_tip)
-    for label, ok, _ in checks:
+    for label, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
     return 0
 

@@ -73,6 +73,12 @@ _PROFILE_PARAMS = {
 }
 
 
+def _knot_interval(ts, t: float) -> int:
+    """Index k of the knot interval [ts[k], ts[k+1]] that holds t: the right
+    one at an inner knot, the first or last one outside [ts[0], ts[-1]]."""
+    return int(min(max(np.searchsorted(ts, t, side="right") - 1, 0), len(ts) - 2))
+
+
 @dataclass(frozen=True)
 class Profile:
     """Scalar load factor phi(t) on [0,1], absolutely continuous."""
@@ -114,7 +120,7 @@ class Profile:
             return 0.0
         if self.kind == "pw_linear":
             ts, vs = self.params
-            k = min(max(np.searchsorted(ts, t, side="right") - 1, 0), len(ts) - 2)
+            k = _knot_interval(ts, t)
             return (vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])
         raise ValueError(self.kind)
 
@@ -164,9 +170,9 @@ class LoadingProgram:
     def _interval(self, t: float):
         """Sample interval that t falls in (the right one at a sample time)."""
         ts = [s for s, _ in self.samples]
-        k = min(max(np.searchsorted(ts, t, side="right") - 1, 0), len(ts) - 2)
+        k = _knot_interval(ts, t)
         t0, t1 = ts[k], ts[k + 1]
-        return int(k), (t - t0) / (t1 - t0), t1 - t0
+        return k, (t - t0) / (t1 - t0), t1 - t0
 
     def basis(self) -> tuple[BoundaryDatum, ...]:
         """Basis data g_1..g_S with g(t) = sum_j c_j(t) g_j."""

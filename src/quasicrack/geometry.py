@@ -13,13 +13,12 @@ bounding-box tests, which float compares decide exactly.
 Each crack set caches one exact union table: per supporting line, its
 segments and the merged closed intervals they cover, with float endpoints.
 The length of the union and exact containment (`contains` at tol 0) are
-both read from it. A crack with no parent builds its table segment by
-segment. `extend_tip` tests its new segment exactly against only the rows
-of the crack whose bounding box meets it, and returns a crack that keeps
-its base: its table is the base's with one segment added, and
-`tips_on_boundary` and the mesher's validation redo only what that
-segment changed. The one Fraction left on this path is the slope of a
-multi-segment line that is not axis-aligned.
+both read from it. A crack builds its table segment by segment, except one
+made by `extend_tip`, which tests its new segment exactly against only the
+rows of its base whose bounding box meets it and takes the base's table
+with that segment added. It keeps nothing else of its base. The one
+Fraction left on this path is the slope of a multi-segment line that is
+not axis-aligned.
 
 Distances from arrays of points are one kernel, `segment_distances`, an
 (N, S) matrix over segments in which an isolated point q is [q, q]. The
@@ -198,26 +197,12 @@ class Tip:
     tangent: Point
 
 
-class _Extension(NamedTuple):
-    """How `extend_tip` made a crack: `segment` appended at `end` of the
-    component `component_id` of `base`, checked against `domain`."""
-
-    base: "CrackSet"
-    component_id: int
-    end: str
-    segment: tuple[Point, Point]
-    domain: object
-
-
 @dataclass(frozen=True)
 class CrackSet:
     """Finite union of polyline components with a component budget m."""
 
     components: tuple[Polyline, ...]
     m: int
-
-    # set by `extend_tip` on the crack it returns; not a dataclass field
-    _origin = None
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -229,13 +214,10 @@ class CrackSet:
             )
 
     @classmethod
-    def _unchecked(
-        cls, components: tuple[Polyline, ...], m: int, origin: _Extension | None = None
-    ) -> "CrackSet":
+    def _unchecked(cls, components: tuple[Polyline, ...], m: int) -> "CrackSet":
         obj = object.__new__(cls)
         object.__setattr__(obj, "components", components)
         object.__setattr__(obj, "m", m)
-        object.__setattr__(obj, "_origin", origin)
         return obj
 
     @property
@@ -274,13 +256,6 @@ class CrackSet:
         ]
         arr = np.array([(a, b) for _, a, b in rows], float).reshape(-1, 2, 2)
         return rows, np.hstack([np.minimum(arr[:, 0], arr[:, 1]), -np.maximum(arr[:, 0], arr[:, 1])])
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Facts about this crack in a domain, filled in by their users:
-        `tips_on_boundary` under ("tips", domain), the mesher's validation
-        under ("valid", domain, h_tip)."""
-        return {}
 
     def to_json(self) -> list:
         return [[[x, y] for x, y in c.vertices] for c in self.components]
@@ -362,7 +337,7 @@ def _with_segment(table: tuple[_Line, ...], seg, comp: int, end: str) -> tuple[_
 
 
 def _union_table(crack: CrackSet) -> tuple[_Line, ...]:
-    """The exact union of a crack with no parent, one `_Line` per line."""
+    """The exact union of a crack, one `_Line` per line, segment by segment."""
     table: tuple[_Line, ...] = ()
     for ci, comp in enumerate(crack.components):
         for seg in comp.segments():
@@ -584,43 +559,20 @@ def _normalize(v: tuple[float, float]) -> tuple[float, float]:
     return (v[0] / n, v[1] / n)
 
 
-def _end_tip(ci: int, end: str, v: tuple[Point, ...]) -> Tip:
-    p, q = (v[0], v[1]) if end == "start" else (v[-1], v[-2])
-    return Tip(component_id=ci, end=end, position=p, tangent=_normalize((p[0] - q[0], p[1] - q[1])))
-
-
 def crack_tips(crack: CrackSet) -> tuple[Tip, ...]:
     """Both ends of every non-degenerate component, tangents pointing out."""
-    return tuple(
-        _end_tip(ci, end, comp.vertices)
-        for ci, comp in enumerate(crack.components)
-        if not comp.is_point
-        for end in ("start", "finish")
-    )
+    tips = []
+    for ci, comp in enumerate(crack.components):
+        if not comp.is_point:
+            v = comp.vertices
+            for end, p, q in (("start", v[0], v[1]), ("finish", v[-1], v[-2])):
+                tips.append(Tip(ci, end, p, _normalize((p[0] - q[0], p[1] - q[1]))))
+    return tuple(tips)
 
 
 def tips_on_boundary(crack: CrackSet, domain) -> tuple[tuple[Tip, bool], ...]:
-    """Each tip of `crack_tips(crack)` with whether `domain.on_boundary` holds it.
-
-    Memoized on the crack per domain. A crack from `extend_tip` whose base
-    has the answer copies it and tests only the tip it moved.
-    """
-    key = ("tips", domain)
-    memo = crack._memo
-    if key not in memo:
-        ext = crack._origin
-        known = None if ext is None else ext.base._memo.get(key)
-        if known is None:
-            memo[key] = tuple((t, domain.on_boundary(t.position)) for t in crack_tips(crack))
-        else:
-            moved = _end_tip(ext.component_id, ext.end, crack.components[ext.component_id].vertices)
-            memo[key] = tuple(
-                (moved, domain.on_boundary(moved.position))
-                if (t.component_id, t.end) == (moved.component_id, moved.end)
-                else (t, on)
-                for t, on in known
-            )
-    return memo[key]
+    """Each tip of `crack_tips(crack)` with whether `domain.on_boundary` holds it."""
+    return tuple((t, domain.on_boundary(t.position)) for t in crack_tips(crack))
 
 
 def extend_tip(
@@ -694,9 +646,7 @@ def extend_tip(
         new_vertices = v + (new_pt,)
     comps = list(crack.components)
     comps[tip.component_id] = Polyline._unchecked(new_vertices)
-    out = CrackSet._unchecked(
-        tuple(comps), crack.m, _Extension(crack, tip.component_id, tip.end, new_seg, domain)
-    )
+    out = CrackSet._unchecked(tuple(comps), crack.m)
     object.__setattr__(
         out, "_lines", _with_segment(crack._lines, new_seg, tip.component_id, tip.end)
     )

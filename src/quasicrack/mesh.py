@@ -127,10 +127,6 @@ class CrackMesh:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def n_triangles(self) -> int:
-        return len(self.triangles)
-
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in degrees.
 
@@ -401,52 +397,17 @@ def _classify_ends(domain: DomainSpec, crack: CrackSet):
     return kinds, tip_list
 
 
-def _check_segment(domain: DomainSpec, a: Point, b: Point, h_tip: float):
-    if math.hypot(b[0] - a[0], b[1] - a[1]) < h_tip * (1.0 - 1e-9):
-        raise MeshFailure("crack segment shorter than h_tip")
-    if domain.along_boundary(a, b):
-        raise MeshFailure("crack running along the boundary is unsupported")
-
-
 def _validate_crack(domain: DomainSpec, crack: CrackSet, h_tip: float):
-    """Raise MeshFailure unless the crack can be meshed in `domain` at `h_tip`.
-
-    A pass is memoized on the crack. A crack that `extend_tip` made in the
-    same domain from a base that passed needs only its new segment's length
-    and boundary overlap checked: `extend_tip` proved the segment inside the
-    domain and clear of the rest of the crack. So the chain of such extensions
-    back to a crack that passed, or to one without a parent, is checked
-    from its oldest link to the crack itself.
-    """
-    key = ("valid", domain, h_tip)
-    chain = []
-    while key not in crack._memo:
-        chain.append(crack)
-        ext = crack._origin
-        if ext is None or ext.domain != domain:
-            break
-        crack = ext.base
-    for c in reversed(chain):
-        ext = c._origin
-        try:
-            if ext is not None and ext.domain == domain and key in ext.base._memo:
-                _check_segment(domain, *ext.segment, h_tip)
-            else:
-                _check_whole(domain, c, h_tip)
-        except MeshFailure:
-            # the requested crack holds all of c, so it fails too: with its own message
-            _check_whole(domain, chain[0], h_tip)
-            raise
-        c._memo[key] = True
-
-
-def _check_whole(domain: DomainSpec, crack: CrackSet, h_tip: float):
+    """Raise MeshFailure unless the crack can be meshed in `domain` at `h_tip`."""
     for comp in crack.components:
         for v in comp.vertices:
             if not domain.contains_point(v):
                 raise MeshFailure("crack leaves the closure of the domain")
         for a, b in comp.segments():
-            _check_segment(domain, a, b, h_tip)
+            if math.hypot(b[0] - a[0], b[1] - a[1]) < h_tip * (1.0 - 1e-9):
+                raise MeshFailure("crack segment shorter than h_tip")
+            if domain.along_boundary(a, b):
+                raise MeshFailure("crack running along the boundary is unsupported")
             if not domain.contains_segment(a, b):
                 raise MeshFailure("crack segment crosses the boundary")
     for ci in range(len(crack.components)):

@@ -42,10 +42,9 @@ class SifEstimate:
     fit_window: tuple[float, float]
     fit_residual: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "release_rate", 1.0 - self.kappa**2)
-
-    release_rate: float = 0.0
+    @property
+    def release_rate(self) -> float:
+        return 1.0 - self.kappa**2
 
 
 def _chain_for_tip(mesh, tip: Tip):

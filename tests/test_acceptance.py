@@ -12,7 +12,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from quasicrack.cases import (
     growth_benchmark_config,
@@ -28,7 +27,6 @@ from quasicrack.geometry import (
     contains,
     crack_tips,
     hausdorff_distance,
-    length,
 )
 from quasicrack.mesh import triangulate
 from quasicrack.sif import fit_sif, griffith_audit

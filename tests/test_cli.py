@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from quasicrack.cases import growth_benchmark_config
 from quasicrack.cli import ConfigError, load_config, main, replay_state
 from quasicrack.evolution import LoadingProgram, run_evolution
 
@@ -198,7 +197,7 @@ def test_release_rate_oracle_meshes_each_crack_once(monkeypatch):
         return triangulate(*args)
 
     monkeypatch.setattr(quasicrack.energy, "triangulate", counting)
-    got = [label for label, _, _ in _oracle_release_rate(h_tip)]
+    got = [label for label, _ in _oracle_release_rate(h_tip)]
     assert len(meshes) == 3 and len(set(meshes)) == 3
     monkeypatch.undo()
 

@@ -13,10 +13,9 @@ from quasicrack.cases import (
     zero_datum,
 )
 from quasicrack.evolution import CandidatePolicy, LoadingProgram, Profile, TimeGrid, run_evolution
-from quasicrack.geometry import CrackSet, Polyline, hausdorff_distance, length
+from quasicrack.geometry import CrackSet, Polyline, hausdorff_distance
 
 from verification import (
-    ConvergenceScenario,
     check_energy_continuity,
     check_minimizer_convergence,
     constant_family,

@@ -2,14 +2,12 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from quasicrack.cases import (
     growth_benchmark_config,
     linear_datum,
-    mode3_datum,
     slit_disk_crack,
     slit_disk_domain,
     taper_crack,
@@ -31,7 +29,7 @@ from quasicrack.evolution import (
     audit_monotone_loading,
     run_evolution,
 )
-from quasicrack.geometry import CrackSet, Polyline, contains, crack_tips, length
+from quasicrack.geometry import CrackSet, Polyline, contains, length
 
 from oracles import best_joint_extension, direct_energy_and_power
 

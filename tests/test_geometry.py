@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from quasicrack.geometry import (
     extend_tip,
     hausdorff_distance,
     segment_distances,
+    tips_on_boundary,
     _dist_to_segment,
     _intersect_beyond_shared,
     _on_segment,
@@ -436,6 +439,18 @@ def test_extend_tip_crossing_other_component_raises():
     tip = crack_tips(k)[1]
     with pytest.raises(GeometryViolation):
         extend_tip(k, tip, 0.0, 1.0)
+
+
+def test_extension_does_not_keep_its_base_alive():
+    square = DomainSpec.unit_square()
+    base = seg((0.2, 0.5), (0.8, 0.5))
+    ext = extend_tip(base, crack_tips(base)[1], 0.0, 0.1, domain=square)
+    tips_on_boundary(ext, square)
+    ref = weakref.ref(base)
+    del base
+    gc.collect()
+    assert ref() is None
+    assert length(ext) == pytest.approx(0.7)
 
 
 def test_extend_tip_kink_bound():

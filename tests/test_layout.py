@@ -2,7 +2,8 @@
 
 A public top-level function or class of `src/quasicrack` must be
 referenced from some other top-level statement in `src/`, `scripts/` or
-`perfbench/`. Verification-only code lives in `tests/` instead.
+`perfbench/`. Verification-only code lives in `tests/` instead, and every
+name a test module imports is used there.
 """
 
 import ast
@@ -59,3 +60,29 @@ def unreferenced_public_names() -> list[str]:
 def test_every_public_src_name_has_a_caller():
     found = unreferenced_public_names()
     assert not found, f"public names in src/ with no caller in src/, scripts/ or perfbench/: {found}"
+
+
+def unused_test_imports() -> list[str]:
+    """`module:name` of every name a `tests/*.py` module imports but never loads."""
+    out = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        out.extend(f"{path.stem}:{name}" for name in sorted(bound - loaded))
+    return out
+
+
+def test_every_test_import_is_used():
+    found = unused_test_imports()
+    assert not found, f"names imported but never used in tests/: {found}"
