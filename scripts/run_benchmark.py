@@ -1,8 +1,14 @@
 #!/usr/bin/env python3
 """Run the stable-growth benchmark end to end and write all outputs.
 
-Equivalent to `quasicrack run <config>` with the built-in tapered-strip
-configuration; prints a per-step summary plus the audit verdict.
+This is `quasicrack run <config>` with the built-in tapered-strip
+configuration (`cases.growth_benchmark_config`). It stays a script for two
+things the command does not do:
+- it writes that configuration as `config.json` next to the outputs, so
+  `quasicrack audit <dir>/state.json` and `quasicrack sweep
+  <dir>/config.json` run on them (CI runs both);
+- it prints the growth summary: the onset time, and each tip's final
+  sigma and kappa, after the run's own summary and audit verdict.
 """
 
 import argparse

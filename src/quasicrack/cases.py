@@ -56,10 +56,12 @@ def mode3_datum(kappa: float = 1.0, tip: Point = (0.0, 0.0)) -> BoundaryDatum:
     def sampler(mesh: CrackMesh) -> np.ndarray:
         vals = mode3_values(mesh.nodes, kappa, tip)
         amp = kappa * np.sqrt(2.0 / math.pi)
-        for fp in mesh.crack_face_pairs:
-            rho = math.hypot(fp.position[0] - tip[0], fp.position[1] - tip[1])
-            vals[fp.plus_node] = amp * math.sqrt(rho)   # theta = +pi
-            vals[fp.minus_node] = -amp * math.sqrt(rho)  # theta = -pi
+        for ch in mesh.crack_chains:
+            for plus, minus in zip(ch.node_ids, ch.minus_ids):
+                if plus != minus:
+                    x, y = mesh.nodes[plus].tolist()
+                    root = math.sqrt(math.hypot(x - tip[0], y - tip[1]))
+                    vals[plus], vals[minus] = amp * root, -amp * root  # theta = +pi, -pi
         return vals
 
     return BoundaryDatum(evaluator=ev, mesh_sampler=sampler)

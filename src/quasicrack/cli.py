@@ -1,13 +1,16 @@
 """Command line entry points: run, audit, sweep, oracle.
 
-Exit status is nonzero for configuration errors only; audit or oracle
-failures are reported on stdout and exit 0.
+Exit status is nonzero for configuration errors only: a bad file, flag or
+value, or a crack that the mesher rejects (an initial crack, or a crack
+in a saved state) exits 2 with `config error: ...` on stderr. Audit or
+oracle failures are reported on stdout and exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -35,6 +38,7 @@ from .evolution import (
     audit_monotone_loading,
     run_evolution,
 )
+from .mesh import MeshFailure
 
 
 class ConfigError(Exception):
@@ -48,6 +52,8 @@ def load_config(cfg: dict):
         crack = CrackSet.from_json(cfg["initial_crack"], m=m)
         mesh = cfg["mesh"]
         h_max, h_tip = float(mesh["h_max"]), float(mesh["h_tip"])
+        if not (0.0 < h_tip <= h_max < math.inf):
+            raise ValueError(f"mesh sizes need 0 < h_tip <= h_max < inf, got {h_tip=}, {h_max=}")
         policy = CandidatePolicy.from_json(cfg.get("policy", {}))
         grid = TimeGrid(float(cfg["delta"]))
         lcfg = cfg["loading"]
@@ -84,7 +90,7 @@ def cmd_run(args) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text())
         state = _run_from_config(cfg, with_audit=cfg.get("audit", {}).get("enabled", True))
-    except (ConfigError, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, MeshFailure, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     out = cfg.get("output", {})
@@ -159,7 +165,9 @@ def replay_state(path: str) -> EvolutionState:
 def cmd_audit(args) -> int:
     try:
         state = replay_state(args.state)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError) as e:
+    except (
+        ConfigError, GeometryViolation, MeshFailure, OSError, json.JSONDecodeError, KeyError
+    ) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     report = audit_conditions(state)
@@ -185,7 +193,7 @@ def cmd_sweep(args) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text())
         deltas = [_parse_delta(d) for d in args.delta_list.split(",")]
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     rows = []
@@ -194,7 +202,7 @@ def cmd_sweep(args) -> int:
         run_cfg["delta"] = d
         try:
             state = _run_from_config(run_cfg, with_audit=False)
-        except ConfigError as e:
+        except (ConfigError, MeshFailure) as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2
         rep = audit_conditions(state, minimality_samples=0)
@@ -287,7 +295,8 @@ def _oracle_release_rate(h_tip: float) -> list[tuple[str, bool]]:
     return out
 
 
-def _oracle_taper_growth(h_tip: float) -> list[tuple[str, bool]]:
+def _oracle_taper_growth() -> list[tuple[str, bool]]:
+    """The growth benchmark at its own resolution (so it takes no h_tip)."""
     cfg = growth_benchmark_config()
     state = _run_from_config(cfg, with_audit=True)
     from .sif import griffith_audit
@@ -308,13 +317,20 @@ ORACLES = {
 
 
 def cmd_oracle(args) -> int:
+    fixed = args.case == "taper-growth"
     if args.case not in ORACLES:
-        print(
-            f"config error: unknown case {args.case!r} (have {sorted(ORACLES)})",
-            file=sys.stderr,
-        )
+        error = f"unknown case {args.case!r} (have {sorted(ORACLES)})"
+    elif fixed and args.h_tip is not None:
+        error = "taper-growth runs at the benchmark's own resolution and takes no --h-tip"
+    elif args.h_tip is not None and not 0.0 < args.h_tip < math.inf:
+        error = f"--h-tip must be positive and finite, got {args.h_tip}"
+    else:
+        error = None
+    if error:
+        print(f"config error: {error}", file=sys.stderr)
         return 2
-    checks = ORACLES[args.case](args.h_tip)
+    run = ORACLES[args.case]
+    checks = run() if fixed else run(1.0 / 256.0 if args.h_tip is None else args.h_tip)
     for label, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
     return 0
@@ -342,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="built-in analytic verification cases")
     po.add_argument("case", help=f"one of {sorted(ORACLES)}")
-    po.add_argument("--h-tip", type=float, default=1.0 / 256.0, dest="h_tip")
+    po.add_argument("--h-tip", type=float, dest="h_tip", help="default 1/256; not for taper-growth")
     po.set_defaults(func=cmd_oracle)
     return p
 

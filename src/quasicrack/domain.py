@@ -94,22 +94,6 @@ class DomainSpec:
     def edge_tag(self, k: int) -> str:
         return "dirichlet" if k in self._dirichlet_edges else "neumann"  # type: ignore[attr-defined]
 
-    def area(self) -> float:
-        v = self.boundary
-        n = len(v)
-        return 0.5 * math.fsum(
-            v[i][0] * v[(i + 1) % n][1] - v[(i + 1) % n][0] * v[i][1]
-            for i in range(n)
-        )
-
-    def diameter(self) -> float:
-        v = self.boundary
-        return max(
-            math.hypot(a[0] - b[0], a[1] - b[1])
-            for i, a in enumerate(v)
-            for b in v[i + 1 :]
-        )
-
     def bbox(self) -> tuple[float, float, float, float]:
         xs = [p[0] for p in self.boundary]
         ys = [p[1] for p in self.boundary]
@@ -230,10 +214,6 @@ class DomainSpec:
     def all_dirichlet(cls, boundary) -> "DomainSpec":
         pts = tuple(boundary)
         return cls(pts, ((0, len(pts) - 1), (len(pts) - 1, 0)))
-
-    @classmethod
-    def unit_square(cls, dirichlet_arcs=((0, 3), (3, 0))) -> "DomainSpec":
-        return cls(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), dirichlet_arcs)
 
     def to_json(self) -> dict:
         return {

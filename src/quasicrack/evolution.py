@@ -250,6 +250,10 @@ class CandidatePolicy:
             raise ValueError("angles exceed theta_max")
         if self.multi_segment < 1:
             raise ValueError("multi_segment must be >= 1")
+        for name in ("ell0", "length_max"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     def step_lengths(self, h_tip: float) -> tuple[float, ...]:
         ell0 = self.ell0 if self.ell0 is not None else 2.0 * h_tip
@@ -355,10 +359,6 @@ class EvolutionState:
     @property
     def m(self) -> int:
         return self.initial_crack.m
-
-    @property
-    def cracks(self) -> list[CrackSet]:
-        return [s.crack for s in self.steps]
 
     @property
     def energies(self) -> list[EnergyRecord]:

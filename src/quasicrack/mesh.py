@@ -62,42 +62,36 @@ class MeshFailure(Exception):
 
 
 @dataclass(frozen=True)
-class FacePair:
-    """Geometrically coincident node duplicates across an interior crack face."""
-
-    position: Point
-    plus_node: int
-    minus_node: int
-
-
-@dataclass(frozen=True)
 class CrackChain:
-    """Mesh trace of one crack component: ordered plus-side node ids."""
+    """Mesh trace of one crack component: its plus-side node ids in order,
+    and beside each its minus-side copy (the node itself where the faces
+    meet: at a tip, and for a point component)."""
 
-    component_id: int
     node_ids: tuple[int, ...]
-    minus_ids: tuple[int, ...]  # parallel to node_ids; == node_ids entry if shared
-    start_kind: str  # "tip" | "boundary" | "point"
-    finish_kind: str
+    minus_ids: tuple[int, ...]
 
 
 @dataclass
 class CrackMesh:
-    """Immutable triangulation of Omega minus a crack set."""
+    """Immutable triangulation of Omega minus a crack set.
+
+    Chain k of `crack_chains` traces crack component k. The constrained
+    nodes `dirichlet_nodes` are the ends of Dirichlet-tagged boundary
+    edges, less the crack nodes: the crack releases the Dirichlet boundary
+    where it meets it.
+    """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    crack_face_pairs: tuple[FacePair, ...]
     boundary_edges: tuple[tuple[int, int, str], ...]
-    tip_nodes: tuple[int, ...]
     crack_chains: tuple[CrackChain, ...]
-    dirichlet_nodes: frozenset[int]
-    released_nodes: frozenset[int]
     h_max: float
     h_tip: float
-    areas: np.ndarray = field(default=None, repr=False)
-    grad_x: np.ndarray = field(default=None, repr=False)
-    grad_y: np.ndarray = field(default=None, repr=False)
+    # derived in __post_init__
+    dirichlet_nodes: frozenset[int] = field(init=False, repr=False)
+    areas: np.ndarray = field(init=False, repr=False)
+    grad_x: np.ndarray = field(init=False, repr=False)
+    grad_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
@@ -120,6 +114,10 @@ class CrackMesh:
         self.areas.setflags(write=False)
         self.grad_x.setflags(write=False)
         self.grad_y.setflags(write=False)
+        on_crack = {v for ch in self.crack_chains for v in ch.node_ids + ch.minus_ids}
+        self.dirichlet_nodes = frozenset(
+            v for i, j, tag in self.boundary_edges if tag == "dirichlet" for v in (i, j)
+        ) - on_crack
 
     # ------------------------------------------------------------------
 
@@ -142,18 +140,6 @@ class CrackMesh:
         prev = [2, 0, 1]
         cosines = -(ex * ex[:, prev] + ey * ey[:, prev]) / (length * length[:, prev])
         return float(np.degrees(np.arccos(np.clip(np.max(cosines), -1.0, 1.0))))
-
-    def fingerprint_bytes(self) -> bytes:
-        parts = [self.nodes.tobytes(), self.triangles.tobytes()]
-        parts.extend(
-            f"{i},{j},{tag};".encode() for i, j, tag in self.boundary_edges
-        )
-        parts.append(repr(self.tip_nodes).encode())
-        parts.extend(
-            f"{fp.position!r}:{fp.plus_node}:{fp.minus_node};".encode()
-            for fp in self.crack_face_pairs
-        )
-        return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +413,8 @@ def triangulate(
     Raises MeshFailure on degenerate geometry, unreachable conformity,
     or a violated quality bound.
     """
+    if not all(0.0 < h < math.inf for h in (h_max, h_tip)):
+        raise MeshFailure("mesh sizes must be positive and finite")
     if h_tip > h_max:
         raise MeshFailure("h_tip must not exceed h_max")
     _validate_crack(domain, crack, h_tip)
@@ -704,19 +692,14 @@ def _unzip_and_finalize(
     ))
     centroid = ((other1 + other2 + own) / 3.0).tolist()
 
-    tip_nodes: list[int] = []
     chains: list[CrackChain] = []
-    face_pairs: list[FacePair] = []
     split_from: list[int] = []  # copy n_orig + i stands for node split_from[i]
     moved: list[list[int]] = []  # the hits whose node copy split_from[i] takes
-    for comp_idx, ids in enumerate(chain_ids):
+    for ids, kinds in zip(chain_ids, end_kinds):
         coords = pts_arr[ids].tolist()
         ids = ids.tolist()
-        kinds = end_kinds[comp_idx]
         if kinds[0] == "point":
-            chains.append(
-                CrackChain(comp_idx, tuple(ids), tuple(ids), "point", "point")
-            )
+            chains.append(CrackChain(tuple(ids), tuple(ids)))
             continue
         for u, v in zip(ids, ids[1:]):
             shared = set(tri_of[first[u]:first[u + 1]])
@@ -727,7 +710,6 @@ def _unzip_and_finalize(
         for i, v in enumerate(ids):
             kind = kinds[0] if i == 0 else (kinds[1] if i == k else "interior")
             if kind == "tip":
-                tip_nodes.append(v)
                 continue
             hits = range(first[v], first[v + 1])
             pv = coords[i]
@@ -754,10 +736,7 @@ def _unzip_and_finalize(
             minus_ids[i] = n_orig + len(split_from)
             split_from.append(v)
             moved.append(right)
-            face_pairs.append(FacePair(tuple(pv), v, minus_ids[i]))
-        chains.append(
-            CrackChain(comp_idx, tuple(ids), tuple(minus_ids), kinds[0], kinds[1])
-        )
+        chains.append(CrackChain(tuple(ids), tuple(minus_ids)))
 
     # each copy takes its node's place in the triangles on the minus side
     tris = tris.copy()
@@ -775,7 +754,7 @@ def _unzip_and_finalize(
     free = keys[starts[counts == 1]]
     face = np.unique(_edge_keys([
         pair
-        for ch in chains if ch.start_kind != "point"
+        for ch in chains
         for ids in (ch.node_ids, ch.minus_ids)
         for pair in zip(ids, ids[1:])
     ], n))
@@ -798,25 +777,11 @@ def _unzip_and_finalize(
     tag = np.full(len(free), n_poly)
     tag[off_face] = cycle_parent[by_key[at]]
     tags = labels[tag]
-    boundary_edges = tuple(zip(edges[:, 0].tolist(), edges[:, 1].tolist(), tags.tolist()))
-
-    # Dirichlet nodes and crack releases
-    dirichlet_nodes = set(edges[tags == "dirichlet"].ravel().tolist())
-    crack_ids = set()
-    for ch in chains:
-        crack_ids.update(ch.node_ids)
-        crack_ids.update(ch.minus_ids)
-    released = frozenset(dirichlet_nodes & crack_ids)
-
     mesh = CrackMesh(
         nodes=pts_arr,
         triangles=tris,
-        crack_face_pairs=tuple(face_pairs),
-        boundary_edges=boundary_edges,
-        tip_nodes=tuple(tip_nodes),
+        boundary_edges=tuple(zip(edges[:, 0].tolist(), edges[:, 1].tolist(), tags.tolist())),
         crack_chains=tuple(chains),
-        dirichlet_nodes=frozenset(dirichlet_nodes - released),
-        released_nodes=released,
         h_max=h_max,
         h_tip=h_tip,
     )

@@ -37,27 +37,13 @@ class TipGeometryInvalid(Exception):
 class SifEstimate:
     """Least-squares mode-III stress intensity factor at one tip."""
 
-    tip: Tip
     kappa: float
-    fit_window: tuple[float, float]
     fit_residual: float
-
-    @property
-    def release_rate(self) -> float:
-        return 1.0 - self.kappa**2
-
-
-def _chain_for_tip(mesh, tip: Tip):
-    for ch in mesh.crack_chains:
-        if ch.component_id == tip.component_id:
-            return ch
-    raise TipGeometryInvalid("tip component has no mesh chain")
 
 
 def _straight_run_length(mesh, tip: Tip) -> float:
     """Arclength from the tip along the crack while direction stays straight."""
-    ch = _chain_for_tip(mesh, tip)
-    ids = list(ch.node_ids)
+    ids = list(mesh.crack_chains[tip.component_id].node_ids)
     order = ids if tip.end == "start" else ids[::-1]
     pts = [mesh.nodes[i] for i in order]
     tx, ty = tip.tangent
@@ -102,7 +88,7 @@ def fit_sif(u: ScalarField, tip: Tip, r1: float, r2: float) -> SifEstimate:
     in_ann = (rho >= r1) & (rho <= r2_eff)
 
     # face copies on this component override the atan2 branch
-    ch = _chain_for_tip(mesh, tip)
+    ch = mesh.crack_chains[tip.component_id]
     side_sign = 1.0 if tip.end == "finish" else -1.0
     theta = np.arctan2(
         tx * w[:, 1] - ty * w[:, 0],  # cross(t, w)
@@ -114,15 +100,9 @@ def fit_sif(u: ScalarField, tip: Tip, r1: float, r2: float) -> SifEstimate:
             theta[minus] = -side_sign * math.pi
 
     # exclude nodes of other crack components (their theta is meaningless)
-    other = set()
-    for c in mesh.crack_chains:
-        if c.component_id != tip.component_id:
-            other.update(c.node_ids)
-            other.update(c.minus_ids)
-    if other:
-        mask = np.ones(mesh.n_nodes, dtype=bool)
-        mask[list(other)] = False
-        in_ann &= mask
+    for ci, c in enumerate(mesh.crack_chains):
+        if ci != tip.component_id:
+            in_ann[list(c.node_ids + c.minus_ids)] = False
 
     idx = np.flatnonzero(in_ann)
     if len(idx) < MIN_FIT_NODES:
@@ -141,9 +121,7 @@ def fit_sif(u: ScalarField, tip: Tip, r1: float, r2: float) -> SifEstimate:
     resid = uu - kappa * phi - const
     denom = float(np.linalg.norm(uu - uu.mean()))
     rel = float(np.linalg.norm(resid)) / max(denom, 1e-300)
-    return SifEstimate(
-        tip=tip, kappa=float(kappa), fit_window=(r1, r2_eff), fit_residual=rel
-    )
+    return SifEstimate(kappa=float(kappa), fit_residual=rel)
 
 
 def safe_fit_window(

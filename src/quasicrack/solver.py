@@ -82,41 +82,18 @@ class ScalarField:
         return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class GradientField:
-    """Per-triangle constant gradient (extended by zero on the crack)."""
-
-    mesh: CrackMesh
-    values: np.ndarray  # (T, 2)
-
-
-def gradient(u: ScalarField) -> GradientField:
+def gradient(u: ScalarField) -> np.ndarray:
+    """Per-triangle constant gradient (T, 2), extended by zero on the crack."""
     mesh = u.mesh
     uv = u.nodal_values[mesh.triangles]
     gx = np.einsum("ti,ti->t", mesh.grad_x, uv)
     gy = np.einsum("ti,ti->t", mesh.grad_y, uv)
-    return GradientField(mesh, np.stack([gx, gy], axis=1))
-
-
-def _same_mesh(a: CrackMesh, b: CrackMesh) -> bool:
-    return a is b or (
-        a.nodes.shape == b.nodes.shape
-        and np.array_equal(a.nodes, b.nodes)
-        and np.array_equal(a.triangles, b.triangles)
-    )
-
-
-def inner_product(gu: GradientField, gw: GradientField) -> float:
-    """Integral of grad u . grad w over the mesh."""
-    if not _same_mesh(gu.mesh, gw.mesh):
-        raise MeshMismatch("gradient fields live on different meshes")
-    return float(np.sum(gu.mesh.areas * (gu.values * gw.values).sum(axis=1)))
+    return np.stack([gx, gy], axis=1)
 
 
 def bulk_energy(u: ScalarField) -> float:
     """Integral of |grad u|^2 over the mesh (shear modulus scaled to mu = 2)."""
-    g = gradient(u)
-    return inner_product(g, g)
+    return gram_matrix([u])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +247,26 @@ def _block_matmul(A: csr_matrix, X: np.ndarray) -> np.ndarray:
 
 
 def gram_matrix(fields) -> tuple[tuple[float, ...], ...]:
-    """G_jk = (grad u_j | grad u_k) for fields on one mesh; G_jj == bulk_energy(u_j)."""
+    """G_jk = (grad u_j | grad u_k) for fields on one mesh; G_jj == bulk_energy(u_j).
+
+    Fields are on one mesh if they share it or equal arrays of it.
+    """
+    fields = list(fields)
+    mesh = fields[0].mesh if fields else None
+    for u in fields[1:]:
+        m = u.mesh
+        if not (m is mesh or (
+            m.nodes.shape == mesh.nodes.shape
+            and np.array_equal(m.nodes, mesh.nodes)
+            and np.array_equal(m.triangles, mesh.triangles)
+        )):
+            raise MeshMismatch("fields live on different meshes")
     grads = [gradient(u) for u in fields]
     G = [[0.0] * len(grads) for _ in grads]
     for j, gj in enumerate(grads):
         for k in range(j, len(grads)):
-            G[j][k] = G[k][j] = inner_product(gj, grads[k])
+            gk = grads[k]
+            G[j][k] = G[k][j] = float(
+                np.sum(mesh.areas * (gj[:, 0] * gk[:, 0] + gj[:, 1] * gk[:, 1]))
+            )
     return tuple(tuple(row) for row in G)

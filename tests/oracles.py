@@ -98,14 +98,7 @@ def direct_energy_and_power(domain, crack, loading, t, h_max, h_tip):
     finite-difference form the Gram path must reproduce.
     """
     from quasicrack.mesh import triangulate
-    from quasicrack.solver import (
-        BoundaryDatum,
-        ScalarField,
-        bulk_energy,
-        gradient,
-        inner_product,
-        solve,
-    )
+    from quasicrack.solver import BoundaryDatum, ScalarField, gram_matrix, solve
 
     basis = loading.basis()
 
@@ -119,7 +112,8 @@ def direct_energy_and_power(domain, crack, loading, t, h_max, h_tip):
     mesh = triangulate(domain, crack, h_max, h_tip)
     u = solve(mesh, combined(c))
     gdot = ScalarField(mesh, combined(cdot).sample(mesh))
-    return bulk_energy(u), 2.0 * inner_product(gradient(u), gradient(gdot))
+    G = gram_matrix([u, gdot])
+    return G[0][0], 2.0 * G[0][1]
 
 
 def best_joint_extension(domain, base, policy, h_tip, energy_fn):
@@ -199,7 +193,7 @@ def tangential_jump_max_loop(u, *, away_from=None, clearance: float = 0.0) -> fl
     from quasicrack.solver import gradient
 
     mesh = u.mesh
-    g = gradient(u).values
+    g = gradient(u)
     elements = []
     if away_from is not None and clearance > 0.0:
         elements = away_from.segments() + [(q, q) for q in away_from.isolated_points()]
@@ -523,6 +517,7 @@ def triangulate_loops(domain, crack, h_max, h_tip):
     against `edge_owners_loop`; the unzip keeps per-node incidence lists,
     counts edges with `edge_owners_loop`, splits each fan triangle by
     triangle, rewrites one row at a time and tags the boundary edge by edge.
+    Returns the mesh and its constrained nodes as `unzip_loop` finds them.
     """
     from quasicrack.geometry import segment_distances
     from quasicrack.mesh import (
@@ -728,14 +723,12 @@ def _fan_sides_loop(coords, tris, incident, v, theta_b, theta_a):
 
 
 def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_max, h_tip):
-    """The crack unzip node by node: `boundary_cycle` lists (node, parent edge)."""
-    from quasicrack.mesh import (
-        _MIN_ANGLE_DEG,
-        CrackChain,
-        CrackMesh,
-        FacePair,
-        MeshFailure,
-    )
+    """The crack unzip node by node: `boundary_cycle` lists (node, parent edge).
+
+    Returns the mesh and, computed here edge by edge, its constrained
+    nodes: the Dirichlet-tagged ones less the crack nodes.
+    """
+    from quasicrack.mesh import _MIN_ANGLE_DEG, CrackChain, CrackMesh, MeshFailure
 
     chain_ids = [list(map(int, ids)) for ids in chain_ids]
     tris = tris.copy()
@@ -748,11 +741,10 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
         incident[int(tris[ti, col])].append(int(ti))
     two_sided = {e for e, owners in edge_owners_loop(tris).items() if len(owners) == 2}
 
-    tip_nodes, chains = [], []
-    for comp_idx, ids in enumerate(chain_ids):
-        kinds = end_kinds[comp_idx]
+    chains = []
+    for ids, kinds in zip(chain_ids, end_kinds):
         if kinds[0] == "point":
-            chains.append(CrackChain(comp_idx, tuple(ids), tuple(ids), "point", "point"))
+            chains.append(CrackChain(tuple(ids), tuple(ids)))
             continue
         k = len(ids) - 1
         if not all((min(u, v), max(u, v)) in two_sided for u, v in zip(ids, ids[1:])):
@@ -762,7 +754,6 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
             at_end = i == 0 or i == k
             kind = kinds[0] if i == 0 else (kinds[1] if i == k else "interior")
             if at_end and kind == "tip":
-                tip_nodes.append(v)
                 continue
             pv = coords[v]
             if i > 0:
@@ -794,22 +785,15 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
             for ti in right:
                 row = tris[ti]
                 row[row == v] = dup
-        chains.append(CrackChain(comp_idx, tuple(ids), tuple(minus_ids), kinds[0], kinds[1]))
+        chains.append(CrackChain(tuple(ids), tuple(minus_ids)))
 
     pts_arr = pts_arr[origin]
     owners_of = edge_owners_loop(tris)
     free = sorted(e for e, owners in owners_of.items() if len(owners) == 1)
-    face_edges, face_pairs = set(), []
+    face_edges = set()
     for ch in chains:
-        if ch.start_kind == "point":
-            continue
         for ids in (ch.node_ids, ch.minus_ids):
             face_edges.update((min(u, v), max(u, v)) for u, v in zip(ids, ids[1:]))
-        for plus, minus in zip(ch.node_ids, ch.minus_ids):
-            if plus != minus:
-                face_pairs.append(
-                    FacePair((float(pts_arr[plus][0]), float(pts_arr[plus][1])), plus, minus)
-                )
     if not face_edges.issubset(free):
         raise MeshFailure("crack face edge not free after unzip")
     if any(len(owners) > 2 for owners in owners_of.values()):
@@ -835,16 +819,11 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
     for ch in chains:
         crack_ids.update(ch.node_ids)
         crack_ids.update(ch.minus_ids)
-    released = frozenset(dirichlet_nodes & crack_ids)
     mesh = CrackMesh(
         nodes=pts_arr,
         triangles=tris,
-        crack_face_pairs=tuple(face_pairs),
         boundary_edges=tuple(boundary_edges),
-        tip_nodes=tuple(tip_nodes),
         crack_chains=tuple(chains),
-        dirichlet_nodes=frozenset(dirichlet_nodes - set(released)),
-        released_nodes=released,
         h_max=h_max,
         h_tip=h_tip,
     )
@@ -853,4 +832,4 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
     ang = min_angle_loop(mesh)
     if ang < _MIN_ANGLE_DEG:
         raise MeshFailure(f"min angle {ang:.2f} deg below bound {_MIN_ANGLE_DEG}")
-    return mesh
+    return mesh, frozenset(dirichlet_nodes - crack_ids)

@@ -139,11 +139,12 @@ def test_criterion_3_energy_release_law():
 
 def test_criterion_4_irreversibility(benchmark_state):
     state = benchmark_state
-    n = len(state.cracks)
+    cracks = [s.crack for s in state.steps]
+    n = len(cracks)
     assert n == 65  # 64 steps plus t=0
     ok_contain = all(
-        contains(state.cracks[i + 1], state.cracks[i], 0.0) for i in range(n - 1)
-    ) and contains(state.cracks[-1], state.cracks[0], 0.0)
+        contains(cracks[i + 1], cracks[i], 0.0) for i in range(n - 1)
+    ) and contains(cracks[-1], cracks[0], 0.0)
     surf = [r.surface for r in state.energies]
     ok_surf = all(b >= a for a, b in zip(surf, surf[1:]))
     ok = report(

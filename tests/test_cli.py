@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -10,12 +11,19 @@ from quasicrack.evolution import LoadingProgram, run_evolution
 from verification import subcritical_benchmark_config
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "quasicrack.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
+
+
+def assert_config_error(r, message=""):
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error: ") and message in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +92,68 @@ def test_run_delta_above_one_is_config_error(quick_config, tmp_path):
     assert r.returncode == 2
     assert "config error" in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("mesh", {"h_tip": 0}),
+        ("mesh", {"h_tip": -1 / 64}),
+        ("mesh", {"h_tip": 0.25}),  # above h_max
+        ("mesh", {"h_max": math.inf}),
+        ("mesh", {"h_tip": math.nan}),
+        ("policy", {"ell0": 0}),
+        ("policy", {"length_max": -0.1}),
+    ],
+)
+def test_bad_sizes_are_config_errors(section, values):
+    # a zero size would otherwise bisect forever near a tip
+    cfg = subcritical_benchmark_config(delta=1 / 4)
+    cfg[section].update(values)
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+
+
+def test_run_zero_tip_size_exits_2(quick_config, tmp_path):
+    _, path = quick_config
+    cfg = json.loads(path.read_text())
+    cfg["mesh"]["h_tip"] = 0
+    bad = tmp_path / "h0.json"
+    bad.write_text(json.dumps(cfg))
+    assert_config_error(run_cli("run", str(bad), timeout=60), "h_tip")
+
+
+def test_run_unmeshable_initial_crack_exits_2(quick_config, tmp_path):
+    _, path = quick_config
+    cfg = json.loads(path.read_text())
+    cfg["initial_crack"] = [[[0.0, 0.0], [5.0, 0.0]]]  # leaves the strip
+    bad = tmp_path / "outside.json"
+    bad.write_text(json.dumps(cfg))
+    r = run_cli("run", str(bad), "--output-dir", str(tmp_path / "out"), timeout=60)
+    assert_config_error(r, "crack leaves the closure of the domain")
+
+
+@pytest.fixture(scope="module")
+def saved_state(quick_config):
+    d, path = quick_config
+    out = d / "saved"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    return json.loads((out / "state.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        ([[[0.1, 0.0], [0.5, 0.0], [0.3, 0.1], [0.3, -0.1]]], "polyline self-intersects"),
+        ([[[0.0, 0.0], [5.0, 0.0]]], "crack leaves the closure of the domain"),
+    ],
+)
+def test_audit_of_a_bad_snapshot_crack_exits_2(saved_state, tmp_path, components, message):
+    payload = json.loads(json.dumps(saved_state))
+    payload["snapshots"]["steps"][0]["components"] = components
+    p = tmp_path / "state.json"
+    p.write_text(json.dumps(payload))
+    assert_config_error(run_cli("audit", str(p), timeout=60), message)
 
 
 def test_audit_from_state(quick_config):
@@ -169,6 +239,12 @@ def test_sweep(quick_config):
     assert [row["delta"] for row in rows] == [0.5, 0.25]
 
 
+def test_sweep_zero_denominator_exits_2(quick_config):
+    _, path = quick_config
+    r = run_cli("sweep", str(path), "--delta-list", "1/4,1/0", timeout=60)
+    assert_config_error(r)
+
+
 def test_oracle_known_case():
     for case in ("slit-energy", "slit-sif", "release-rate"):
         r = run_cli("oracle", case, "--h-tip", str(1 / 64))
@@ -219,6 +295,17 @@ def test_release_rate_oracle_meshes_each_crack_once(monkeypatch):
 def test_oracle_unknown_case():
     r = run_cli("oracle", "no-such-case")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("h_tip", ["0", "-0.01", "inf"])
+def test_oracle_rejects_a_size_that_is_not_positive(h_tip):
+    assert_config_error(run_cli("oracle", "slit-energy", f"--h-tip={h_tip}", timeout=60))
+
+
+def test_taper_growth_oracle_takes_no_tip_size():
+    # it runs the growth benchmark at that benchmark's own resolution
+    r = run_cli("oracle", "taper-growth", "--h-tip", str(1 / 128), timeout=60)
+    assert_config_error(r, "taper-growth")
 
 
 def test_main_callable_directly(quick_config, capsys):

@@ -164,7 +164,7 @@ def test_localization_inequality_at_minimizer(benchmark_state):
     # prefers K_i's trace over extended variants (solver-tolerance slack)
     state = benchmark_state
     i = next(j for j in range(len(state.grew)) if state.grew[j])
-    crack = state.cracks[i]
+    crack = state.steps[i].crack
     u = state.field(i)
     tip_pos = crack.components[0].vertices[-1]
     ball = BallSpec(tip_pos, 0.28, 64)

@@ -32,6 +32,7 @@ from quasicrack.evolution import (
 from quasicrack.geometry import CrackSet, Polyline, contains, length
 
 from oracles import best_joint_extension, direct_energy_and_power
+from verification import unit_square
 
 TAPER = dict(length_x=3.0, h0=0.35, h1=0.725)
 
@@ -196,7 +197,7 @@ def test_joint_search_matches_exhaustive_oracle():
     # a centred slit under linear shear grows at both tips at t = 0.75 (phi
     # = 1.5): two tips with 7 moves each (none, 3 angles x 2 lengths) is
     # one joint round of 49 combinations
-    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1), (2, 3)))
+    dom = unit_square(dirichlet_arcs=((0, 1), (2, 3)))
     k0 = CrackSet((Polyline(((0.35, 0.5), (0.65, 0.5))),), m=1)
     loading = LoadingProgram(
         "proportional", datum=linear_datum(0, 1), profile=Profile("linear", (2.0,))
@@ -264,7 +265,8 @@ def test_zero_loading_run():
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 4)
     state = run_evolution(dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32)
     assert not any(state.grew)
-    for rec, crack in zip(state.energies, state.cracks):
+    for step in state.steps:
+        rec, crack = step.energy, step.crack
         assert crack.fingerprint() == k0.fingerprint()
         assert rec.total == pytest.approx(length(k0), abs=1e-14)
     assert state.audit["pass"]
@@ -300,7 +302,8 @@ def test_scaling_path_matches_direct_solves():
         dom, k0, loading, TimeGrid(1 / 4), policy, 1 / 8, 1 / 32,
         with_audit=False,
     )
-    for t, crack, rec in zip(state.grid.times(), state.cracks, state.energies):
+    for t, step in zip(state.grid.times(), state.steps):
+        crack, rec = step.crack, step.energy
         bulk, power = direct_energy_and_power(dom, crack, loading, t, 1 / 8, 1 / 32)
         assert rec.total == pytest.approx(bulk + length(crack), abs=1e-9)
         assert rec.power == pytest.approx(power, abs=1e-9)
@@ -372,7 +375,8 @@ def test_onset_monotone_in_amplitude():
 
 def test_irreversibility_and_monotone_surface(benchmark_state):
     state = benchmark_state
-    for a, b in zip(state.cracks, state.cracks[1:]):
+    cracks = [s.crack for s in state.steps]
+    for a, b in zip(cracks, cracks[1:]):
         assert contains(b, a, 0.0)
     surf = [r.surface for r in state.energies]
     assert all(y >= x for x, y in zip(surf, surf[1:]))
@@ -409,7 +413,8 @@ def test_monotone_loading_equalities():
     assert not any(state.grew)
     ev = evaluator(dom, loading, 1 / 8, 1 / 32)
     t = 0.75
-    assert ev.energy(state.cracks[3], t) == ev.energy(state.cracks[3], t)
+    crack = state.steps[3].crack
+    assert ev.energy(crack, t) == ev.energy(crack, t)
     rows = audit_monotone_loading(state, n_pairs=6, seed=1)
     for r in rows:
         assert r["E_t_Kt"] == r["E_t_Ks"]  # K(s) == K(t) without growth
@@ -456,7 +461,7 @@ def test_monotone_loading_requires_proportional():
 
 def two_slits_zero_loading():
     """Two slits with four interior tips, unloaded."""
-    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1), (2, 3)))
+    dom = unit_square(dirichlet_arcs=((0, 1), (2, 3)))
     k0 = CrackSet(
         (
             Polyline(((0.25, 0.5), (0.4, 0.5))),

@@ -43,7 +43,7 @@ from oracles import (
     segments_intersect_exact,
     union_length_scan,
 )
-from verification import distance_to_crack
+from verification import distance_to_crack, unit_square
 
 
 def seg(a, b, m=1):
@@ -409,7 +409,7 @@ def test_extend_tip_start_end():
 
 
 def test_extend_tip_exits_domain_raises():
-    square = DomainSpec.unit_square()
+    square = unit_square()
     k = seg((0.2, 0.5), (0.8, 0.5))
     tip = crack_tips(k)[1]
     with pytest.raises(GeometryViolation):
@@ -417,7 +417,7 @@ def test_extend_tip_exits_domain_raises():
 
 
 def test_extend_tip_may_touch_boundary():
-    square = DomainSpec.unit_square()
+    square = unit_square()
     k = seg((0.2, 0.5), (0.8, 0.5))
     tip = crack_tips(k)[1]
     ext = extend_tip(k, tip, 0.0, 0.2, domain=square)
@@ -442,7 +442,7 @@ def test_extend_tip_crossing_other_component_raises():
 
 
 def test_extension_does_not_keep_its_base_alive():
-    square = DomainSpec.unit_square()
+    square = unit_square()
     base = seg((0.2, 0.5), (0.8, 0.5))
     ext = extend_tip(base, crack_tips(base)[1], 0.0, 0.1, domain=square)
     tips_on_boundary(ext, square)
@@ -661,7 +661,7 @@ def test_orient_matches_fraction_oracle_on_degenerate_triples(triple):
 # ---------------------------------------------------------------------------
 
 _DOMAINS = [
-    DomainSpec.unit_square(),
+    unit_square(),
     taper_domain(3.0, 0.35, 0.725),
     DomainSpec(regular_polygon_disk(8)),
     DomainSpec(NOTCHED),

@@ -2,8 +2,10 @@
 
 A public top-level function or class of `src/quasicrack` must be
 referenced from some other top-level statement in `src/`, `scripts/` or
-`perfbench/`. Verification-only code lives in `tests/` instead, and every
-name a test module imports is used there.
+`perfbench/`, and every public method, property and dataclass field of a
+public class must be read there as an attribute. Verification-only code
+lives in `tests/` instead, and every name a test module imports is used
+there.
 """
 
 import ast
@@ -15,6 +17,11 @@ PACKAGE = ROOT / "src" / "quasicrack"
 #: validated by the acceptance suite as part of the product; the sweep's
 #: refinement study is to call it
 ALLOWED_UNREFERENCED = {"hausdorff_distance"}
+_SOURCES = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
 
 
 def _referenced(tree: ast.AST) -> set[str]:
@@ -32,14 +39,9 @@ def _referenced(tree: ast.AST) -> set[str]:
 
 def unreferenced_public_names() -> list[str]:
     """`module.name` of every public top-level definition no other code refers to."""
-    sources = [
-        *sorted(PACKAGE.glob("*.py")),
-        *sorted((ROOT / "scripts").glob("*.py")),
-        *sorted((ROOT / "perfbench").glob("*.py")),
-    ]
     refs = Counter()  # per name, the top-level statements that refer to it
     public = []  # (module, name, 1 if its own definition refers to it, else 0)
-    for path in sources:
+    for path in _SOURCES:
         for node in ast.parse(path.read_text(), str(path)).body:
             names = _referenced(node)
             refs.update(names)
@@ -60,6 +62,44 @@ def unreferenced_public_names() -> list[str]:
 def test_every_public_src_name_has_a_caller():
     found = unreferenced_public_names()
     assert not found, f"public names in src/ with no caller in src/, scripts/ or perfbench/: {found}"
+
+
+def unread_public_members() -> list[str]:
+    """`Class.member` of every public method, property or dataclass field
+    of a public `src/` class that no code reads as an attribute.
+
+    A read is an `ast.Attribute` in `Load` context with the member's name,
+    on any object; constructor keywords are not reads.
+    """
+    read = set()
+    members = []
+    for path in _SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members.append((cls.name, name))
+    return [f"{cls}.{name}" for cls, name in members if name not in read]
+
+
+def test_every_public_src_member_is_read():
+    found = unread_public_members()
+    assert not found, f"public members in src/ never read in src/, scripts/ or perfbench/: {found}"
 
 
 def unused_test_imports() -> list[str]:

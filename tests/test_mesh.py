@@ -21,7 +21,14 @@ from oracles import (
 )
 from quasicrack import cases
 from quasicrack.domain import DomainSpec, regular_polygon_disk
-from quasicrack.geometry import CrackSet, GeometryViolation, Polyline, crack_tips, extend_tip
+from quasicrack.geometry import (
+    CrackSet,
+    GeometryViolation,
+    Polyline,
+    crack_tips,
+    extend_tip,
+    tips_on_boundary,
+)
 from quasicrack.mesh import (
     MeshFailure,
     _delaunay_with_required,
@@ -34,6 +41,14 @@ from quasicrack.mesh import (
     triangulate,
 )
 from quasicrack.solver import scale_datum
+from verification import (
+    domain_area,
+    face_pairs,
+    fingerprint_bytes,
+    released_nodes,
+    tip_nodes,
+    unit_square,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +59,10 @@ def slit_disk_mesh():
 
 
 def test_square_empty_crack():
-    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))
+    dom = unit_square(dirichlet_arcs=((0, 1),))
     mesh = triangulate(dom, CrackSet((), 1), 0.5, 0.5)
-    assert len(mesh.crack_face_pairs) == 0
-    assert len(mesh.tip_nodes) == 0
+    assert face_pairs(mesh) == []
+    assert tip_nodes(mesh) == ()
     tags = {t for _, _, t in mesh.boundary_edges}
     assert tags == {"dirichlet", "neumann"}
     assert mesh.areas.sum() == pytest.approx(1.0, abs=1e-12)
@@ -55,24 +70,24 @@ def test_square_empty_crack():
 
 def test_slit_disk_topology(slit_disk_mesh):
     domain, crack, mesh = slit_disk_mesh
-    # exactly one tip node, at the slit end
-    assert len(mesh.tip_nodes) == 1
-    assert tuple(mesh.nodes[mesh.tip_nodes[0]]) == (0.0, 0.0)
-    # every interior slit node is duplicated: coincident pair, no shared triangle
+    # exactly one tip node, at the slit end, which the chain finishes at
     chain = mesh.crack_chains[0]
-    assert chain.finish_kind == "tip" and chain.start_kind == "boundary"
+    assert tip_nodes(mesh) == (chain.node_ids[-1],)
+    assert tuple(mesh.nodes[chain.node_ids[-1]]) == (0.0, 0.0)
+    # every other slit node, the boundary end included, is duplicated:
+    # coincident pair, no shared triangle
     n_dup = sum(1 for p, m in zip(chain.node_ids, chain.minus_ids) if p != m)
-    assert n_dup == len(chain.node_ids) - 1  # all but the tip
-    for fp in mesh.crack_face_pairs:
-        assert np.allclose(mesh.nodes[fp.plus_node], mesh.nodes[fp.minus_node])
-        owners_p = {i for i, t in enumerate(mesh.triangles) if fp.plus_node in t}
-        owners_m = {i for i, t in enumerate(mesh.triangles) if fp.minus_node in t}
+    assert n_dup == len(chain.node_ids) - 1
+    for _, plus, minus in face_pairs(mesh):
+        assert np.allclose(mesh.nodes[plus], mesh.nodes[minus])
+        owners_p = {i for i, t in enumerate(mesh.triangles) if plus in t}
+        owners_m = {i for i, t in enumerate(mesh.triangles) if minus in t}
         assert owners_p and owners_m and not (owners_p & owners_m)
 
 
 def test_area_sum_invariant(slit_disk_mesh):
     domain, crack, mesh = slit_disk_mesh
-    assert abs(mesh.areas.sum() - domain.area()) <= 1e-10 * domain.area()
+    assert abs(mesh.areas.sum() - domain_area(domain)) <= 1e-10 * domain_area(domain)
 
 
 def test_euler_characteristic_boundary_slit(slit_disk_mesh):
@@ -84,10 +99,10 @@ def test_euler_characteristic_boundary_slit(slit_disk_mesh):
 
 def test_euler_characteristic_interior_slit():
     # a fully interior slit cut open is an annulus
-    dom = DomainSpec.unit_square()
+    dom = unit_square()
     crack = CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1)
     mesh = triangulate(dom, crack, 0.1, 0.02)
-    assert len(mesh.tip_nodes) == 2
+    assert len(tip_nodes(mesh)) == 2
     V, E, F = mesh.n_nodes, len(edge_owners_loop(mesh.triangles)), len(mesh.triangles)
     assert V - E + F == 0
 
@@ -95,7 +110,7 @@ def test_euler_characteristic_interior_slit():
 def test_determinism_bitwise(slit_disk_mesh):
     domain, crack, mesh = slit_disk_mesh
     again = triangulate(domain, crack, 1 / 8, 1 / 64)
-    assert mesh.fingerprint_bytes() == again.fingerprint_bytes()
+    assert fingerprint_bytes(mesh) == fingerprint_bytes(again)
 
 
 def test_tip_grading(slit_disk_mesh):
@@ -120,7 +135,7 @@ def test_min_angle_bound(slit_disk_mesh):
 
 
 def test_crack_touches_dirichlet_cases():
-    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))  # bottom edge only
+    dom = unit_square(dirichlet_arcs=((0, 1),))  # bottom edge only
     cases = [
         (((0.3, 0.5), (0.7, 0.5)), []),  # interior slit
         (((0.5, 0.0), (0.5, 0.4)), [(0.5, 0.0), (0.5, 0.0)]),  # meets the Dirichlet edge
@@ -128,20 +143,31 @@ def test_crack_touches_dirichlet_cases():
     ]
     for segment, released in cases:
         mesh = triangulate(dom, CrackSet((Polyline(segment),), 1), 0.1, 0.02)
-        assert sorted(tuple(mesh.nodes[i]) for i in mesh.released_nodes) == released
+        assert sorted(tuple(mesh.nodes[i]) for i in released_nodes(mesh)) == released
 
 
 def test_released_nodes_at_dirichlet_touch():
-    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))
+    dom = unit_square(dirichlet_arcs=((0, 1),))
     crack = CrackSet((Polyline(((0.5, 0.0), (0.5, 0.4))),), 1)
     mesh = triangulate(dom, crack, 0.1, 0.02)
-    released_pts = {tuple(mesh.nodes[i]) for i in mesh.released_nodes}
+    released_pts = {tuple(mesh.nodes[i]) for i in released_nodes(mesh)}
     assert (0.5, 0.0) in released_pts
-    assert all(i not in mesh.dirichlet_nodes for i in mesh.released_nodes)
+    assert all(i not in mesh.dirichlet_nodes for i in released_nodes(mesh))
+
+
+@pytest.mark.parametrize(
+    "h_max, h_tip",
+    [(0.1, 0.0), (0.1, -0.02), (0.0, 0.0), (math.inf, 0.02), (0.1, math.nan)],
+)
+def test_sizes_that_are_not_positive_and_finite_are_rejected(h_max, h_tip):
+    # checked before any sampling: a zero size would bisect forever
+    crack = CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1)
+    with pytest.raises(MeshFailure, match="^mesh sizes must be positive and finite$"):
+        triangulate(unit_square(), crack, h_max, h_tip)
 
 
 def test_mesh_failures():
-    dom = DomainSpec.unit_square()
+    dom = unit_square()
     outside = CrackSet((Polyline(((0.5, 0.5), (1.5, 0.5))),), 1)
     with pytest.raises(MeshFailure, match="^crack leaves the closure of the domain$"):
         triangulate(dom, outside, 0.1, 0.02)
@@ -193,7 +219,7 @@ def test_crack_along_two_collinear_edges_is_reported():
 def test_extension_of_a_meshed_crack_checks_its_new_segment():
     # a crack from `extend_tip` keeps no link to its base, so the mesher
     # checks it whole: each failure carries the message of a fresh copy
-    dom = DomainSpec.unit_square()
+    dom = unit_square()
 
     def grow(crack, end, angle, step):
         tip = next(t for t in crack_tips(crack) if t.end == end)
@@ -217,9 +243,9 @@ def test_extension_of_a_meshed_crack_checks_its_new_segment():
     # segment at the start, which a whole check meets first
     assert message(grow(along, "start", 0.0, 0.01)) == "crack segment shorter than h_tip"
     grown = grow(grow(base, "start", 0.0, 0.1), "finish", 0.3, 0.1)
-    assert triangulate(dom, grown, 0.1, 0.02).fingerprint_bytes() == triangulate(
-        dom, CrackSet.from_json(grown.to_json()), 0.1, 0.02
-    ).fingerprint_bytes()
+    assert fingerprint_bytes(triangulate(dom, grown, 0.1, 0.02)) == fingerprint_bytes(
+        triangulate(dom, CrackSet.from_json(grown.to_json()), 0.1, 0.02)
+    )
 
 
 # Crafted inputs to the unzip, one per failure after triangulation. Each
@@ -266,7 +292,7 @@ _UNZIP_FAILURES = {
 @pytest.mark.parametrize("name", sorted(_UNZIP_FAILURES))
 def test_unzip_failures(name):
     chains, pts, tris, (cycle, parent), message = _UNZIP_FAILURES[name]
-    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))
+    dom = unit_square(dirichlet_arcs=((0, 1),))
     kinds = [k for _, k in chains]
     pts, tris = np.array(pts, float), np.array(tris, dtype=np.int64)
     with pytest.raises(MeshFailure) as got:
@@ -306,10 +332,10 @@ def test_delaunay_repair_fails_on_feature_blockers():
 
 
 def test_point_component_is_single_node():
-    dom = DomainSpec.unit_square()
+    dom = unit_square()
     crack = CrackSet((Polyline(((0.4, 0.6),)),), 1)
     mesh = triangulate(dom, crack, 0.2, 0.1)
-    assert len(mesh.crack_face_pairs) == 0
+    assert face_pairs(mesh) == [] and tip_nodes(mesh) == ()
     hits = np.flatnonzero(
         (mesh.nodes[:, 0] == 0.4) & (mesh.nodes[:, 1] == 0.6)
     )
@@ -327,7 +353,7 @@ def test_edge_table_matches_loop_on_slit_meshes(x, y, angle, ell):
     assume(0.1 <= ex <= 0.9 and 0.1 <= ey <= 0.9)
     crack = CrackSet((Polyline(((x, y), (ex, ey))),), 1)
     try:
-        mesh = triangulate(DomainSpec.unit_square(), crack, 0.1, 0.025)
+        mesh = triangulate(unit_square(), crack, 0.1, 0.025)
     except MeshFailure:
         assume(False)
     # an interior slit cut open is an annulus
@@ -414,7 +440,7 @@ def _slits(*polylines, m=1):
     return CrackSet(tuple(Polyline(p) for p in polylines), m)
 
 
-# sha256 of `fingerprint_bytes()`. The bits depend on qhull (scipy) and on
+# sha256 of `verification.fingerprint_bytes`. The bits depend on qhull (scipy) and on
 # numpy's floating point; these values hold for numpy 2.4 and scipy 1.17,
 # the versions CI installs.
 PINNED_MESHES = {
@@ -436,12 +462,12 @@ PINNED_MESHES = {
         "de7912b7909a2f441d60d5d3e8e115599e3dda4bceed7ceaedfeac48f2303c9f",
     ),
     "square_slit": (
-        lambda: (DomainSpec.unit_square(), _slits(((0.3, 0.5), (0.7, 0.5))), 0.1, 0.02),
+        lambda: (unit_square(), _slits(((0.3, 0.5), (0.7, 0.5))), 0.1, 0.02),
         "0b93c63a02e95df9ce0720d1e9569e6e5405df15ef37132945af78e7c685f003",
     ),
     "kinked_slit": (
         lambda: (
-            DomainSpec.unit_square(),
+            unit_square(),
             _slits(((0.3, 0.5), (0.5, 0.5), (0.6, 0.6))),
             0.1,
             0.02,
@@ -450,7 +476,7 @@ PINNED_MESHES = {
     ),
     "two_components": (
         lambda: (
-            DomainSpec.unit_square(),
+            unit_square(),
             _slits(((0.2, 0.3), (0.45, 0.3)), ((0.55, 0.7), (0.8, 0.7)), m=2),
             0.1,
             0.02,
@@ -472,7 +498,17 @@ def _pinned_mesh(name):
 @pytest.mark.parametrize("name", sorted(PINNED_MESHES))
 def test_pinned_mesh_fingerprints(name):
     want = PINNED_MESHES[name][1]
-    assert hashlib.sha256(_pinned_mesh(name).fingerprint_bytes()).hexdigest() == want
+    assert hashlib.sha256(fingerprint_bytes(_pinned_mesh(name))).hexdigest() == want
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MESHES))
+def test_chain_tips_are_the_crack_tips(name):
+    # the tip nodes read off the chains sit, in order, at the crack's tips
+    # off the boundary
+    domain, crack, _, _ = PINNED_MESHES[name][0]()
+    mesh = _pinned_mesh(name)
+    want = [t.position for t, on in tips_on_boundary(crack, domain) if not on]
+    assert [tuple(mesh.nodes[v].tolist()) for v in tip_nodes(mesh)] == want
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_MESHES))
@@ -521,12 +557,9 @@ def _mesh_fields(mesh):
     return (
         mesh.nodes.tobytes(),
         mesh.triangles.tobytes(),
-        mesh.crack_face_pairs,
         mesh.boundary_edges,
-        mesh.tip_nodes,
         mesh.crack_chains,
         mesh.dirichlet_nodes,
-        mesh.released_nodes,
         mesh.h_max,
         mesh.h_tip,
     )
@@ -566,9 +599,10 @@ def _test_cracks(draw, kind):
 @given(data=st.data(), sizes=st.sampled_from([(0.1, 0.025), (0.2, 0.05), (0.1, 0.1)]))
 def test_triangulate_matches_loop_oracle(kind, data, sizes):
     # every CrackMesh field, including those fingerprint_bytes leaves out,
-    # and the failure message when there is one
+    # the constrained nodes against the oracle's own edge-by-edge set, and
+    # the failure message when there is one
     polylines = data.draw(_test_cracks(kind))
-    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))
+    dom = unit_square(dirichlet_arcs=((0, 1),))
     comps = tuple(
         Polyline(p) if isinstance(p[0], tuple) else Polyline((p,)) for p in polylines
     )
@@ -577,7 +611,7 @@ def test_triangulate_matches_loop_oracle(kind, data, sizes):
     except GeometryViolation:
         assume(False)
     try:
-        want = triangulate_loops(dom, crack, *sizes)
+        want, want_dirichlet = triangulate_loops(dom, crack, *sizes)
     except MeshFailure as exc:
         with pytest.raises(MeshFailure) as got:
             triangulate(dom, crack, *sizes)
@@ -585,4 +619,5 @@ def test_triangulate_matches_loop_oracle(kind, data, sizes):
         return
     got = triangulate(dom, crack, *sizes)
     assert _mesh_fields(got) == _mesh_fields(want)
+    assert got.dirichlet_nodes == want_dirichlet
     assert got.min_angle() == min_angle_loop(got)

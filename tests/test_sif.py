@@ -44,7 +44,7 @@ def test_fit_exact_field_unit_kappa(slit_setup):
     est = fit_sif(u, tip, 4 / 64, 16 / 64)
     assert est.kappa == pytest.approx(1.0, abs=1e-10)
     assert est.fit_residual <= 1e-12
-    assert est.release_rate == pytest.approx(0.0, abs=1e-9)
+    assert 1.0 - est.kappa**2 == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fit_zero_field(slit_setup):
@@ -52,7 +52,7 @@ def test_fit_zero_field(slit_setup):
     u = ScalarField(mesh, np.zeros(mesh.n_nodes))
     est = fit_sif(u, tip, 4 / 64, 16 / 64)
     assert est.kappa == 0.0
-    assert est.release_rate == 1.0
+    assert 1.0 - est.kappa**2 == 1.0
 
 
 def test_fit_negative_kappa_and_linearity(slit_setup):
@@ -62,7 +62,7 @@ def test_fit_negative_kappa_and_linearity(slit_setup):
     u2 = ScalarField(mesh, -0.5 * u1.nodal_values)
     est2 = fit_sif(u2, tip, 4 / 64, 16 / 64)
     assert est2.kappa == pytest.approx(-0.5 * est1.kappa, abs=1e-10)
-    assert est2.release_rate == pytest.approx(0.75, abs=1e-9)
+    assert 1.0 - est2.kappa**2 == pytest.approx(0.75, abs=1e-9)
 
 
 def test_fit_fem_field_accuracy(slit_setup):

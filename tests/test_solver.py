@@ -32,8 +32,7 @@ from quasicrack.solver import (
     _cg_solve,
     _dirichlet_mask,
     bulk_energy,
-    gradient,
-    inner_product,
+    gram_matrix,
     scale_datum,
     solve,
     solve_many,
@@ -41,7 +40,13 @@ from quasicrack.solver import (
 )
 
 from oracles import scipy_cg_solve, tangential_jump_max_loop
-from verification import RegionNotSimplyConnected, harmonic_conjugate, residual_norm
+from verification import (
+    RegionNotSimplyConnected,
+    face_pairs,
+    harmonic_conjugate,
+    residual_norm,
+    unit_square,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,11 +80,11 @@ def test_inner_product_cases(square_mesh):
     _, mesh = square_mesh
     ux = solve(mesh, BoundaryDatum(lambda x, y: x))
     uy = solve(mesh, BoundaryDatum(lambda x, y: y))
-    gx, gy = gradient(ux), gradient(uy)
-    assert inner_product(gx, gx) == pytest.approx(bulk_energy(ux), abs=1e-12)
-    assert inner_product(gx, gy) == pytest.approx(0.0, abs=1e-12)
     zero = ScalarField(mesh, np.zeros(mesh.n_nodes))
-    assert inner_product(gx, gradient(zero)) == 0.0
+    G = gram_matrix([ux, uy, zero])
+    assert G[0][0] == bulk_energy(ux) == pytest.approx(1.0, abs=1e-9)
+    assert G[0][1] == G[1][0] == pytest.approx(0.0, abs=1e-12)
+    assert G[0][2] == G[2][2] == 0.0
 
 
 def test_mesh_mismatch_raises(square_mesh):
@@ -88,7 +93,7 @@ def test_mesh_mismatch_raises(square_mesh):
     u = solve(mesh, BoundaryDatum(lambda x, y: x))
     v = solve(other, BoundaryDatum(lambda x, y: x))
     with pytest.raises(MeshMismatch):
-        inner_product(gradient(u), gradient(v))
+        gram_matrix([u, v])
 
 
 @given(
@@ -147,7 +152,7 @@ def test_mode3_convergence():
 
 def test_floating_component_pinned():
     # crack separating the square: the upper half sees no Dirichlet data
-    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))  # bottom only
+    dom = unit_square(dirichlet_arcs=((0, 1),))  # bottom only
     crack = CrackSet((Polyline(((0.0, 0.5), (1.0, 0.5))),), 1)
     mesh = triangulate(dom, crack, 0.1, 0.02)
     u = solve(mesh, BoundaryDatum(lambda x, y: 1.0 + x))
@@ -196,7 +201,7 @@ def _scipy_rows(A, rhs, x0=None):
 def test_solve_many_columns_bitwise_equal_solve(monkeypatch):
     # shared assembly, pinning and block CG, on a mesh with a floating
     # component and on taper meshes at refine 1 and 2, for S = 1..7
-    dom = DomainSpec.unit_square(dirichlet_arcs=((0, 1),))
+    dom = unit_square(dirichlet_arcs=((0, 1),))
     crack = CrackSet((Polyline(((0.0, 0.5), (1.0, 0.5))),), 1)
     floating = (
         BoundaryDatum(lambda x, y: 1.0 + x),
@@ -218,7 +223,7 @@ def test_solve_many_columns_bitwise_equal_solve(monkeypatch):
 def slit_system():
     """Free-node stiffness block of a slit square (crack faces are free)."""
     crack = CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1)
-    mesh = triangulate(DomainSpec.unit_square(), crack, 0.1, 0.05)
+    mesh = triangulate(unit_square(), crack, 0.1, 0.05)
     free = ~_dirichlet_mask(mesh)
     return stiffness_matrix(mesh)[free][:, free]
 
@@ -298,10 +303,9 @@ def test_harmonic_conjugate_face_constancy_decays():
         u = solve(mesh, g)
         v = harmonic_conjugate(u, (-0.9, 0.6, -0.6, 0.6))
         vals = [
-            v.nodal_values[fp.plus_node]
-            for fp in mesh.crack_face_pairs
-            if -0.85 <= fp.position[0] <= 0.0
-            and not np.isnan(v.nodal_values[fp.plus_node])
+            v.nodal_values[plus]
+            for (x, _), plus, _ in face_pairs(mesh)
+            if -0.85 <= x <= 0.0 and not np.isnan(v.nodal_values[plus])
         ]
         osc.append(max(vals) - min(vals))
     assert osc[1] < osc[0] * 0.75

@@ -14,7 +14,11 @@ here is what only the tests need on top of it:
 - the point-to-crack distance `distance_to_crack`;
 - the release-rate forward difference and its Richardson extrapolation
   for one datum, on a one-datum `energy.Evaluator`;
-- the subcritical loading of the benchmark strip.
+- the subcritical loading of the benchmark strip;
+- the unit square, and a polygon's area and diameter;
+- the mesh's crack record as the derived views the tests check (face
+  pairs, tip nodes, released nodes) and the byte fingerprint that the
+  pinned mesh hashes are taken of, all read off the crack chains.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ class ConvergenceScenario:
     target: tuple[CrackSet, BoundaryDatum]
 
     def hypothesis_distances(self) -> list[float]:
-        diam = self.domain.diameter()
+        diam = domain_diameter(self.domain)
         return [
             hausdorff_distance(k, self.target[0], domain_diameter=diam)
             for k, _ in self.family
@@ -109,7 +113,7 @@ def check_minimizer_convergence(
     k_ref, g_ref = scenario.target
     ref_mesh = triangulate(dom, k_ref, h_max / REFERENCE_REFINE, h_tip / REFERENCE_REFINE)
     u_ref = solve(ref_mesh, g_ref)
-    g_ref_grad = gradient(u_ref).values
+    g_ref_grad = gradient(u_ref)
     cent = ref_mesh.nodes[ref_mesh.triangles].mean(axis=1)
     w = ref_mesh.areas
 
@@ -117,7 +121,7 @@ def check_minimizer_convergence(
         mesh = triangulate(dom, k, h_max, h_tip)
         u = solve(mesh, g)
         loc = TriangleLocator(mesh)
-        gv = gradient(u).values
+        gv = gradient(u)
         diff2 = np.empty(len(cent))
         for i, p in enumerate(cent):
             ti, _ = loc.locate(p)
@@ -461,8 +465,8 @@ def harmonic_conjugate(
 
     # merge crack-face duplicates: v is continuous across traction-free cracks
     canon = np.arange(mesh.n_nodes)
-    for fp in mesh.crack_face_pairs:
-        canon[fp.minus_node] = fp.plus_node
+    for ch in mesh.crack_chains:
+        canon[list(ch.minus_ids)] = ch.node_ids
     merged = canon[tris]
     used = np.unique(merged)
     local = -np.ones(mesh.n_nodes, dtype=np.int64)
@@ -477,9 +481,7 @@ def harmonic_conjugate(
         )
 
     gu = gradient(u)
-    rot = np.stack(
-        [-gu.values[tri_idx, 1], gu.values[tri_idx, 0]], axis=1
-    )  # R grad u
+    rot = np.stack([-gu[tri_idx, 1], gu[tri_idx, 0]], axis=1)  # R grad u
     areas = mesh.areas[tri_idx]
     gx = mesh.grad_x[tri_idx]
     gy = mesh.grad_y[tri_idx]
@@ -627,3 +629,72 @@ def subcritical_benchmark_config(delta: float = 1.0 / 16.0) -> dict:
     cfg = growth_benchmark_config(delta=delta)
     cfg["loading"]["profile"] = {"type": "linear", "rate": 0.25}
     return cfg
+
+
+# ---------------------------------------------------------------------------
+# domains
+# ---------------------------------------------------------------------------
+
+
+def unit_square(dirichlet_arcs=((0, 3), (3, 0))) -> DomainSpec:
+    return DomainSpec(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), dirichlet_arcs)
+
+
+def domain_area(domain: DomainSpec) -> float:
+    v = domain.boundary
+    n = len(v)
+    return 0.5 * math.fsum(
+        v[i][0] * v[(i + 1) % n][1] - v[(i + 1) % n][0] * v[i][1] for i in range(n)
+    )
+
+
+def domain_diameter(domain: DomainSpec) -> float:
+    v = domain.boundary
+    return max(
+        math.hypot(a[0] - b[0], a[1] - b[1]) for i, a in enumerate(v) for b in v[i + 1 :]
+    )
+
+
+# ---------------------------------------------------------------------------
+# the mesh's crack record, read off its chains
+# ---------------------------------------------------------------------------
+
+
+def face_pairs(mesh: CrackMesh) -> list[tuple[Point, int, int]]:
+    """(position, plus node, minus node) at every chain position whose
+    faces are split, chain by chain along each chain."""
+    return [
+        (tuple(mesh.nodes[plus].tolist()), plus, minus)
+        for ch in mesh.crack_chains
+        for plus, minus in zip(ch.node_ids, ch.minus_ids)
+        if plus != minus
+    ]
+
+
+def tip_nodes(mesh: CrackMesh) -> tuple[int, ...]:
+    """The shared node of every crack tip: an end of a chain of 2+ nodes
+    whose faces meet there; chain by chain, start before finish."""
+    return tuple(
+        ch.node_ids[i]
+        for ch in mesh.crack_chains
+        if len(ch.node_ids) >= 2
+        for i in (0, -1)
+        if ch.node_ids[i] == ch.minus_ids[i]
+    )
+
+
+def released_nodes(mesh: CrackMesh) -> frozenset[int]:
+    """Ends of Dirichlet-tagged boundary edges that lie on a crack chain."""
+    tagged = {v for i, j, tag in mesh.boundary_edges if tag == "dirichlet" for v in (i, j)}
+    on_crack = {v for ch in mesh.crack_chains for v in ch.node_ids + ch.minus_ids}
+    return frozenset(tagged & on_crack)
+
+
+def fingerprint_bytes(mesh: CrackMesh) -> bytes:
+    """The bytes whose sha256 `tests/test_mesh.py` pins: nodes, triangles,
+    tagged boundary edges, tip nodes and face pairs."""
+    parts = [mesh.nodes.tobytes(), mesh.triangles.tobytes()]
+    parts.extend(f"{i},{j},{tag};".encode() for i, j, tag in mesh.boundary_edges)
+    parts.append(repr(tip_nodes(mesh)).encode())
+    parts.extend(f"{pos!r}:{plus}:{minus};".encode() for pos, plus, minus in face_pairs(mesh))
+    return b"".join(parts)
