@@ -10,8 +10,13 @@ pair runs the tree's own ``perfbench/run.py --trace 0`` once per side, one
 process at a time; even pairs run the base first, odd pairs this checkout,
 so slow drift of the host's speed hits both sides alike. The output file
 holds, per workload and end-to-end metric, both sides' samples with their
-median and quartiles, the number of pairs this checkout won, and the
-environment stamp. Exits 1 if a run fails or reports incorrect outputs.
+median and quartiles, the number of pairs this checkout won, the verdict
+of ``BENCHMARK.json``'s rule, and the environment stamp. A verdict is
+``regressed`` when this checkout's median is worse than the base's by more
+than the metric's bound; else ``unresolved`` when the base's quartile
+spread exceeds the bound relative to its median, unless every run of this
+checkout beats every base run; else ``within_bound``. Exits 1 if a run
+fails or reports incorrect outputs.
 """
 
 from __future__ import annotations
@@ -74,17 +79,29 @@ def summary(samples: list[float]) -> dict:
     return {"samples": samples, "median": med, "q1": q1, "q3": q3}
 
 
-def compare(base: list[float], head: list[float], better: str) -> dict:
-    """Both sides' summaries, pair wins of this checkout, relative median change."""
+def compare(base: list[float], head: list[float], better: str, bound: float) -> dict:
+    """Both sides' summaries, pair wins of this checkout, relative median
+    change, and the verdict under the metric's relative `bound`."""
     b, h = summary(base), summary(head)
-    won = [(y < x) if better == "lower" else (y > x) for x, y in zip(base, head)]
+    # sign * value is lower-is-better for either direction
+    sign = 1.0 if better == "lower" else -1.0
+    won = [sign * y < sign * x for x, y in zip(base, head)]
     change = (h["median"] - b["median"]) / b["median"] if b["median"] else 0.0
+    spread = (b["q3"] - b["q1"]) / abs(b["median"]) if b["median"] else 0.0
+    every_run_won = max(sign * y for y in head) < min(sign * x for x in base)
+    if sign * change > bound:
+        verdict = "regressed"
+    elif spread > bound and not every_run_won:
+        verdict = "unresolved"
+    else:
+        verdict = "within_bound"
     return {
         "base": b,
         "head": h,
         "wins": sum(won),
         "median_change": change,
         "gap_exceeds_base_iqr": abs(h["median"] - b["median"]) > b["q3"] - b["q1"],
+        "verdict": verdict,
     }
 
 
@@ -134,7 +151,7 @@ def main(argv=None) -> int:
             "metrics": {
                 g["name"]: {"unit": g["unit"], "better": g["better"], "bound": g["bound"],
                             **compare(values["base"][g["name"]],
-                                      values["head"][g["name"]], g["better"])}
+                                      values["head"][g["name"]], g["better"], g["bound"])}
                 for g in gates
             },
         }
@@ -143,7 +160,7 @@ def main(argv=None) -> int:
         for name, m in r["metrics"].items():
             print(f"{workload:>16} {name:>12}: base {m['base']['median']:.4g} "
                   f"head {m['head']['median']:.4g} ({m['median_change']:+.1%}), "
-                  f"wins {m['wins']}/{args.pairs}")
+                  f"wins {m['wins']}/{args.pairs}, {m['verdict']}")
     return 0 if ok else 1
 
 

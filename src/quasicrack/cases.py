@@ -42,18 +42,13 @@ def mode3_values(pts: np.ndarray, kappa: float = 1.0, tip: Point = (0.0, 0.0)) -
 
 
 def mode3_datum(kappa: float = 1.0, tip: Point = (0.0, 0.0)) -> BoundaryDatum:
-    """Datum (and side-aware nodal sampler) for the slit-aligned singular field.
+    """Side-aware nodal datum of the slit-aligned singular field.
 
-    The evaluator's branch cut coincides with the slit, so plus-side face
+    The field's branch cut coincides with the slit, so plus-side face
     copies take theta = +pi and minus-side copies theta = -pi.
     """
 
-    def ev(x: float, y: float) -> float:
-        rho = math.hypot(x - tip[0], y - tip[1])
-        th = math.atan2(y - tip[1], x - tip[0])
-        return kappa * math.sqrt(2.0 * rho / math.pi) * math.sin(th / 2.0)
-
-    def sampler(mesh: CrackMesh) -> np.ndarray:
+    def sample(mesh: CrackMesh) -> np.ndarray:
         vals = mode3_values(mesh.nodes, kappa, tip)
         amp = kappa * np.sqrt(2.0 / math.pi)
         for ch in mesh.crack_chains:
@@ -64,7 +59,7 @@ def mode3_datum(kappa: float = 1.0, tip: Point = (0.0, 0.0)) -> BoundaryDatum:
                     vals[plus], vals[minus] = amp * root, -amp * root  # theta = +pi, -pi
         return vals
 
-    return BoundaryDatum(evaluator=ev, mesh_sampler=sampler)
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -94,38 +89,24 @@ def taper_crack(a0: float = 0.3, m: int = 1) -> CrackSet:
     return CrackSet((Polyline(((0.0, 0.0), (a0, 0.0))),), m)
 
 
-# The mesh samplers below repeat their evaluator's float operations in the
-# same order on the node arrays, so both give the same bits at every node.
-
-
 def taper_datum(
     length_x: float = 2.0, h0: float = 0.35, h1: float = 0.60
 ) -> BoundaryDatum:
     """Antisymmetric shear profile h(x, y) = y / H(x), +-1 on the long edges."""
 
-    def ev(x: float, y: float) -> float:
-        H = h0 + (h1 - h0) * x / length_x
-        return y / H
-
-    def sampler(mesh: CrackMesh) -> np.ndarray:
+    def sample(mesh: CrackMesh) -> np.ndarray:
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
         return y / (h0 + (h1 - h0) * x / length_x)
 
-    return BoundaryDatum(evaluator=ev, mesh_sampler=sampler)
+    return sample
 
 
 def linear_datum(cx: float = 1.0, cy: float = 0.0) -> BoundaryDatum:
-    return BoundaryDatum(
-        evaluator=lambda x, y: cx * x + cy * y,
-        mesh_sampler=lambda mesh: cx * mesh.nodes[:, 0] + cy * mesh.nodes[:, 1],
-    )
+    return lambda mesh: cx * mesh.nodes[:, 0] + cy * mesh.nodes[:, 1]
 
 
 def constant_datum(c: float) -> BoundaryDatum:
-    return BoundaryDatum(
-        evaluator=lambda x, y: c,
-        mesh_sampler=lambda mesh: np.full(mesh.n_nodes, c, dtype=float),
-    )
+    return lambda mesh: np.full(mesh.n_nodes, c, dtype=float)
 
 
 def zero_datum() -> BoundaryDatum:

@@ -55,6 +55,7 @@ def load_config(cfg: dict):
         if not (0.0 < h_tip <= h_max < math.inf):
             raise ValueError(f"mesh sizes need 0 < h_tip <= h_max < inf, got {h_tip=}, {h_max=}")
         policy = CandidatePolicy.from_json(cfg.get("policy", {}))
+        policy.step_lengths(h_tip)
         grid = TimeGrid(float(cfg["delta"]))
         lcfg = cfg["loading"]
         if lcfg is None:

@@ -256,7 +256,11 @@ class CandidatePolicy:
                 raise ValueError(f"{name} must be positive, got {value}")
 
     def step_lengths(self, h_tip: float) -> tuple[float, ...]:
+        """The ladder; a rung shorter than h_tip (with the mesher's slack)
+        could never be meshed, so it raises ValueError."""
         ell0 = self.ell0 if self.ell0 is not None else 2.0 * h_tip
+        if ell0 < h_tip * (1.0 - 1e-9):
+            raise ValueError(f"ell0 must not be shorter than h_tip, got {ell0=}, {h_tip=}")
         lmax = self.length_max if self.length_max is not None else 20.0 * ell0
         n = int(math.floor(lmax / ell0 + 1e-9))
         return (0.0,) + tuple(k * ell0 for k in range(1, n + 1))

@@ -1,10 +1,10 @@
 """Crack-conforming triangulation of a cracked polygon.
 
-Pipeline: size-graded feature sampling (boundary + crack polylines with
-protection radii), deterministic multi-level hex lattice fill, Delaunay
-(qhull), required-edge verification with one repair pass, then the crack
-"unzip": interior crack nodes are duplicated into plus/minus face copies
-while tips stay single shared nodes.
+Two stages. `conforming_mesh`: size-graded feature sampling (boundary +
+crack polylines with protection radii), deterministic multi-level hex
+lattice fill, Delaunay (qhull), required-edge verification with one repair
+pass; its crack chains are closed. `unzip` then opens them: interior crack
+nodes are duplicated into plus/minus face copies, tips stay single nodes.
 
 Everything but qhull works on arrays, with the float operations of the
 loops it replaced (kept in the tests as the oracle), so meshes keep their
@@ -25,8 +25,8 @@ bits:
 - the unzip finds the crack nodes' triangles with a boolean lookup, splits
   each fan from per-triangle angles, moves every minus-side corner in one
   assignment, and takes the free edges and boundary tags from one sort of
-  the final edge keys. Boundary edges are tagged from the boundary cycle's
-  parent polygon edges.
+  the final edge keys. A boundary edge takes the tag of the base's boundary
+  edge its nodes stand for.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ class CrackChain:
 class CrackMesh:
     """Immutable triangulation of Omega minus a crack set.
 
-    Chain k of `crack_chains` traces crack component k. The constrained
+    Chain k of `crack_chains` traces crack component k. A chain whose minus
+    ids equal its node ids is closed, and `unzip` opens it. The constrained
     nodes `dirichlet_nodes` are the ends of Dirichlet-tagged boundary
     edges, less the crack nodes: the crack releases the Dirichlet boundary
     where it meets it.
@@ -402,16 +403,20 @@ def _validate_crack(domain: DomainSpec, crack: CrackSet, h_tip: float):
                 raise MeshFailure("touching crack components are unsupported")
 
 
-def triangulate(
-    domain: DomainSpec,
-    crack: CrackSet,
-    h_max: float,
-    h_tip: float,
-) -> CrackMesh:
+def triangulate(domain: DomainSpec, crack: CrackSet, h_max: float, h_tip: float) -> CrackMesh:
     """Deterministic crack-conforming triangulation with tip grading.
 
     Raises MeshFailure on degenerate geometry, unreachable conformity,
     or a violated quality bound.
+    """
+    return unzip(*conforming_mesh(domain, crack, h_max, h_tip))
+
+
+def conforming_mesh(domain: DomainSpec, crack: CrackSet, h_max: float, h_tip: float):
+    """The mesh before the unzip, and per chain its end kinds.
+
+    The base's boundary edges are the boundary cycle's, each tagged as its
+    polygon edge; every chain is closed, its crack edges interior edges.
     """
     if not all(0.0 < h < math.inf for h in (h_max, h_tip)):
         raise MeshFailure("mesh sizes must be positive and finite")
@@ -428,9 +433,9 @@ def triangulate(
     pts_arr = _lattice_fill(domain, crack, tips, size, features, poly_arr)
 
     # ---------------- Delaunay + required edges ----------------
+    cycle_edges = np.column_stack([cycle, np.roll(cycle, -1)])
     required = np.concatenate(
-        [np.column_stack([ids[:-1], ids[1:]]) for ids in chain_ids]
-        + [np.column_stack([cycle, np.roll(cycle, -1)])]
+        [np.array([ids[:-1], ids[1:]], dtype=np.int64).T for ids in chain_ids] + [cycle_edges]
     )
     tris = _delaunay_with_required(pts_arr, required, len(features))
 
@@ -449,17 +454,23 @@ def triangulate(
     flip = det[keep] < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
 
-    # ---------------- unzip the crack ----------------
-    return _unzip_and_finalize(
-        domain, end_kinds, chain_ids, pts_arr, tris, cycle, cycle_parent, h_max, h_tip
+    labels = np.array([domain.edge_tag(k) for k in range(len(domain.boundary))])
+    base = CrackMesh(
+        nodes=pts_arr,
+        triangles=tris,
+        boundary_edges=tuple(zip(*cycle_edges.T.tolist(), labels[cycle_parent].tolist())),
+        crack_chains=tuple(CrackChain(ids, ids) for ids in chain_ids),
+        h_max=h_max,
+        h_tip=h_tip,
     )
+    return base, end_kinds
 
 
 def _feature_points(domain: DomainSpec, crack: CrackSet, end_kinds, size: _SizeField):
     """Boundary and crack samples, each distinct point once, first seen first.
 
     Returns the points (F, 2); the boundary cycle as node ids with each
-    node's parent polygon edge; and each component's chain of node ids.
+    node's parent polygon edge; and each component's chain, a tuple of ids.
     """
     poly = domain.boundary
     on_edge: dict[int, list[Point]] = {k: [] for k in range(len(poly))}
@@ -514,7 +525,7 @@ def _feature_points(domain: DomainSpec, crack: CrackSet, end_kinds, size: _SizeF
     )
     n_cycle = int(np.count_nonzero(keep))
     stops = np.cumsum([n_cycle] + [len(c) for c in chains]).tolist()
-    chain_ids = [ids[lo:hi] for lo, hi in zip(stops, stops[1:])]
+    chain_ids = [tuple(ids[lo:hi].tolist()) for lo, hi in zip(stops, stops[1:])]
     cycle_parent = np.array(parents)[piece[on_boundary][keep]]
     points = np.array(list(index_of), float).reshape(-1, 2)
     return points, ids[:n_cycle], cycle_parent, chain_ids
@@ -648,24 +659,17 @@ def _fan_mid(t1: float, t2: float) -> float:
     return t2 + 0.5 * ((t1 - t2) % _TAU)
 
 
-def _unzip_and_finalize(
-    domain,
-    end_kinds,
-    chain_ids,
-    pts_arr,
-    tris,
-    cycle,
-    cycle_parent,
-    h_max,
-    h_tip,
-) -> CrackMesh:
-    """Split the crack open, then tag the free edges.
+def unzip(base: CrackMesh, end_kinds) -> CrackMesh:
+    """Split the base's chains open, then tag the free edges.
 
     Each crack node but a tip gets a copy that takes over the triangles on
     the right of the chain (the minus face). The free edges of the result,
     found with one sort of its edge keys, are the crack faces and the
-    boundary cycle's edges; a copy stands for the node it was split from.
+    base's boundary edges, whose tags they take; a copy stands for the node
+    it was split from.
     """
+    pts_arr, tris = base.nodes, base.triangles
+    chain_ids = [list(ch.node_ids) for ch in base.crack_chains]
     n_orig = len(pts_arr)
 
     # incidence of the crack nodes: the hits of a node, in increasing
@@ -697,7 +701,6 @@ def _unzip_and_finalize(
     moved: list[list[int]] = []  # the hits whose node copy split_from[i] takes
     for ids, kinds in zip(chain_ids, end_kinds):
         coords = pts_arr[ids].tolist()
-        ids = ids.tolist()
         if kinds[0] == "point":
             chains.append(CrackChain(tuple(ids), tuple(ids)))
             continue
@@ -763,27 +766,26 @@ def _unzip_and_finalize(
     if np.any(counts > 2):
         raise MeshFailure("non-manifold edge")
 
-    # boundary tagging: a free edge off the crack faces must be a boundary
-    # cycle edge, which lies on the polygon edge of its first node
+    # boundary tagging: a free edge off the crack faces, its copies mapped
+    # back to their nodes, must be a base boundary edge
     edges = _edges_of(free, n)
     off_face = ~_find(face, free)[1]
-    cycle_keys = _edge_keys(np.column_stack([cycle, np.roll(cycle, -1)]), n_orig)
-    by_key = np.argsort(cycle_keys)
-    at, found = _find(cycle_keys[by_key], _edge_keys(origin[edges[off_face]], n_orig))
+    base_keys = _edge_keys([(i, j) for i, j, _ in base.boundary_edges], n_orig)
+    by_key = np.argsort(base_keys)
+    at, found = _find(base_keys[by_key], _edge_keys(origin[edges[off_face]], n_orig))
     if not found.all():
         raise MeshFailure("untagged boundary edge (hole in mesh?)")
-    n_poly = len(domain.boundary)
-    labels = np.array([domain.edge_tag(k) for k in range(n_poly)] + ["crack_face"])
-    tag = np.full(len(free), n_poly)
-    tag[off_face] = cycle_parent[by_key[at]]
+    labels = np.array([tag for _, _, tag in base.boundary_edges] + ["crack_face"])
+    tag = np.full(len(free), len(base.boundary_edges))
+    tag[off_face] = by_key[at]
     tags = labels[tag]
     mesh = CrackMesh(
         nodes=pts_arr,
         triangles=tris,
         boundary_edges=tuple(zip(edges[:, 0].tolist(), edges[:, 1].tolist(), tags.tolist())),
         crack_chains=tuple(chains),
-        h_max=h_max,
-        h_tip=h_tip,
+        h_max=base.h_max,
+        h_tip=base.h_tip,
     )
     if np.any(mesh.areas <= 0):
         raise MeshFailure("non-positive triangle area")

@@ -31,33 +31,15 @@ class MeshMismatch(Exception):
     """Operands live on different meshes."""
 
 
-@dataclass(frozen=True)
-class BoundaryDatum:
-    """Trace of an admissible displacement, evaluable on the closed domain.
-
-    `mesh_sampler`, when given, samples a whole mesh at once in place of a
-    per-node evaluator call; data that jump across the crack need one, as
-    plus/minus copies take different values. Data carry no identity: an
-    `energy.Evaluator` memoizes per crack for the basis it was built with.
-    """
-
-    evaluator: Callable[[float, float], float]
-    mesh_sampler: Callable[[CrackMesh], np.ndarray] | None = None
-
-    def sample(self, mesh: CrackMesh) -> np.ndarray:
-        if self.mesh_sampler is not None:
-            return np.asarray(self.mesh_sampler(mesh), dtype=float)
-        ev = self.evaluator
-        return np.array([ev(x, y) for x, y in mesh.nodes], dtype=float)
+#: Trace of an admissible displacement: the datum's values at every node of
+#: a mesh. Data that jump across the crack give plus/minus face copies
+#: different values. Data carry no identity: an `energy.Evaluator` memoizes
+#: per crack for the basis it was built with.
+BoundaryDatum = Callable[[CrackMesh], np.ndarray]
 
 
 def scale_datum(g: BoundaryDatum, c: float) -> BoundaryDatum:
-    ev = g.evaluator
-    sampler = None
-    if g.mesh_sampler is not None:
-        base = g.mesh_sampler
-        sampler = lambda mesh: c * np.asarray(base(mesh), dtype=float)
-    return BoundaryDatum(evaluator=lambda x, y: c * ev(x, y), mesh_sampler=sampler)
+    return lambda mesh: c * g(mesh)
 
 
 @dataclass(frozen=True)
@@ -159,7 +141,7 @@ def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
     Each returned field is bitwise equal to `solve(mesh, g)` for its datum.
     """
     n = mesh.n_nodes
-    samples = [g.sample(mesh) for g in data]
+    samples = [np.asarray(g(mesh), dtype=float) for g in data]
     constrained = _dirichlet_mask(mesh)
 
     labels = _node_components(mesh)

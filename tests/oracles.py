@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: Hausdorff distances
 come from dense point sampling with a KD-tree, not from the
 branch-and-bound implementation; energies and powers come from a direct
-solve of the datum g(t), not from the evaluator's Gram matrix; edge
+solve of the datum g(t), not from the evaluator's Gram matrix; the
+built-in data's array samplers are checked against their scalar formulas
+(`taper_reference`, `linear_reference`, `constant_reference`); edge
 topology (`edge_owners_loop`, which the Euler checks and the mesher's loop
 version count edges with) and edge jumps come from per-triangle Python
 loops, not from the mesher's sorted edge keys; the best joint tip move
@@ -92,28 +94,44 @@ def direct_energy_and_power(domain, crack, loading, t, h_max, h_tip):
     """(bulk, power) at time t from one direct solve of g(t) on a fresh mesh.
 
     g(t) and gdot(t) are built here from `loading.basis()` and
-    `loading.coeffs(t)`; their samples are summed datum by datum, so data
-    with a face-aware sampler keep their per-side values. The power is
+    `loading.coeffs(t)`; their samples are summed datum by datum, so
+    face-aware data keep their per-side values. The power is
     2 (grad u | grad gdot) against the nodal samples of gdot(t), the
     finite-difference form the Gram path must reproduce.
     """
     from quasicrack.mesh import triangulate
-    from quasicrack.solver import BoundaryDatum, ScalarField, gram_matrix, solve
+    from quasicrack.solver import ScalarField, gram_matrix, solve
 
     basis = loading.basis()
 
     def combined(weights):
-        return BoundaryDatum(
-            evaluator=lambda x, y: sum(w * g.evaluator(x, y) for w, g in zip(weights, basis)),
-            mesh_sampler=lambda mesh: sum(w * g.sample(mesh) for w, g in zip(weights, basis)),
-        )
+        return lambda mesh: sum(w * g(mesh) for w, g in zip(weights, basis))
 
     c, cdot = loading.coeffs(t)
     mesh = triangulate(domain, crack, h_max, h_tip)
     u = solve(mesh, combined(c))
-    gdot = ScalarField(mesh, combined(cdot).sample(mesh))
+    gdot = ScalarField(mesh, combined(cdot)(mesh))
     G = gram_matrix([u, gdot])
     return G[0][0], 2.0 * G[0][1]
+
+
+# the built-in data as scalar formulas f(x, y), one node at a time
+
+
+def taper_reference(length_x: float = 2.0, h0: float = 0.35, h1: float = 0.60):
+    def f(x, y):
+        H = h0 + (h1 - h0) * x / length_x
+        return y / H
+
+    return f
+
+
+def linear_reference(cx: float = 1.0, cy: float = 0.0):
+    return lambda x, y: cx * x + cy * y
+
+
+def constant_reference(c: float):
+    return lambda x, y: c
 
 
 def best_joint_extension(domain, base, policy, h_tip, energy_fn):
@@ -517,7 +535,9 @@ def triangulate_loops(domain, crack, h_max, h_tip):
     against `edge_owners_loop`; the unzip keeps per-node incidence lists,
     counts edges with `edge_owners_loop`, splits each fan triangle by
     triangle, rewrites one row at a time and tags the boundary edge by edge.
-    Returns the mesh and its constrained nodes as `unzip_loop` finds them.
+    The base mesh it builds, closed chains and the boundary cycle's edges
+    tagged by their polygon edges, goes to `unzip_loop`; returns the mesh
+    and its constrained nodes as `unzip_loop` finds them.
     """
     from quasicrack.geometry import segment_distances
     from quasicrack.mesh import (
@@ -526,6 +546,8 @@ def triangulate_loops(domain, crack, h_max, h_tip):
         _PT_CLEARANCE,
         _SEG_CLEARANCE,
         _TIP_RADIUS_FACTOR,
+        CrackChain,
+        CrackMesh,
         MeshFailure,
         _classify_ends,
         _validate_crack,
@@ -667,9 +689,19 @@ def triangulate_loops(domain, crack, h_max, h_tip):
     tris = tris[keep]
     flip = det[keep] < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
-    return unzip_loop(
-        domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_max, h_tip
+    boundary_edges = [
+        (u, v, domain.edge_tag(k))
+        for (u, k), (v, _) in zip(boundary_cycle, boundary_cycle[1:] + boundary_cycle[:1])
+    ]
+    base = CrackMesh(
+        nodes=pts_arr,
+        triangles=tris,
+        boundary_edges=tuple(boundary_edges),
+        crack_chains=tuple(CrackChain(tuple(ids), tuple(ids)) for ids in chain_ids),
+        h_max=h_max,
+        h_tip=h_tip,
     )
+    return unzip_loop(base, end_kinds)
 
 
 def delaunay_with_required_loop(pts_arr, required, n_feature):
@@ -722,16 +754,17 @@ def _fan_sides_loop(coords, tris, incident, v, theta_b, theta_a):
     return left, right
 
 
-def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_max, h_tip):
-    """The crack unzip node by node: `boundary_cycle` lists (node, parent edge).
+def unzip_loop(base, end_kinds):
+    """The crack unzip of a base mesh with closed chains, node by node.
 
     Returns the mesh and, computed here edge by edge, its constrained
     nodes: the Dirichlet-tagged ones less the crack nodes.
     """
     from quasicrack.mesh import _MIN_ANGLE_DEG, CrackChain, CrackMesh, MeshFailure
 
-    chain_ids = [list(map(int, ids)) for ids in chain_ids]
-    tris = tris.copy()
+    chain_ids = [list(ch.node_ids) for ch in base.crack_chains]
+    pts_arr = base.nodes
+    tris = base.triangles.copy()
     n_orig = len(pts_arr)
     coords = pts_arr.tolist()
     origin = list(range(n_orig))
@@ -798,19 +831,17 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
         raise MeshFailure("crack face edge not free after unzip")
     if any(len(owners) > 2 for owners in owners_of.values()):
         raise MeshFailure("non-manifold edge")
-    parent_of = {}
-    for (u, k), (v, _) in zip(boundary_cycle, boundary_cycle[1:] + boundary_cycle[:1]):
-        parent_of[(min(u, v), max(u, v))] = k
+    tag_of = {(min(u, v), max(u, v)): tag for u, v, tag in base.boundary_edges}
     boundary_edges = []
     for e in free:
         if e in face_edges:
             boundary_edges.append((e[0], e[1], "crack_face"))
             continue
         u, v = origin[e[0]], origin[e[1]]
-        parent = parent_of.get((min(u, v), max(u, v)))
-        if parent is None:
+        tag = tag_of.get((min(u, v), max(u, v)))
+        if tag is None:
             raise MeshFailure("untagged boundary edge (hole in mesh?)")
-        boundary_edges.append((e[0], e[1], domain.edge_tag(parent)))
+        boundary_edges.append((e[0], e[1], tag))
     dirichlet_nodes = set()
     for i, j, tag in boundary_edges:
         if tag == "dirichlet":
@@ -824,8 +855,8 @@ def unzip_loop(domain, end_kinds, chain_ids, pts_arr, tris, boundary_cycle, h_ma
         triangles=tris,
         boundary_edges=tuple(boundary_edges),
         crack_chains=tuple(chains),
-        h_max=h_max,
-        h_tip=h_tip,
+        h_max=base.h_max,
+        h_tip=base.h_tip,
     )
     if np.any(mesh.areas <= 0):
         raise MeshFailure("non-positive triangle area")

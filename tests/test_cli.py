@@ -104,6 +104,7 @@ def test_run_delta_above_one_is_config_error(quick_config, tmp_path):
         ("mesh", {"h_tip": math.nan}),
         ("policy", {"ell0": 0}),
         ("policy", {"length_max": -0.1}),
+        ("policy", {"ell0": 1 / 128}),  # a rung shorter than h_tip
     ],
 )
 def test_bad_sizes_are_config_errors(section, values):
@@ -112,6 +113,13 @@ def test_bad_sizes_are_config_errors(section, values):
     cfg[section].update(values)
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+def test_ell0_equal_to_h_tip_is_accepted():
+    cfg = subcritical_benchmark_config(delta=1 / 4)
+    cfg["policy"]["ell0"] = cfg["mesh"]["h_tip"]
+    *_, policy, _, h_tip = load_config(cfg)
+    assert policy.step_lengths(h_tip)[:2] == (0.0, h_tip)
 
 
 def test_run_zero_tip_size_exits_2(quick_config, tmp_path):

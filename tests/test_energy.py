@@ -14,9 +14,9 @@ from quasicrack.energy import EnergyRecord, Evaluator
 from quasicrack.evolution import LoadingProgram, Profile
 from quasicrack.geometry import CrackSet, Polyline, length
 from quasicrack.mesh import triangulate
-from quasicrack.solver import BoundaryDatum, bulk_energy, solve
+from quasicrack.solver import bulk_energy, solve
 
-from verification import BallSpec, local_energy, trace_of
+from verification import BallSpec, local_energy, pointwise, trace_of
 
 
 SQUARE = DomainSpec.all_dirichlet(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
@@ -81,22 +81,23 @@ def test_energy_power_cases():
 def test_directional_derivative_first_order():
     # [E(g + tau h) - E(g)] / tau - 2 (grad u_g | grad u_h) = tau * |grad u_h|^2
     crack = CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1)
-    g = BoundaryDatum(lambda x, y: x * x - 0.5 * y)
-    h = BoundaryDatum(lambda x, y: math.sin(x) + y)
+    fg = lambda x, y: x * x - 0.5 * y
+    fh = lambda x, y: math.sin(x) + y
+    g, h = pointwise(fg), pointwise(fh)
     ev = Evaluator(SQUARE, (g, h), lambda t: ((1.0, 0.0), (0.0, 1.0)), 0.1, 0.02)
     rec, ug = ev.record(crack, 0.0)
     slope = rec.power  # 2 (grad u_g | grad u_h)
     mesh = ug.mesh
     quad = bulk_energy(solve(mesh, h))
     for tau in (1e-2, 1e-3, 1e-4):
-        combo = BoundaryDatum(lambda x, y, tau=tau: g.evaluator(x, y) + tau * h.evaluator(x, y))
+        combo = pointwise(lambda x, y, tau=tau: fg(x, y) + tau * fh(x, y))
         e_tau = bulk_energy(solve(mesh, combo))
         diff = (e_tau - rec.bulk) / tau - slope
         assert diff == pytest.approx(tau * quad, rel=1e-6, abs=1e-12)
 
 
 def test_bulk_monotone_in_crack():
-    ev = one_datum(SQUARE, BoundaryDatum(lambda x, y: y * y - x), 0.1, 0.02)
+    ev = one_datum(SQUARE, pointwise(lambda x, y: y * y - x), 0.1, 0.02)
     slits = [
         CrackSet((Polyline(((0.2, 0.5), (0.4, 0.5))),), 1),
         CrackSet((Polyline(((0.2, 0.5), (0.6, 0.5))),), 1),

@@ -32,7 +32,7 @@ from quasicrack.evolution import (
 from quasicrack.geometry import CrackSet, Polyline, contains, length
 
 from oracles import best_joint_extension, direct_energy_and_power
-from verification import unit_square
+from verification import pointwise, unit_square
 
 TAPER = dict(length_x=3.0, h0=0.35, h1=0.725)
 
@@ -233,9 +233,7 @@ def test_kink_selected_when_datum_is_rotated():
             th += 2.0 * math.pi
         return math.sqrt(2.0 * rho / math.pi) * math.sin(th / 2.0)
 
-    from quasicrack.solver import BoundaryDatum
-
-    g = BoundaryDatum(ev_rot)
+    g = pointwise(ev_rot)
     loading = LoadingProgram(
         "proportional", datum=g, profile=Profile("constant", (1.7,))
     )
@@ -325,12 +323,12 @@ BASIS_FUNCS = (
     t=st.floats(0.0, 1.0),
 )
 def test_gram_bulk_and_power_match_direct_solve(slit, amps, t):
-    from quasicrack.solver import BoundaryDatum, scale_datum
+    from quasicrack.solver import scale_datum
 
     crack = CrackSet((Polyline(((0.2, 0.5), (0.2 + slit, 0.5))),), 1)
     n = len(amps)
     samples = tuple(
-        (k / (n - 1), scale_datum(BoundaryDatum(BASIS_FUNCS[k]), a))
+        (k / (n - 1), scale_datum(pointwise(BASIS_FUNCS[k]), a))
         for k, a in enumerate(amps)
     )
     loading = LoadingProgram("sampled", samples=samples)

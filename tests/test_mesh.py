@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -10,11 +11,14 @@ from scipy.spatial import Delaunay
 
 from oracles import (
     bisect_polyline,
+    constant_reference,
     delaunay_with_required_loop,
     edge_owners_loop,
     hex_lattice_loop,
+    linear_reference,
     min_angle_loop,
     points_in_polygon_loop,
+    taper_reference,
     thin_greedy_loop,
     triangulate_loops,
     unzip_loop,
@@ -30,6 +34,8 @@ from quasicrack.geometry import (
     tips_on_boundary,
 )
 from quasicrack.mesh import (
+    CrackChain,
+    CrackMesh,
     MeshFailure,
     _delaunay_with_required,
     _hex_lattice,
@@ -37,14 +43,16 @@ from quasicrack.mesh import (
     _SizeField,
     _subdivide,
     _thin,
-    _unzip_and_finalize,
+    conforming_mesh,
     triangulate,
+    unzip,
 )
-from quasicrack.solver import scale_datum
+from quasicrack.solver import bulk_energy, scale_datum, solve
 from verification import (
     domain_area,
     face_pairs,
     fingerprint_bytes,
+    pointwise,
     released_nodes,
     tip_nodes,
     unit_square,
@@ -248,9 +256,9 @@ def test_extension_of_a_meshed_crack_checks_its_new_segment():
     )
 
 
-# Crafted inputs to the unzip, one per failure after triangulation. Each
-# case: chains as (node ids, end kinds), points, triangles, boundary cycle
-# (nodes, parent polygon edges), and the message.
+# Crafted base meshes for the unzip, one per failure after triangulation.
+# Each case: chains as (node ids, end kinds), points, triangles, boundary
+# cycle (nodes, parent polygon edges), and the message.
 _FAN = [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
 _UNZIP_FAILURES = {
     "one_sided_edge": (
@@ -293,17 +301,22 @@ _UNZIP_FAILURES = {
 def test_unzip_failures(name):
     chains, pts, tris, (cycle, parent), message = _UNZIP_FAILURES[name]
     dom = unit_square(dirichlet_arcs=((0, 1),))
+    base = CrackMesh(
+        nodes=np.array(pts, float),
+        triangles=np.array(tris, dtype=np.int64),
+        boundary_edges=tuple(
+            (u, v, dom.edge_tag(k)) for u, v, k in zip(cycle, cycle[1:] + cycle[:1], parent)
+        ),
+        crack_chains=tuple(CrackChain(tuple(ids), tuple(ids)) for ids, _ in chains),
+        h_max=1.0,
+        h_tip=1.0,
+    )
     kinds = [k for _, k in chains]
-    pts, tris = np.array(pts, float), np.array(tris, dtype=np.int64)
     with pytest.raises(MeshFailure) as got:
-        _unzip_and_finalize(
-            dom, kinds, [np.array(ids, dtype=np.int64) for ids, _ in chains], pts, tris,
-            np.array(cycle, dtype=np.int64), np.array(parent), 1.0, 1.0,
-        )
+        unzip(base, kinds)
     assert str(got.value) == message
     with pytest.raises(MeshFailure) as want:
-        unzip_loop(dom, kinds, [ids for ids, _ in chains], pts, tris,
-                   list(zip(cycle, parent)), 1.0, 1.0)
+        unzip_loop(base, kinds)
     assert str(want.value) == message
 
 
@@ -514,22 +527,28 @@ def test_chain_tips_are_the_crack_tips(name):
 @pytest.mark.parametrize("name", sorted(PINNED_MESHES))
 def test_builtin_samplers_match_evaluators(name):
     # each built-in datum samples a whole mesh with the same bits as its
-    # per-node evaluator, and so does its scaled copy
+    # scalar formula node by node, and so does its scaled copy
     mesh = _pinned_mesh(name)
     data = [
-        cases.taper_datum(),
-        cases.datum_from_config(
-            {"type": "taper", "length_x": 3, "h0": cases.TAPER_H0, "h1": cases.TAPER_H1}
+        (cases.taper_datum(), taper_reference()),
+        (
+            cases.datum_from_config(
+                {"type": "taper", "length_x": 3, "h0": cases.TAPER_H0, "h1": cases.TAPER_H1}
+            ),
+            taper_reference(3, cases.TAPER_H0, cases.TAPER_H1),
         ),
-        cases.linear_datum(1.7, -0.3),
-        cases.constant_datum(2.5),
-        cases.constant_datum(3),
-        cases.zero_datum(),
+        (cases.linear_datum(1.7, -0.3), linear_reference(1.7, -0.3)),
+        (cases.constant_datum(2.5), constant_reference(2.5)),
+        (cases.constant_datum(3), constant_reference(3)),
+        (cases.zero_datum(), constant_reference(0.0)),
     ]
-    for g in data + [scale_datum(g, c) for g in data for c in (-0.37, 1e3)]:
-        assert g.mesh_sampler is not None
-        per_node = np.array([g.evaluator(x, y) for x, y in mesh.nodes], dtype=float)
-        assert g.sample(mesh).tobytes() == per_node.tobytes()
+    scaled = [
+        (scale_datum(g, c), lambda x, y, f=f, c=c: c * f(x, y))
+        for g, f in data
+        for c in (-0.37, 1e3)
+    ]
+    for g, f in data + scaled:
+        assert g(mesh).tobytes() == pointwise(f)(mesh).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -595,21 +614,29 @@ def _test_cracks(draw, kind):
     return ((draw(u), draw(u)),) + draw(st.sampled_from([(), (((0.2, 0.2), (0.3, 0.25)),)]))
 
 
-@pytest.mark.parametrize("kind", ["slit", "kinked", "boundary", "two", "point"])
-@given(data=st.data(), sizes=st.sampled_from([(0.1, 0.025), (0.2, 0.05), (0.1, 0.1)]))
-def test_triangulate_matches_loop_oracle(kind, data, sizes):
-    # every CrackMesh field, including those fingerprint_bytes leaves out,
-    # the constrained nodes against the oracle's own edge-by-edge set, and
-    # the failure message when there is one
-    polylines = data.draw(_test_cracks(kind))
-    dom = unit_square(dirichlet_arcs=((0, 1),))
+def _crack_of(polylines):
+    """The crack set of `_test_cracks` polylines and points; a drawn set
+    that is not a crack set is rejected."""
     comps = tuple(
         Polyline(p) if isinstance(p[0], tuple) else Polyline((p,)) for p in polylines
     )
     try:
-        crack = CrackSet(comps, len(comps))
+        return CrackSet(comps, len(comps))
     except GeometryViolation:
         assume(False)
+
+
+_SIZES = st.sampled_from([(0.1, 0.025), (0.2, 0.05), (0.1, 0.1)])
+
+
+@pytest.mark.parametrize("kind", ["slit", "kinked", "boundary", "two", "point"])
+@given(data=st.data(), sizes=_SIZES)
+def test_triangulate_matches_loop_oracle(kind, data, sizes):
+    # every CrackMesh field, including those fingerprint_bytes leaves out,
+    # the constrained nodes against the oracle's own edge-by-edge set, and
+    # the failure message when there is one
+    crack = _crack_of(data.draw(_test_cracks(kind)))
+    dom = unit_square(dirichlet_arcs=((0, 1),))
     try:
         want, want_dirichlet = triangulate_loops(dom, crack, *sizes)
     except MeshFailure as exc:
@@ -621,3 +648,79 @@ def test_triangulate_matches_loop_oracle(kind, data, sizes):
     assert _mesh_fields(got) == _mesh_fields(want)
     assert got.dirichlet_nodes == want_dirichlet
     assert got.min_angle() == min_angle_loop(got)
+
+
+# ---------------------------------------------------------------------------
+# the seam: a conforming base mesh, then the unzip of its chains
+# ---------------------------------------------------------------------------
+
+
+def _edge(u, v):
+    return min(u, v), max(u, v)
+
+
+def _chain_edges(ids):
+    return [_edge(u, v) for u, v in zip(ids, ids[1:])]
+
+
+@pytest.mark.parametrize("kind", ["slit", "kinked", "boundary", "two", "point", "taper"])
+@given(data=st.data())
+def test_unzip_keeps_the_base_geometry(kind, data):
+    # the unzip only renumbers corners: every triangle keeps its area and
+    # angles; the base's chains are closed and interior, the unzip's faces free
+    if kind == "taper":
+        dom, sizes = _benchmark_taper(), (1 / 4, 1 / 32)
+        crack = _slits(((0.0, 0.0), (data.draw(st.floats(0.3, 2.4)), 0.0)))
+    else:
+        dom, sizes = unit_square(dirichlet_arcs=((0, 1),)), data.draw(_SIZES)
+        crack = _crack_of(data.draw(_test_cracks(kind)))
+    try:
+        base, kinds = conforming_mesh(dom, crack, *sizes)
+        mesh = unzip(base, kinds)
+    except MeshFailure:
+        assume(False)
+    assert base.areas.tobytes() == mesh.areas.tobytes()
+    area = domain_area(dom)
+    assert abs(math.fsum(mesh.areas.tolist()) - area) <= 1e-12 * area
+    assert mesh.min_angle() == base.min_angle() >= 5.0
+    assert all(tag != "crack_face" for _, _, tag in base.boundary_edges)
+    owners = edge_owners_loop(base.triangles)
+    for ch in base.crack_chains:
+        assert ch.minus_ids == ch.node_ids
+        assert all(len(owners[e]) == 2 for e in _chain_edges(ch.node_ids))
+    owners = edge_owners_loop(mesh.triangles)
+    for ch in mesh.crack_chains:
+        for ids in (ch.node_ids, ch.minus_ids):
+            assert all(len(owners[e]) == 1 for e in _chain_edges(ids))
+    assert fingerprint_bytes(triangulate(dom, crack, *sizes)) == fingerprint_bytes(mesh)
+
+
+def test_unzip_chain_prefixes():
+    # one base for the taper crack and ten straight rungs of 2h beyond it;
+    # each vertex prefix of its chain unzips into a mesh with that crack
+    h = 1 / 64
+    vertices = [(0.0, 0.0), (cases.TAPER_A0, 0.0)]
+    vertices += [(cases.TAPER_A0 + 2 * h * k, 0.0) for k in range(1, 11)]
+    dom, crack = _benchmark_taper(), _slits(tuple(vertices))
+    base, kinds = conforming_mesh(dom, crack, 8 * h, h)
+    ids = base.crack_chains[0].node_ids
+    position = {tuple(base.nodes[v].tolist()): at for at, v in enumerate(ids)}
+    datum = cases.taper_datum(cases.TAPER_L, cases.TAPER_H0, cases.TAPER_H1)
+    energies = []
+    for v in vertices[1:]:
+        prefix = ids[: position[v] + 1]
+        cut = dataclasses.replace(base, crack_chains=(CrackChain(prefix, prefix),))
+        mesh = unzip(cut, [(kinds[0][0], "tip")])
+        want, want_dirichlet = unzip_loop(cut, [(kinds[0][0], "tip")])
+        assert _mesh_fields(mesh) == _mesh_fields(want)
+        assert mesh.dirichlet_nodes == want_dirichlet
+        (chain,) = mesh.crack_chains
+        faces = {(i, j) for i, j, tag in mesh.boundary_edges if tag == "crack_face"}
+        assert faces == set(_chain_edges(chain.node_ids) + _chain_edges(chain.minus_ids))
+        owners = edge_owners_loop(mesh.triangles)
+        assert all(len(owners[e]) == 2 for e in _chain_edges(ids[len(prefix) - 1 :]))
+        energies.append(bulk_energy(solve(mesh, datum)))
+    assert len(energies) == 11
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before * (1.0 + 1e-9)
+    assert fingerprint_bytes(mesh) == fingerprint_bytes(triangulate(dom, crack, 8 * h, h))

@@ -40,7 +40,7 @@ def slit_setup():
 
 def test_fit_exact_field_unit_kappa(slit_setup):
     _, _, tip, mesh = slit_setup
-    u = ScalarField(mesh, mode3_datum(1.0).sample(mesh))
+    u = ScalarField(mesh, mode3_datum(1.0)(mesh))
     est = fit_sif(u, tip, 4 / 64, 16 / 64)
     assert est.kappa == pytest.approx(1.0, abs=1e-10)
     assert est.fit_residual <= 1e-12
@@ -57,7 +57,7 @@ def test_fit_zero_field(slit_setup):
 
 def test_fit_negative_kappa_and_linearity(slit_setup):
     _, _, tip, mesh = slit_setup
-    u1 = ScalarField(mesh, mode3_datum(1.0).sample(mesh))
+    u1 = ScalarField(mesh, mode3_datum(1.0)(mesh))
     est1 = fit_sif(u1, tip, 4 / 64, 16 / 64)
     u2 = ScalarField(mesh, -0.5 * u1.nodal_values)
     est2 = fit_sif(u2, tip, 4 / 64, 16 / 64)
@@ -82,7 +82,7 @@ def test_window_robustness(slit_setup):
 
 def test_annulus_unresolved(slit_setup):
     _, _, tip, mesh = slit_setup
-    u = ScalarField(mesh, mode3_datum(1.0).sample(mesh))
+    u = ScalarField(mesh, mode3_datum(1.0)(mesh))
     with pytest.raises(AnnulusUnresolved):
         fit_sif(u, tip, 1 / 64, 16 / 64)  # r1 below 2 h_tip
     with pytest.raises(AnnulusUnresolved):
@@ -99,7 +99,7 @@ def test_tip_geometry_invalid_on_kink():
     )
     mesh = triangulate(dom, crack, 1 / 8, h_tip)
     tip = crack_tips(crack)[1]
-    u = ScalarField(mesh, mode3_datum(1.0).sample(mesh))
+    u = ScalarField(mesh, mode3_datum(1.0)(mesh))
     with pytest.raises(TipGeometryInvalid):
         fit_sif(u, tip, 2 * h_tip, 16 * h_tip)
 

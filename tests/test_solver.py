@@ -25,7 +25,6 @@ from quasicrack.domain import DomainSpec
 from quasicrack.geometry import CrackSet, Polyline
 from quasicrack.mesh import triangulate
 from quasicrack.solver import (
-    BoundaryDatum,
     MeshMismatch,
     ScalarField,
     SolveFailure,
@@ -44,6 +43,7 @@ from verification import (
     RegionNotSimplyConnected,
     face_pairs,
     harmonic_conjugate,
+    pointwise,
     residual_norm,
     unit_square,
 )
@@ -57,29 +57,29 @@ def square_mesh():
 
 def test_linear_reproduction(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: x))
+    u = solve(mesh, pointwise(lambda x, y: x))
     assert np.max(np.abs(u.nodal_values - mesh.nodes[:, 0])) <= 1e-9
     assert bulk_energy(u) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_constant_reproduction(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: 2.5))
+    u = solve(mesh, pointwise(lambda x, y: 2.5))
     assert np.max(np.abs(u.nodal_values - 2.5)) <= 1e-9
     assert bulk_energy(u) <= 1e-18
 
 
 def test_galerkin_residual(square_mesh):
     _, mesh = square_mesh
-    g = BoundaryDatum(lambda x, y: x * x - y * y + 0.3 * x * y)
+    g = pointwise(lambda x, y: x * x - y * y + 0.3 * x * y)
     u = solve(mesh, g)
     assert residual_norm(u, g) <= 1e-9
 
 
 def test_inner_product_cases(square_mesh):
     _, mesh = square_mesh
-    ux = solve(mesh, BoundaryDatum(lambda x, y: x))
-    uy = solve(mesh, BoundaryDatum(lambda x, y: y))
+    ux = solve(mesh, pointwise(lambda x, y: x))
+    uy = solve(mesh, pointwise(lambda x, y: y))
     zero = ScalarField(mesh, np.zeros(mesh.n_nodes))
     G = gram_matrix([ux, uy, zero])
     assert G[0][0] == bulk_energy(ux) == pytest.approx(1.0, abs=1e-9)
@@ -90,8 +90,8 @@ def test_inner_product_cases(square_mesh):
 def test_mesh_mismatch_raises(square_mesh):
     dom, mesh = square_mesh
     other = triangulate(dom, CrackSet((), 1), 0.25, 0.25)
-    u = solve(mesh, BoundaryDatum(lambda x, y: x))
-    v = solve(other, BoundaryDatum(lambda x, y: x))
+    u = solve(mesh, pointwise(lambda x, y: x))
+    v = solve(other, pointwise(lambda x, y: x))
     with pytest.raises(MeshMismatch):
         gram_matrix([u, v])
 
@@ -105,18 +105,19 @@ def test_mesh_mismatch_raises(square_mesh):
 def test_energy_comparison_vs_interpolant(square_mesh, a, b, c):
     # the discrete minimizer never beats the interpolated datum's energy
     _, mesh = square_mesh
-    g = BoundaryDatum(lambda x, y: a * x * x + b * y + c * x * y)
+    g = pointwise(lambda x, y: a * x * x + b * y + c * x * y)
     u = solve(mesh, g)
-    interp = ScalarField(mesh, g.sample(mesh))
+    interp = ScalarField(mesh, g(mesh))
     assert bulk_energy(u) <= bulk_energy(interp) + 1e-12
 
 
 def test_linearity_nodewise(square_mesh):
     _, mesh = square_mesh
-    g1 = BoundaryDatum(lambda x, y: x * x - y)
-    g2 = BoundaryDatum(lambda x, y: math.sin(x) + y * y)
+    f1 = lambda x, y: x * x - y
+    f2 = lambda x, y: math.sin(x) + y * y
+    g1, g2 = pointwise(f1), pointwise(f2)
     alpha, beta = 1.7, -0.6
-    combo = BoundaryDatum(lambda x, y: alpha * g1.evaluator(x, y) + beta * g2.evaluator(x, y))
+    combo = pointwise(lambda x, y: alpha * f1(x, y) + beta * f2(x, y))
     u = solve(mesh, combo)
     u12 = alpha * solve(mesh, g1).nodal_values + beta * solve(mesh, g2).nodal_values
     assert np.max(np.abs(u.nodal_values - u12)) <= 1e-9
@@ -124,12 +125,12 @@ def test_linearity_nodewise(square_mesh):
 
 def test_scale_datum(square_mesh):
     _, mesh = square_mesh
-    g = BoundaryDatum(lambda x, y: x + 2 * y)
+    g = pointwise(lambda x, y: x + 2 * y)
     sg = scale_datum(g, -2.0)
-    assert np.allclose(sg.sample(mesh), -2.0 * g.sample(mesh))
-    # a mesh sampler is scaled too, and overrides the evaluator
-    faced = BoundaryDatum(g.evaluator, mesh_sampler=lambda m: np.arange(float(m.n_nodes)))
-    assert np.array_equal(scale_datum(faced, -2.0).sample(mesh), -2.0 * np.arange(mesh.n_nodes))
+    assert np.allclose(sg(mesh), -2.0 * g(mesh))
+    # a datum that is no per-node formula is scaled too
+    faced = lambda m: np.arange(float(m.n_nodes))
+    assert np.array_equal(scale_datum(faced, -2.0)(mesh), -2.0 * np.arange(mesh.n_nodes))
 
 
 def test_mode3_convergence():
@@ -140,7 +141,7 @@ def test_mode3_convergence():
     for h_max, h_tip in [(1 / 8, 1 / 32), (1 / 16, 1 / 64), (1 / 32, 1 / 128)]:
         mesh = triangulate(domain, crack, h_max, h_tip)
         u = solve(mesh, g)
-        exact = g.sample(mesh)
+        exact = g(mesh)
         # nodal L2 error, area-lumped
         lump = np.zeros(mesh.n_nodes)
         for i in range(3):
@@ -155,7 +156,7 @@ def test_floating_component_pinned():
     dom = unit_square(dirichlet_arcs=((0, 1),))  # bottom only
     crack = CrackSet((Polyline(((0.0, 0.5), (1.0, 0.5))),), 1)
     mesh = triangulate(dom, crack, 0.1, 0.02)
-    u = solve(mesh, BoundaryDatum(lambda x, y: 1.0 + x))
+    u = solve(mesh, pointwise(lambda x, y: 1.0 + x))
     upper = mesh.nodes[:, 1] > 0.5 + 1e-9
     # floating upper block: constant (pinned to zero), zero gradient
     assert np.max(np.abs(u.nodal_values[upper])) <= 1e-9
@@ -186,7 +187,7 @@ def _mixed_data():
         zero_datum(),
         mode3_datum(1e3, (TAPER_A0, 0.0)),
         linear_datum(1e-1, 1e1),
-        BoundaryDatum(lambda x, y: math.sin(3.0 * x) + y),
+        pointwise(lambda x, y: math.sin(3.0 * x) + y),
         scale_datum(tap, 1e3),
         constant_datum(1e2),
     )
@@ -204,8 +205,8 @@ def test_solve_many_columns_bitwise_equal_solve(monkeypatch):
     dom = unit_square(dirichlet_arcs=((0, 1),))
     crack = CrackSet((Polyline(((0.0, 0.5), (1.0, 0.5))),), 1)
     floating = (
-        BoundaryDatum(lambda x, y: 1.0 + x),
-        BoundaryDatum(lambda x, y: math.sin(3.0 * x)),
+        pointwise(lambda x, y: 1.0 + x),
+        pointwise(lambda x, y: math.sin(3.0 * x)),
     )
     systems = [(triangulate(dom, crack, 0.1, 0.02), floating)]
     systems += [(_taper_mesh(refine), _mixed_data()) for refine in (1, 2)]
@@ -266,12 +267,12 @@ def test_cg_failure_past_maxiter(monkeypatch, square_mesh):
     message = f"conjugate gradient did not converge (info={maxiter})"
     with monkeypatch.context() as m:
         m.setattr(solver, "CG_RTOL", 0.0)  # no residual is below 0
-        g = BoundaryDatum(lambda x, y: x * x - y)
+        g = pointwise(lambda x, y: x * x - y)
         assert _failure_message(monkeypatch, mesh, (g,)) == message
     # one NaN column runs to maxiter after the others converged and left the block
     data = (
-        BoundaryDatum(lambda x, y: x * x - y),
-        BoundaryDatum(lambda x, y: math.nan),
+        pointwise(lambda x, y: x * x - y),
+        pointwise(lambda x, y: math.nan),
         constant_datum(2.0),
         zero_datum(),
     )
@@ -280,7 +281,7 @@ def test_cg_failure_past_maxiter(monkeypatch, square_mesh):
 
 def test_harmonic_conjugate_of_linear(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: x))
+    u = solve(mesh, pointwise(lambda x, y: x))
     v = harmonic_conjugate(u, (0.0, 1.0, 0.0, 1.0))
     w = v.nodal_values - (mesh.nodes[:, 1] - np.nanmean(mesh.nodes[:, 1]))
     assert np.nanmax(np.abs(w - np.nanmean(w))) <= 1e-9
@@ -288,7 +289,7 @@ def test_harmonic_conjugate_of_linear(square_mesh):
 
 def test_harmonic_conjugate_constant(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: 4.0))
+    u = solve(mesh, pointwise(lambda x, y: 4.0))
     v = harmonic_conjugate(u, (0.0, 1.0, 0.0, 1.0))
     assert np.nanmax(np.abs(v.nodal_values)) <= 1e-9
 
@@ -313,7 +314,7 @@ def test_harmonic_conjugate_face_constancy_decays():
 
 def test_harmonic_conjugate_region_errors(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: x))
+    u = solve(mesh, pointwise(lambda x, y: x))
     with pytest.raises(RegionNotSimplyConnected):
         harmonic_conjugate(u, (2.0, 3.0, 2.0, 3.0))  # empty region
 
@@ -333,14 +334,14 @@ def test_harmonic_conjugate_disconnected_region():
         )
     )
     mesh = triangulate(dom, CrackSet((), 1), 0.3, 0.3)
-    u = solve(mesh, BoundaryDatum(lambda x, y: x + y))
+    u = solve(mesh, pointwise(lambda x, y: x + y))
     with pytest.raises(RegionNotSimplyConnected):
         harmonic_conjugate(u, (0.0, 3.0, 1.5, 3.0))
 
 
 def test_tangential_jump_linear_exact(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: 2.0 * x - 3.0 * y))
+    u = solve(mesh, pointwise(lambda x, y: 2.0 * x - 3.0 * y))
     assert tangential_jump_max_loop(u) <= 1e-8
 
 
@@ -360,7 +361,7 @@ def test_tangential_jump_decreases_under_refinement():
 
 def test_field_exports(square_mesh):
     _, mesh = square_mesh
-    u = solve(mesh, BoundaryDatum(lambda x, y: x))
+    u = solve(mesh, pointwise(lambda x, y: x))
     csv = u.to_csv()
     assert csv.splitlines()[0] == "node_id,x,y,value"
     assert len(csv.splitlines()) == mesh.n_nodes + 1

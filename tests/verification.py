@@ -6,6 +6,7 @@ here is what only the tests need on top of it:
   of minimizer convergence, the energy-continuity statistic across two
   step sizes, and surrogates for the lower semicontinuity of length and
   of length outside a neighborhood;
+- data from per-node formulas (`pointwise`);
 - the energy of the problem restricted to a ball with the trace of a
   field (`local_energy`, `trace_of`), for the localization inequality;
 - the Galerkin residual, the harmonic conjugate on a sub-rectangle (with
@@ -412,6 +413,11 @@ def local_energy(
     )
 
 
+def pointwise(f) -> BoundaryDatum:
+    """Datum of a per-node formula f(x, y), called at every node in turn."""
+    return lambda mesh: np.array([f(x, y) for x, y in mesh.nodes], dtype=float)
+
+
 def trace_of(u: ScalarField) -> BoundaryDatum:
     """Datum sampling an existing field by P1 interpolation (for local problems)."""
     locator = TriangleLocator(u.mesh)
@@ -419,7 +425,7 @@ def trace_of(u: ScalarField) -> BoundaryDatum:
     def ev(x: float, y: float) -> float:
         return float(interpolate_at(u, [(x, y)], locator)[0])
 
-    return BoundaryDatum(evaluator=ev)
+    return pointwise(ev)
 
 
 # ---------------------------------------------------------------------------
