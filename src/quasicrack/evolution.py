@@ -36,7 +36,6 @@ from .geometry import (
     GeometryViolation,
     Tip,
     contains,
-    crack_tips,
     extend_tip,
     length,
     tips_on_boundary,
@@ -77,6 +76,14 @@ def _knot_interval(ts, t: float) -> int:
     """Index k of the knot interval [ts[k], ts[k+1]] that holds t: the right
     one at an inner knot, the first or last one outside [ts[0], ts[-1]]."""
     return int(min(max(np.searchsorted(ts, t, side="right") - 1, 0), len(ts) - 2))
+
+
+def _check_knots(ts, what: str) -> None:
+    """Raise ValueError unless the times ts increase strictly from 0 to 1."""
+    if not ts or ts[0] != 0.0 or ts[-1] != 1.0:
+        raise ValueError(f"{what} must cover t=0 and t=1")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"{what} must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,11 @@ class Profile:
     def from_json(cls, cfg: dict) -> "Profile":
         kind = cfg["type"]
         if kind == "pw_linear":
-            return cls(
-                "pw_linear", (tuple(map(float, cfg["ts"])), tuple(map(float, cfg["values"])))
-            )
+            ts, vs = tuple(map(float, cfg["ts"])), tuple(map(float, cfg["values"]))
+            _check_knots(ts, "pw_linear knots")
+            if len(vs) != len(ts):
+                raise ValueError("pw_linear needs one value per knot")
+            return cls("pw_linear", (ts, vs))
         if kind not in _PROFILE_PARAMS:
             raise ValueError(f"unknown profile type {kind!r}")
         cfg = {"rate": 1.0, **cfg}  # a linear profile's rate defaults to 1
@@ -159,11 +168,7 @@ class LoadingProgram:
             if self.datum is None or self.profile is None:
                 raise ValueError("proportional loading needs datum and profile")
         elif self.mode == "sampled":
-            ts = [t for t, _ in self.samples]
-            if not ts or ts[0] != 0.0 or ts[-1] != 1.0:
-                raise ValueError("samples must cover t=0 and t=1")
-            if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ValueError("sample times must be strictly increasing")
+            _check_knots([t for t, _ in self.samples], "sample times")
         else:
             raise ValueError(f"unknown loading mode {self.mode!r}")
 
@@ -474,7 +479,8 @@ def _moves(domain, base, tips, policy, h_tip, joint):
     Single-tip moves, tip by tip, or (joint) every combination of at most
     one segment per tip in `itertools.product` order, the empty one left
     out; a combination's first move is the crack `_tip_candidates` built,
-    its later moves are applied through `_match_tip`.
+    and its later moves extend that crack at their own tips, which
+    extending another tip leaves as they were.
     """
     options = [
         [(tip, *c) for c in _tip_candidates(domain, base, tip, policy, h_tip)]
@@ -494,12 +500,7 @@ def _moves(domain, base, tips, policy, h_tip, joint):
         try:
             for tip, _, ang, ell in later:
                 crack = extend_tip(
-                    crack,
-                    _match_tip(crack, tip),
-                    ang,
-                    ell,
-                    domain=domain,
-                    max_kink=policy.theta_max,
+                    crack, tip, ang, ell, domain=domain, max_kink=policy.theta_max
                 )
                 exts.append(((tip.component_id, tip.end), ang, ell))
         except GeometryViolation:
@@ -561,13 +562,6 @@ def _minimize_step(domain, base, policy, h_tip, energy_fn) -> _StepOutcome:
         n_candidates=n_eval,
         budget_exceeded=several and not joint,
     )
-
-
-def _match_tip(crack: CrackSet, proto: Tip) -> Tip:
-    for t in crack_tips(crack):
-        if t.component_id == proto.component_id and t.end == proto.end:
-            return t
-    raise GeometryViolation("tip vanished from the crack")
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,16 @@ bits:
   goes level by level. Kept points have a positive clearance from all
   others, so they are appended without a dedupe lookup;
 - required edges are looked up among the triangles' sorted edge keys;
-- the unzip finds the crack nodes' triangles with a boolean lookup, splits
-  each fan from per-triangle angles, moves every minus-side corner in one
-  assignment, and takes the free edges and boundary tags from one sort of
-  the final edge keys. A boundary edge takes the tag of the base's boundary
-  edge its nodes stand for.
+- the unzip finds the crack nodes' corners with a boolean lookup, walks
+  each node's fan from corner to corner (topology, no angles), moves every
+  minus-side corner in one assignment, and takes the free edges and
+  boundary tags from one sort of the final edge keys. A boundary edge takes
+  the tag of the base's boundary edge its nodes stand for.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 import numpy as np
@@ -648,65 +649,56 @@ def _delaunay_with_required(
             keep_mask &= ~bad
 
 
-_TAU = 2.0 * math.pi
-
-
-def _fan_mid(t1: float, t2: float) -> float:
-    """Direction of the bisector of the angle a fan triangle spans at its node."""
-    d12 = (t2 - t1) % _TAU
-    if d12 <= math.pi:
-        return t1 + 0.5 * d12
-    return t2 + 0.5 * ((t1 - t2) % _TAU)
+def _walk(fan: dict, w, stop) -> tuple[list[int], bool]:
+    """The corners of a node's fan met turning clockwise from its edge to w,
+    through the one whose next corner is `stop` or to the end of the fan;
+    and whether `stop` was met."""
+    hits = []
+    while w in fan and len(hits) < len(fan):
+        w, hit = fan[w]
+        hits.append(hit)
+        if w == stop:
+            return hits, True
+    return hits, False
 
 
 def unzip(base: CrackMesh, end_kinds) -> CrackMesh:
     """Split the base's chains open, then tag the free edges.
 
     Each crack node but a tip gets a copy that takes over the triangles on
-    the right of the chain (the minus face). The free edges of the result,
-    found with one sort of its edge keys, are the crack faces and the
-    base's boundary edges, whose tags they take; a copy stands for the node
-    it was split from.
+    the right of the chain (the minus face). A CCW triangle holds an edge
+    (w, v) into its corner at v and (v, x) out of it; its neighbour across
+    (v, x) holds (x, v), so stepping from w to x walks clockwise about v.
+    The free edges of the result, found with one sort of its edge keys, are
+    the crack faces and the base's boundary edges, whose tags they take; a
+    copy stands for the node it was split from.
     """
     pts_arr, tris = base.nodes, base.triangles
     chain_ids = [list(ch.node_ids) for ch in base.crack_chains]
     n_orig = len(pts_arr)
 
-    # incidence of the crack nodes: the hits of a node, in increasing
-    # triangle order, are hit[first[v]:first[v + 1]]
+    # the corners at crack nodes ("hits"): per node v, its fan {w: (x, hit)}
     on_crack = np.zeros(n_orig, dtype=bool)
     for ids in chain_ids:
         on_crack[ids] = True
     hit_tri, hit_col = np.nonzero(on_crack[tris])
-    hit_node = tris[hit_tri, hit_col]
-    order = np.argsort(hit_node, kind="stable")
-    hit_tri, hit_col, hit_node = hit_tri[order], hit_col[order], hit_node[order]
-    first = np.searchsorted(hit_node, np.arange(n_orig + 1)).tolist()
-    tri_of = hit_tri.tolist()
-    # a hit's other two corners, in triangle order; a node's copies share
-    # its coordinates, so the triangles before any split give the geometry
-    other1 = pts_arr[tris[hit_tri, np.where(hit_col == 0, 1, 0)]]
-    other2 = pts_arr[tris[hit_tri, np.where(hit_col == 2, 1, 2)]]
-    own = pts_arr[hit_node]
-    d1, d2 = other1 - own, other2 - own
-    mids = list(map(
-        _fan_mid,
-        map(math.atan2, d1[:, 1].tolist(), d1[:, 0].tolist()),
-        map(math.atan2, d2[:, 1].tolist(), d2[:, 0].tolist()),
-    ))
-    centroid = ((other1 + other2 + own) / 3.0).tolist()
+    # the hit's node v, the corner x after it, and the corner w before it
+    node, out, into = (tris[hit_tri, (hit_col + j) % 3].tolist() for j in range(3))
+    fans = collections.defaultdict(dict)
+    for hit, (v, w, x) in enumerate(zip(node, into, out)):
+        fans[v][w] = (x, hit)
+    # a triangle on the edge (u, v) holds it as (u, v) or as (v, u)
+    held = collections.Counter(zip(into, node))
 
     chains: list[CrackChain] = []
     split_from: list[int] = []  # copy n_orig + i stands for node split_from[i]
     moved: list[list[int]] = []  # the hits whose node copy split_from[i] takes
     for ids, kinds in zip(chain_ids, end_kinds):
-        coords = pts_arr[ids].tolist()
         if kinds[0] == "point":
             chains.append(CrackChain(tuple(ids), tuple(ids)))
             continue
         for u, v in zip(ids, ids[1:]):
-            shared = set(tri_of[first[u]:first[u + 1]])
-            if len(shared.intersection(tri_of[first[v]:first[v + 1]])) != 2:
+            if held[u, v] + held[v, u] != 2:
                 raise MeshFailure("interior crack edge lacks two triangles")
         k = len(ids) - 1
         minus_ids = list(ids)
@@ -714,27 +706,14 @@ def unzip(base: CrackMesh, end_kinds) -> CrackMesh:
             kind = kinds[0] if i == 0 else (kinds[1] if i == k else "interior")
             if kind == "tip":
                 continue
-            hits = range(first[v], first[v + 1])
-            pv = coords[i]
-            if kind == "interior":
-                # the fan splits at the two crack edges: the left side is
-                # the CCW interval from the next node to the previous one
-                pa, pb = coords[i - 1], coords[i + 1]
-                theta_a = math.atan2(pa[1] - pv[1], pa[0] - pv[0])
-                theta_b = math.atan2(pb[1] - pv[1], pb[0] - pv[0])
-                gap = (theta_a - theta_b) % _TAU
-                right = [h for h in hits if not (mids[h] - theta_b) % _TAU < gap]
-            else:
-                # boundary end: split the open fan by the single crack edge
-                pn = coords[1] if i == 0 else coords[i - 1]
-                tx, ty = (pn[0] - pv[0], pn[1] - pv[1]) if i == 0 else (
-                    pv[0] - pn[0], pv[1] - pn[1]
-                )
-                right = [
-                    h for h in hits
-                    if not tx * (centroid[h][1] - pv[1]) - ty * (centroid[h][0] - pv[0]) > 0
-                ]
-            if not right or len(right) == len(hits):
+            # the minus side: the turn from the next node to the previous one;
+            # off an open fan, or with no next node, all but the reverse turn
+            fan, prev, nxt = fans[v], ids[i - 1] if i else None, ids[i + 1] if i < k else None
+            right, met = _walk(fan, nxt, prev)
+            if prev is not None and not met and (right or nxt is None):
+                left = set(_walk(fan, prev, nxt)[0])
+                right = [hit for _, hit in fan.values() if hit not in left]
+            if not right or len(right) == len(fan):
                 raise MeshFailure("crack unzip found an empty face side")
             minus_ids[i] = n_orig + len(split_from)
             split_from.append(v)

@@ -757,6 +757,13 @@ def _fan_sides_loop(coords, tris, incident, v, theta_b, theta_a):
 def unzip_loop(base, end_kinds):
     """The crack unzip of a base mesh with closed chains, node by node.
 
+    Each fan is split by angles: at an interior node by the CCW interval
+    between its two crack edges, at a boundary end by the side of the crack
+    edge each triangle's centroid lies on. The centroid test is right only
+    while each side of a boundary end's fan spans at most 180 degrees, so
+    this is the reference for `mesh.unzip`, which walks the fans, only
+    there: not, for one, at a crack from a re-entrant corner.
+
     Returns the mesh and, computed here edge by edge, its constrained
     nodes: the Dirichlet-tagged ones less the crack nodes.
     """

@@ -115,6 +115,27 @@ def test_bad_sizes_are_config_errors(section, values):
         load_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "ts, values, message",
+    [
+        ([0], [0], "must cover t=0 and t=1"),
+        ([0, 1], [0, 0.5, 1], "one value per knot"),
+        ([1, 0], [0, 1], "must cover t=0 and t=1"),
+        ([0, 0, 1], [0, 0.5, 1], "must be strictly increasing"),
+    ],
+)
+def test_malformed_pw_linear_profile_exits_2(quick_config, tmp_path, ts, values, message):
+    # phi would be undefined between the knots, or the run would crash
+    _, path = quick_config
+    cfg = json.loads(path.read_text())
+    cfg["loading"]["profile"] = {"type": "pw_linear", "ts": ts, "values": values}
+    bad = tmp_path / "pw.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert_config_error(run_cli("run", str(bad), "--output-dir", str(out), timeout=60), message)
+    assert not out.exists()
+
+
 def test_ell0_equal_to_h_tip_is_accepted():
     cfg = subcritical_benchmark_config(delta=1 / 4)
     cfg["policy"]["ell0"] = cfg["mesh"]["h_tip"]

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quasicrack.cases import (
     growth_benchmark_config,
@@ -379,6 +379,37 @@ def test_irreversibility_and_monotone_surface(benchmark_state):
     surf = [r.surface for r in state.energies]
     assert all(y >= x for x, y in zip(surf, surf[1:]))
     assert sum(state.grew) > 0
+
+
+@settings(max_examples=12)
+@given(
+    st.floats(0.35, 0.65),
+    st.floats(0.35, 0.65),
+    st.floats(0.0, math.pi),
+    st.floats(2.0, 6.0),
+    st.sampled_from([False, False, True]),
+    st.sampled_from([1 / 2, 1 / 4]),
+    st.sampled_from([(1 / 4, 1 / 16), (1 / 5, 1 / 20)]),
+)
+def test_short_runs_are_irreversible(x, y, angle, rate, zero, delta, sizes):
+    # a slit in the unit square under a linear datum: each K_{i+1} contains
+    # K_i exactly and the surface energy never falls; a zero datum keeps k0
+    tip = (x + 0.2 * math.cos(angle), y + 0.2 * math.sin(angle))
+    k0 = CrackSet((Polyline(((x, y), tip)),), 1)
+    datum = zero_datum() if zero else linear_datum(0.3, 1.0)
+    loading = LoadingProgram("proportional", datum=datum, profile=Profile("linear", (rate,)))
+    h_tip = sizes[1]
+    policy = CandidatePolicy(angles=(-0.5, 0.0, 0.5), ell0=2 * h_tip, length_max=4 * h_tip)
+    state = run_evolution(
+        unit_square(), k0, loading, TimeGrid(delta), policy, *sizes, with_audit=False
+    )
+    cracks = [k0] + [s.crack for s in state.steps]
+    for a, b in zip(cracks, cracks[1:]):
+        assert contains(b, a, 0.0)
+    surf = [r.surface for r in state.energies]
+    assert all(b >= a for a, b in zip(surf, surf[1:]))
+    if zero:
+        assert all(crack == k0 for crack in cracks)
 
 
 def test_audit_passes_on_benchmark(benchmark_state):

@@ -4,8 +4,8 @@ A public top-level function or class of `src/quasicrack` must be
 referenced from some other top-level statement in `src/`, `scripts/` or
 `perfbench/`, and every public method, property and dataclass field of a
 public class must be read there as an attribute. Verification-only code
-lives in `tests/` instead, and every name a test module imports is used
-there.
+lives in `tests/` instead. Every name that a module of `tests/`, `src/` or
+`scripts/` imports is used there.
 """
 
 import ast
@@ -102,10 +102,16 @@ def test_every_public_src_member_is_read():
     assert not found, f"public members in src/ never read in src/, scripts/ or perfbench/: {found}"
 
 
-def unused_test_imports() -> list[str]:
-    """`module:name` of every name a `tests/*.py` module imports but never loads."""
+def unused_imports() -> list[str]:
+    """`module:name` of every name a module of `tests/`, `src/quasicrack/` or
+    `scripts/` imports but never loads; a name listed in the module's
+    `__all__` counts as used (a re-export)."""
     out = []
-    for path in sorted((ROOT / "tests").glob("*.py")):
+    for path in [
+        *sorted((ROOT / "tests").glob("*.py")),
+        *sorted(PACKAGE.glob("*.py")),
+        *sorted((ROOT / "scripts").glob("*.py")),
+    ]:
         tree = ast.parse(path.read_text(), str(path))
         bound = {
             alias.asname or alias.name.split(".")[0]
@@ -119,10 +125,18 @@ def unused_test_imports() -> list[str]:
             for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
+        loaded.update(
+            item.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for item in ast.walk(node.value)
+            if isinstance(item, ast.Constant)
+        )
         out.extend(f"{path.stem}:{name}" for name in sorted(bound - loaded))
     return out
 
 
 def test_every_test_import_is_used():
-    found = unused_test_imports()
-    assert not found, f"names imported but never used in tests/: {found}"
+    found = unused_imports()
+    assert not found, f"names imported but never used in tests/, src/ or scripts/: {found}"

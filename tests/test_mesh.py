@@ -663,7 +663,9 @@ def _chain_edges(ids):
     return [_edge(u, v) for u, v in zip(ids, ids[1:])]
 
 
-@pytest.mark.parametrize("kind", ["slit", "kinked", "boundary", "two", "point", "taper"])
+@pytest.mark.parametrize(
+    "kind", ["slit", "kinked", "boundary", "two", "point", "taper", "disk"]
+)
 @given(data=st.data())
 def test_unzip_keeps_the_base_geometry(kind, data):
     # the unzip only renumbers corners: every triangle keeps its area and
@@ -671,6 +673,11 @@ def test_unzip_keeps_the_base_geometry(kind, data):
     if kind == "taper":
         dom, sizes = _benchmark_taper(), (1 / 4, 1 / 32)
         crack = _slits(((0.0, 0.0), (data.draw(st.floats(0.3, 2.4)), 0.0)))
+    elif kind == "disk":
+        # a slit from the boundary vertex (-1, 0) to a tip inside the disk
+        dom, sizes = cases.slit_disk_domain(64), (1 / 4, 1 / 32)
+        tip = (data.draw(st.floats(-0.5, 0.5)), data.draw(st.floats(-0.5, 0.5)))
+        crack = _slits(((-1.0, 0.0), tip))
     else:
         dom, sizes = unit_square(dirichlet_arcs=((0, 1),)), data.draw(_SIZES)
         crack = _crack_of(data.draw(_test_cracks(kind)))
@@ -724,3 +731,49 @@ def test_unzip_chain_prefixes():
     for before, after in zip(energies, energies[1:]):
         assert after <= before * (1.0 + 1e-9)
     assert fingerprint_bytes(mesh) == fingerprint_bytes(triangulate(dom, crack, 8 * h, h))
+
+
+def test_chain_touching_the_boundary_at_an_inner_vertex():
+    # the fan of the vertex on the bottom edge is open, with the gap on the
+    # minus side; the loop oracle splits it by angles
+    dom = unit_square(dirichlet_arcs=((0, 1),))
+    crack = _slits(((0.3, 0.5), (0.5, 0.0), (0.7, 0.5)))
+    want, want_dirichlet = triangulate_loops(dom, crack, 0.1, 0.02)
+    got = triangulate(dom, crack, 0.1, 0.02)
+    assert _mesh_fields(got) == _mesh_fields(want)
+    assert got.dirichlet_nodes == want_dirichlet
+    (chain,) = got.crack_chains
+    owners = edge_owners_loop(got.triangles)
+    for ids in (chain.node_ids, chain.minus_ids):
+        assert all(len(owners[e]) == 1 for e in _chain_edges(ids))
+
+
+# the L-shaped domain (-1, 1)^2 less its upper-left quadrant: the corner at
+# the origin is re-entrant, between the notch faces along +y and -x
+_L_SHAPE = DomainSpec.all_dirichlet(
+    ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (-1.0, 0.0))
+)
+
+
+@pytest.mark.parametrize("degrees", range(-170, 90, 10))
+def test_cracks_from_a_reentrant_corner_unzip(degrees):
+    # at the corner one side of the crack spans more than 180 degrees near
+    # a notch face; the unzip splits the fan by topology, so every
+    # direction meshes, from either end, with the same bulk energy
+    angle = math.radians(degrees)
+    tip = (0.5 * math.cos(angle), 0.5 * math.sin(angle))
+    energies = []
+    for crack in (_slits(((0.0, 0.0), tip)), _slits((tip, (0.0, 0.0)))):
+        base, kinds = conforming_mesh(_L_SHAPE, crack, 1 / 8, 1 / 64)
+        mesh = unzip(base, kinds)
+        assert base.areas.tobytes() == mesh.areas.tobytes()
+        (chain,) = mesh.crack_chains
+        # every node but the tip is split, the corner included
+        assert sum(p != m for p, m in zip(chain.node_ids, chain.minus_ids)) == len(
+            chain.node_ids
+        ) - 1
+        owners = edge_owners_loop(mesh.triangles)
+        for ids in (chain.node_ids, chain.minus_ids):
+            assert all(len(owners[e]) == 1 for e in _chain_edges(ids))
+        energies.append(bulk_energy(solve(mesh, cases.linear_datum(1, 0.5))))
+    assert energies[1] == pytest.approx(energies[0], rel=1e-12, abs=0.0)
