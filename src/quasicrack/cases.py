@@ -9,11 +9,12 @@ so quasi-static growth tracks the critical load instead of jumping.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 
-from .domain import DomainSpec, regular_polygon_disk
+from .domain import DomainSpec, regular_polygon_disk, reject_unknown_keys
 from .geometry import CrackSet, Point, Polyline
 from .mesh import CrackMesh
 from .solver import BoundaryDatum
@@ -113,12 +114,13 @@ def zero_datum() -> BoundaryDatum:
     return constant_datum(0.0)
 
 
+# each datum type's builder, called with the config's other keys
 DATUM_BUILDERS = {
-    "mode3": lambda p: mode3_datum(p.get("kappa", 1.0), tuple(p.get("tip", (0.0, 0.0)))),
-    "taper": lambda p: taper_datum(p.get("length_x", 2.0), p.get("h0", 0.35), p.get("h1", 0.60)),
-    "linear": lambda p: linear_datum(p.get("cx", 1.0), p.get("cy", 0.0)),
-    "constant": lambda p: constant_datum(p.get("value", 0.0)),
-    "zero": lambda p: zero_datum(),
+    "mode3": mode3_datum,
+    "taper": taper_datum,
+    "linear": linear_datum,
+    "constant": lambda value=0.0: constant_datum(value),
+    "zero": zero_datum,
 }
 
 
@@ -126,7 +128,10 @@ def datum_from_config(cfg: dict) -> BoundaryDatum:
     kind = cfg["type"]
     if kind not in DATUM_BUILDERS:
         raise ValueError(f"unknown datum type {kind!r}")
-    return DATUM_BUILDERS[kind]({k: v for k, v in cfg.items() if k != "type"})
+    build = DATUM_BUILDERS[kind]
+    params = {k: v for k, v in cfg.items() if k != "type"}
+    reject_unknown_keys(params, inspect.signature(build).parameters, f"{kind} datum")
+    return build(**params)
 
 
 # ---------------------------------------------------------------------------

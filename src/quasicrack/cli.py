@@ -158,7 +158,6 @@ def replay_state(path: str) -> EvolutionState:
     for t, snap, rec in zip(times, snaps, payload["steps"]):
         crack = CrackSet.from_json(snap["components"], m=k_init.m)
         energy, _ = ev.record(crack, t)
-        ev.end_step(keep=crack)
         state.steps.append(replace(StepRecord.from_json(rec, crack), energy=energy))
     return state
 

@@ -223,10 +223,18 @@ class DomainSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "DomainSpec":
+        reject_unknown_keys(data, ("polygon", "dirichlet_arcs"), "domain")
         return cls(
             tuple((x, y) for x, y in data["polygon"]),
             tuple((a, b) for a, b in data.get("dirichlet_arcs", [])),
         )
+
+
+def reject_unknown_keys(cfg: dict, known, what: str) -> None:
+    """Raise ValueError on a key outside `known`, which would go unread."""
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}")
 
 
 def _snap_unit(v: float) -> float:

@@ -59,9 +59,10 @@ class Evaluator:
     The solve is linear, so one mesh and S solves u_j per crack give, with
     G_jk = (grad u_j | grad u_k), bulk(t) = c^T G c, the exact discrete
     power 2 c^T G c' and u(t) = sum_j c_j u_j. The Gram matrix is kept for
-    the evaluator's lifetime, the basis fields of the cracks meshed since
-    the last `end_step` only until the next one: a winner meshed in its own
-    step is not meshed twice, and memory does not grow with a run.
+    the evaluator's lifetime; the basis fields only until the step ends. A
+    `record` ends it and keeps its own crack's fields, `end_step` keeps
+    none: a winner meshed in its own step is not meshed twice, and memory
+    does not grow with a run.
     """
 
     def __init__(self, domain: DomainSpec, basis, coeffs, h_max: float, h_tip: float):
@@ -90,9 +91,10 @@ class Evaluator:
         return _quad(G, c, c) + length(crack)
 
     def record(self, crack: CrackSet, t: float) -> tuple[EnergyRecord, ScalarField]:
-        """Energy record at t, with the power, and the minimizing field u(t)."""
+        """Energy record at t, with the power, and u(t); keeps only this crack's fields."""
         key = self._solved(crack, need_fields=True)
         G, fields = self._gram[key], self._fields[key]
+        self._fields = {key: fields}
         c, cdot = self.coeffs(t)
         u = functools.reduce(
             operator.add, [cj * f.nodal_values for cj, f in zip(c, fields)]
@@ -112,7 +114,6 @@ class Evaluator:
         c1, _ = self.coeffs(t1)
         return 2.0 * _quad(G, c0, [b - a for a, b in zip(c0, c1)])
 
-    def end_step(self, keep: CrackSet | None = None) -> None:
-        """Drop the basis fields of every crack but `keep` (the next step's base)."""
-        key = keep.fingerprint() if keep is not None else None
-        self._fields = {k: v for k, v in self._fields.items() if k == key}
+    def end_step(self) -> None:
+        """Drop the basis fields of every crack."""
+        self._fields = {}

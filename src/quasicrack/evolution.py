@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DomainSpec
+from .domain import DomainSpec, reject_unknown_keys
 from .geometry import (
     CrackSet,
     GeometryViolation,
@@ -63,12 +63,13 @@ class NotProportional(Exception):
 # loading programs
 # ---------------------------------------------------------------------------
 
-# parameter names of the analytic profiles, in `Profile.params` order
+# a profile's JSON keys but "type", in `Profile.params` order
 _PROFILE_PARAMS = {
     "linear": ("rate",),
     "affine_sqrt": ("amp", "c0", "c1"),
     "power_sqrt": ("amp", "c0", "c1", "p"),
     "constant": ("value",),
+    "pw_linear": ("ts", "values"),
 }
 
 
@@ -90,7 +91,7 @@ def _check_knots(ts, what: str) -> None:
 class Profile:
     """Scalar load factor phi(t) on [0,1], absolutely continuous."""
 
-    kind: str  # "linear" | "affine_sqrt" | "constant" | "pw_linear"
+    kind: str  # "linear" | "affine_sqrt" | "power_sqrt" | "constant" | "pw_linear"
     params: tuple = ()
 
     def value(self, t: float) -> float:
@@ -140,14 +141,15 @@ class Profile:
     @classmethod
     def from_json(cls, cfg: dict) -> "Profile":
         kind = cfg["type"]
+        if kind not in _PROFILE_PARAMS:
+            raise ValueError(f"unknown profile type {kind!r}")
+        reject_unknown_keys(cfg, ("type", *_PROFILE_PARAMS[kind]), f"{kind} profile")
         if kind == "pw_linear":
             ts, vs = tuple(map(float, cfg["ts"])), tuple(map(float, cfg["values"]))
             _check_knots(ts, "pw_linear knots")
             if len(vs) != len(ts):
                 raise ValueError("pw_linear needs one value per knot")
             return cls("pw_linear", (ts, vs))
-        if kind not in _PROFILE_PARAMS:
-            raise ValueError(f"unknown profile type {kind!r}")
         cfg = {"rate": 1.0, **cfg}  # a linear profile's rate defaults to 1
         return cls(kind, tuple(float(cfg[name]) for name in _PROFILE_PARAMS[kind]))
 
@@ -384,10 +386,7 @@ class EvolutionState:
     def field(self, i: int) -> ScalarField:
         """The minimizing displacement u_i, re-solved (bitwise equal to the run's)."""
         step = self.steps[i]
-        ev = _evaluator_of(self)
-        _, u = ev.record(step.crack, step.energy.time)
-        ev.end_step(keep=step.crack)
-        return u
+        return _evaluator_of(self).record(step.crack, step.energy.time)[1]
 
     # ---- serialization ----
 
@@ -607,7 +606,6 @@ def run_evolution(
             sigma[key] = sigma.get(key, 0.0) + ell
 
         rec, u = ev.record(current, t)
-        ev.end_step(keep=current)
         fits: dict = {}
         for tip in _active_tips(domain, current):
             try:

@@ -1,10 +1,11 @@
 """Crack-conforming triangulation of a cracked polygon.
 
-Two stages. `conforming_mesh`: size-graded feature sampling (boundary +
-crack polylines with protection radii), deterministic multi-level hex
-lattice fill, Delaunay (qhull), required-edge verification with one repair
-pass; its crack chains are closed. `unzip` then opens them: interior crack
-nodes are duplicated into plus/minus face copies, tips stay single nodes.
+Two stages, which pass one mesh. `conforming_mesh`: size-graded feature
+sampling (boundary + crack polylines with protection radii), deterministic
+multi-level hex lattice fill, Delaunay (qhull), required-edge verification
+with one repair pass; its crack chains are closed. `unzip(base)` then opens
+them: crack nodes are duplicated into plus/minus face copies, except the
+tips, the chain ends off the base's boundary cycle, which stay single nodes.
 
 Everything but qhull works on arrays, with the float operations of the
 loops it replaced (kept in the tests as the oracle), so meshes keep their
@@ -41,7 +42,6 @@ from .domain import DomainSpec
 from .geometry import (
     CrackSet,
     Point,
-    Tip,
     _components_touch,
     _distances,
     tips_on_boundary,
@@ -365,26 +365,6 @@ def _clears_segments(pts: np.ndarray, a: np.ndarray, b: np.ndarray, need: np.nda
 # ---------------------------------------------------------------------------
 
 
-def _classify_ends(domain: DomainSpec, crack: CrackSet):
-    """Per component: ('tip'|'boundary'|'point') for each end; tips list."""
-    kinds = []
-    tip_list: list[Tip] = []
-    ends = iter(tips_on_boundary(crack, domain))
-    for comp in crack.components:
-        if comp.is_point:
-            kinds.append(("point", "point"))
-            continue
-        pair = []
-        for t, on in (next(ends), next(ends)):  # start, then finish
-            if on:
-                pair.append("boundary")
-            else:
-                pair.append("tip")
-                tip_list.append(t)
-        kinds.append(tuple(pair))
-    return kinds, tip_list
-
-
 def _validate_crack(domain: DomainSpec, crack: CrackSet, h_tip: float):
     """Raise MeshFailure unless the crack can be meshed in `domain` at `h_tip`."""
     for comp in crack.components:
@@ -410,26 +390,29 @@ def triangulate(domain: DomainSpec, crack: CrackSet, h_max: float, h_tip: float)
     Raises MeshFailure on degenerate geometry, unreachable conformity,
     or a violated quality bound.
     """
-    return unzip(*conforming_mesh(domain, crack, h_max, h_tip))
+    return unzip(conforming_mesh(domain, crack, h_max, h_tip))
 
 
-def conforming_mesh(domain: DomainSpec, crack: CrackSet, h_max: float, h_tip: float):
-    """The mesh before the unzip, and per chain its end kinds.
+def conforming_mesh(domain: DomainSpec, crack: CrackSet, h_max: float, h_tip: float) -> CrackMesh:
+    """The mesh before the unzip.
 
     The base's boundary edges are the boundary cycle's, each tagged as its
-    polygon edge; every chain is closed, its crack edges interior edges.
+    polygon edge; a crack end on the domain boundary is a cycle node, which
+    tells it from a tip. Every chain is closed, its crack edges interior
+    edges.
     """
     if not all(0.0 < h < math.inf for h in (h_max, h_tip)):
         raise MeshFailure("mesh sizes must be positive and finite")
     if h_tip > h_max:
         raise MeshFailure("h_tip must not exceed h_max")
     _validate_crack(domain, crack, h_tip)
-    end_kinds, tips = _classify_ends(domain, crack)
+    ends = tips_on_boundary(crack, domain)
+    tips = [t for t, on in ends if not on]
     size = _SizeField([t.position for t in tips], h_max, h_tip)
     poly_arr = np.array(domain.boundary, float)
 
     features, cycle, cycle_parent, chain_ids = _feature_points(
-        domain, crack, end_kinds, size
+        domain, crack, [t.position for t, on in ends if on], size
     )
     pts_arr = _lattice_fill(domain, crack, tips, size, features, poly_arr)
 
@@ -464,10 +447,10 @@ def conforming_mesh(domain: DomainSpec, crack: CrackSet, h_max: float, h_tip: fl
         h_max=h_max,
         h_tip=h_tip,
     )
-    return base, end_kinds
+    return base
 
 
-def _feature_points(domain: DomainSpec, crack: CrackSet, end_kinds, size: _SizeField):
+def _feature_points(domain: DomainSpec, crack: CrackSet, boundary_ends, size: _SizeField):
     """Boundary and crack samples, each distinct point once, first seen first.
 
     Returns the points (F, 2); the boundary cycle as node ids with each
@@ -477,11 +460,10 @@ def _feature_points(domain: DomainSpec, crack: CrackSet, end_kinds, size: _SizeF
     on_edge: dict[int, list[Point]] = {k: [] for k in range(len(poly))}
     # crack vertices sitting on the boundary must be boundary samples
     mandatory: list[Point] = list(poly)
-    for comp, kinds in zip(crack.components, end_kinds):
-        for v, kind in ((comp.vertices[0], kinds[0]), (comp.vertices[-1], kinds[1])):
-            if kind == "boundary" and v not in poly:
-                on_edge[domain.boundary_edge(v)].append(v)
-                mandatory.append(v)
+    for v in boundary_ends:
+        if v not in poly:
+            on_edge[domain.boundary_edge(v)].append(v)
+            mandatory.append(v)
 
     # boundary pieces between consecutive anchors, then crack segments
     pieces: list[tuple[Point, Point]] = []
@@ -662,20 +644,23 @@ def _walk(fan: dict, w, stop) -> tuple[list[int], bool]:
     return hits, False
 
 
-def unzip(base: CrackMesh, end_kinds) -> CrackMesh:
+def unzip(base: CrackMesh) -> CrackMesh:
     """Split the base's chains open, then tag the free edges.
 
     Each crack node but a tip gets a copy that takes over the triangles on
-    the right of the chain (the minus face). A CCW triangle holds an edge
-    (w, v) into its corner at v and (v, x) out of it; its neighbour across
-    (v, x) holds (x, v), so stepping from w to x walks clockwise about v.
-    The free edges of the result, found with one sort of its edge keys, are
-    the crack faces and the base's boundary edges, whose tags they take; a
-    copy stands for the node it was split from.
+    the right of the chain (the minus face). A tip is a chain end off the
+    base's boundary cycle; a one-node chain, a point, stays closed. A CCW
+    triangle holds an edge (w, v) into its corner at v and (v, x) out of
+    it; its neighbour across (v, x) holds (x, v), so stepping from w to x
+    walks clockwise about v. The free edges of the result, found with one
+    sort of its edge keys, are the crack faces and the base's boundary
+    edges, whose tags they take; a copy stands for the node it was split
+    from.
     """
     pts_arr, tris = base.nodes, base.triangles
     chain_ids = [list(ch.node_ids) for ch in base.crack_chains]
     n_orig = len(pts_arr)
+    on_cycle = {v for i, j, _ in base.boundary_edges for v in (i, j)}
 
     # the corners at crack nodes ("hits"): per node v, its fan {w: (x, hit)}
     on_crack = np.zeros(n_orig, dtype=bool)
@@ -693,8 +678,8 @@ def unzip(base: CrackMesh, end_kinds) -> CrackMesh:
     chains: list[CrackChain] = []
     split_from: list[int] = []  # copy n_orig + i stands for node split_from[i]
     moved: list[list[int]] = []  # the hits whose node copy split_from[i] takes
-    for ids, kinds in zip(chain_ids, end_kinds):
-        if kinds[0] == "point":
+    for ids in chain_ids:
+        if len(ids) == 1:
             chains.append(CrackChain(tuple(ids), tuple(ids)))
             continue
         for u, v in zip(ids, ids[1:]):
@@ -703,8 +688,7 @@ def unzip(base: CrackMesh, end_kinds) -> CrackMesh:
         k = len(ids) - 1
         minus_ids = list(ids)
         for i, v in enumerate(ids):
-            kind = kinds[0] if i == 0 else (kinds[1] if i == k else "interior")
-            if kind == "tip":
+            if i in (0, k) and v not in on_cycle:
                 continue
             # the minus side: the turn from the next node to the previous one;
             # off an open fan, or with no next node, all but the reverse turn

@@ -539,7 +539,7 @@ def triangulate_loops(domain, crack, h_max, h_tip):
     tagged by their polygon edges, goes to `unzip_loop`; returns the mesh
     and its constrained nodes as `unzip_loop` finds them.
     """
-    from quasicrack.geometry import segment_distances
+    from quasicrack.geometry import segment_distances, tips_on_boundary
     from quasicrack.mesh import (
         _GRADING,
         _JUNCTION_CLEARANCE,
@@ -549,25 +549,24 @@ def triangulate_loops(domain, crack, h_max, h_tip):
         CrackChain,
         CrackMesh,
         MeshFailure,
-        _classify_ends,
         _validate_crack,
     )
 
     if h_tip > h_max:
         raise MeshFailure("h_tip must not exceed h_max")
     _validate_crack(domain, crack, h_tip)
-    end_kinds, tips = _classify_ends(domain, crack)
-    size = _size_field_norm([t.position for t in tips], h_max, h_tip)
-
+    tips = []
     poly = domain.boundary
     n_poly = len(poly)
     boundary_pts_on_edge = {k: [] for k in range(n_poly)}
     mandatory = list(poly)
-    for comp, kinds in zip(crack.components, end_kinds):
-        for v, kind in ((comp.vertices[0], kinds[0]), (comp.vertices[-1], kinds[1])):
-            if kind == "boundary" and v not in poly:
-                boundary_pts_on_edge[domain.boundary_edge(v)].append(v)
-                mandatory.append(v)
+    for t, on in tips_on_boundary(crack, domain):
+        if not on:
+            tips.append(t)
+        elif t.position not in poly:
+            boundary_pts_on_edge[domain.boundary_edge(t.position)].append(t.position)
+            mandatory.append(t.position)
+    size = _size_field_norm([t.position for t in tips], h_max, h_tip)
     pieces, parents = [], []
     for k, (a, b) in enumerate(domain.edges()):
         anchors = [a] + sorted(
@@ -701,7 +700,7 @@ def triangulate_loops(domain, crack, h_max, h_tip):
         h_max=h_max,
         h_tip=h_tip,
     )
-    return unzip_loop(base, end_kinds)
+    return unzip_loop(base)
 
 
 def delaunay_with_required_loop(pts_arr, required, n_feature):
@@ -754,8 +753,12 @@ def _fan_sides_loop(coords, tris, incident, v, theta_b, theta_a):
     return left, right
 
 
-def unzip_loop(base, end_kinds):
+def unzip_loop(base):
     """The crack unzip of a base mesh with closed chains, node by node.
+
+    The end kinds are read off the base edge by edge: a chain end is a tip
+    unless it is a node of a base boundary edge, and a one-node chain is a
+    point; both stay single nodes.
 
     Each fan is split by angles: at an interior node by the CCW interval
     between its two crack edges, at a boundary end by the side of the crack
@@ -780,10 +783,13 @@ def unzip_loop(base, end_kinds):
     for ti, col in zip(*np.nonzero(np.isin(tris, crack_nodes))):
         incident[int(tris[ti, col])].append(int(ti))
     two_sided = {e for e, owners in edge_owners_loop(tris).items() if len(owners) == 2}
+    on_cycle = set()
+    for u, v, _ in base.boundary_edges:
+        on_cycle.update((u, v))
 
     chains = []
-    for ids, kinds in zip(chain_ids, end_kinds):
-        if kinds[0] == "point":
+    for ids in chain_ids:
+        if len(ids) == 1:
             chains.append(CrackChain(tuple(ids), tuple(ids)))
             continue
         k = len(ids) - 1
@@ -791,9 +797,7 @@ def unzip_loop(base, end_kinds):
             raise MeshFailure("interior crack edge lacks two triangles")
         minus_ids = list(ids)
         for i, v in enumerate(ids):
-            at_end = i == 0 or i == k
-            kind = kinds[0] if i == 0 else (kinds[1] if i == k else "interior")
-            if at_end and kind == "tip":
+            if (i == 0 or i == k) and v not in on_cycle:
                 continue
             pv = coords[v]
             if i > 0:

@@ -136,6 +136,33 @@ def test_malformed_pw_linear_profile_exits_2(quick_config, tmp_path, ts, values,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "typo, edit",
+    [
+        # an all-Neumann domain
+        (
+            "dirichlet_arc",
+            lambda c: c["domain"].update(dirichlet_arc=c["domain"].pop("dirichlet_arcs")),
+        ),
+        # a profile at rate 1.0
+        ("rte", lambda c: c["loading"].update(profile={"type": "linear", "rte": 3})),
+        # a datum with cx = 1.0
+        ("cX", lambda c: c["loading"].update(datum={"type": "linear", "cX": 5})),
+    ],
+    ids=["domain", "profile", "datum"],
+)
+def test_run_unknown_config_key_exits_2(quick_config, tmp_path, typo, edit):
+    # a misspelt key is rejected, not run at its default
+    _, path = quick_config
+    cfg = json.loads(path.read_text())
+    edit(cfg)
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert_config_error(run_cli("run", str(bad), "--output-dir", str(out), timeout=60), repr(typo))
+    assert not out.exists()
+
+
 def test_ell0_equal_to_h_tip_is_accepted():
     cfg = subcritical_benchmark_config(delta=1 / 4)
     cfg["policy"]["ell0"] = cfg["mesh"]["h_tip"]

@@ -137,6 +137,20 @@ def test_evaluator_meshes_each_crack_once(monkeypatch):
     assert ev.energy(cracks[0], 0.5) == e1
 
 
+def test_record_drops_the_fields_of_other_cracks():
+    # a record ends the step: after energy(B) and record(A), only A's basis
+    # fields are kept, so record(B) meshes and solves B again
+    a, b = (CrackSet((Polyline(((0.3, 0.5), (x, 0.5))),), 1) for x in (0.7, 0.8))
+    ev = one_datum(SQUARE, linear_datum(1.0, 0.0), 0.1, 0.02)
+    ev.energy(b, 0.0)
+    ev.record(a, 0.0)
+    assert ev.solves == 2
+    ev.record(a, 0.0)
+    assert ev.solves == 2
+    ev.record(b, 0.0)
+    assert ev.solves == 3
+
+
 def test_local_energy_no_crack_linear():
     ball = BallSpec((0.3, 0.2), 0.25, 64)
     rec = local_energy(ball, CrackSet((), 1), linear_datum(1.0, 0.0), 0.05, 0.05)

@@ -257,23 +257,25 @@ def test_extension_of_a_meshed_crack_checks_its_new_segment():
 
 
 # Crafted base meshes for the unzip, one per failure after triangulation.
-# Each case: chains as (node ids, end kinds), points, triangles, boundary
-# cycle (nodes, parent polygon edges), and the message.
+# Each case: chains as node ids, points, triangles, boundary cycle (nodes,
+# parent polygon edges), and the message. A chain end on the cycle is a
+# boundary end, any other a tip.
 _FAN = [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
 _UNZIP_FAILURES = {
     "one_sided_edge": (
-        [([0, 1], ("tip", "tip"))], _FAN + [(0.0, 1.0)], [[0, 1, 3]], ([0, 1, 3], [0, 1, 2]),
+        [[0, 1]], _FAN + [(0.0, 1.0)], [[0, 1, 3]], ([0, 1, 3], [0, 1, 2]),
         "interior crack edge lacks two triangles",
     ),
     "empty_side": (
-        [([0, 1, 2], ("tip", "tip"))], _FAN + [(0.0, 1.0), (0.0, 2.0)],
+        [[0, 1, 2]], _FAN + [(0.0, 1.0), (0.0, 2.0)],
         [[0, 1, 3], [1, 2, 3], [0, 1, 4], [1, 2, 4]], ([0, 2, 4], [0, 1, 2]),
         "crack unzip found an empty face side",
     ),
     "face_not_free": (
-        [([0, 1, 2], ("tip", "tip"))],
+        # both ends are tips, off the cycle; only node 1 splits
+        [[0, 1, 2]],
         _FAN + [(-0.5, 1.0), (-0.5, 2.0), (0.5, -1.0), (0.5, 1.0)],
-        [[0, 1, 3], [0, 1, 4], [1, 2, 6], [2, 1, 5]], ([0, 5, 2], [0, 1, 2]),
+        [[0, 1, 3], [0, 1, 4], [1, 2, 6], [2, 1, 5]], ([4, 5, 6], [0, 1, 2]),
         "crack face edge not free after unzip",
     ),
     "non_manifold": (
@@ -307,16 +309,15 @@ def test_unzip_failures(name):
         boundary_edges=tuple(
             (u, v, dom.edge_tag(k)) for u, v, k in zip(cycle, cycle[1:] + cycle[:1], parent)
         ),
-        crack_chains=tuple(CrackChain(tuple(ids), tuple(ids)) for ids, _ in chains),
+        crack_chains=tuple(CrackChain(tuple(ids), tuple(ids)) for ids in chains),
         h_max=1.0,
         h_tip=1.0,
     )
-    kinds = [k for _, k in chains]
     with pytest.raises(MeshFailure) as got:
-        unzip(base, kinds)
+        unzip(base)
     assert str(got.value) == message
     with pytest.raises(MeshFailure) as want:
-        unzip_loop(base, kinds)
+        unzip_loop(base)
     assert str(want.value) == message
 
 
@@ -648,6 +649,17 @@ def test_triangulate_matches_loop_oracle(kind, data, sizes):
     assert _mesh_fields(got) == _mesh_fields(want)
     assert got.dirichlet_nodes == want_dirichlet
     assert got.min_angle() == min_angle_loop(got)
+    # the unzip takes a chain end for a tip when it is off the base's
+    # boundary cycle: exactly when the crack end is off the boundary
+    base = conforming_mesh(dom, crack, *sizes)
+    on_cycle = {v for i, j, _ in base.boundary_edges for v in (i, j)}
+    ends = [
+        ch.node_ids[at] in on_cycle
+        for ch in base.crack_chains
+        if len(ch.node_ids) > 1
+        for at in (0, -1)
+    ]
+    assert ends == [on for _, on in tips_on_boundary(crack, dom)]
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +694,8 @@ def test_unzip_keeps_the_base_geometry(kind, data):
         dom, sizes = unit_square(dirichlet_arcs=((0, 1),)), data.draw(_SIZES)
         crack = _crack_of(data.draw(_test_cracks(kind)))
     try:
-        base, kinds = conforming_mesh(dom, crack, *sizes)
-        mesh = unzip(base, kinds)
+        base = conforming_mesh(dom, crack, *sizes)
+        mesh = unzip(base)
     except MeshFailure:
         assume(False)
     assert base.areas.tobytes() == mesh.areas.tobytes()
@@ -709,7 +721,7 @@ def test_unzip_chain_prefixes():
     vertices = [(0.0, 0.0), (cases.TAPER_A0, 0.0)]
     vertices += [(cases.TAPER_A0 + 2 * h * k, 0.0) for k in range(1, 11)]
     dom, crack = _benchmark_taper(), _slits(tuple(vertices))
-    base, kinds = conforming_mesh(dom, crack, 8 * h, h)
+    base = conforming_mesh(dom, crack, 8 * h, h)
     ids = base.crack_chains[0].node_ids
     position = {tuple(base.nodes[v].tolist()): at for at, v in enumerate(ids)}
     datum = cases.taper_datum(cases.TAPER_L, cases.TAPER_H0, cases.TAPER_H1)
@@ -717,8 +729,8 @@ def test_unzip_chain_prefixes():
     for v in vertices[1:]:
         prefix = ids[: position[v] + 1]
         cut = dataclasses.replace(base, crack_chains=(CrackChain(prefix, prefix),))
-        mesh = unzip(cut, [(kinds[0][0], "tip")])
-        want, want_dirichlet = unzip_loop(cut, [(kinds[0][0], "tip")])
+        mesh = unzip(cut)
+        want, want_dirichlet = unzip_loop(cut)
         assert _mesh_fields(mesh) == _mesh_fields(want)
         assert mesh.dirichlet_nodes == want_dirichlet
         (chain,) = mesh.crack_chains
@@ -764,8 +776,8 @@ def test_cracks_from_a_reentrant_corner_unzip(degrees):
     tip = (0.5 * math.cos(angle), 0.5 * math.sin(angle))
     energies = []
     for crack in (_slits(((0.0, 0.0), tip)), _slits((tip, (0.0, 0.0)))):
-        base, kinds = conforming_mesh(_L_SHAPE, crack, 1 / 8, 1 / 64)
-        mesh = unzip(base, kinds)
+        base = conforming_mesh(_L_SHAPE, crack, 1 / 8, 1 / 64)
+        mesh = unzip(base)
         assert base.areas.tobytes() == mesh.areas.tobytes()
         (chain,) = mesh.crack_chains
         # every node but the tip is split, the corner included
