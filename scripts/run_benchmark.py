@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from quasicrack.cases import growth_benchmark_config
-from quasicrack.cli import build_parser
+from quasicrack.cli import main as quasicrack
 
 
 def main():
@@ -32,10 +32,7 @@ def main():
     cfg_path = out / "config.json"
     cfg_path.write_text(json.dumps(cfg, indent=1, sort_keys=True))
 
-    cli = build_parser().parse_args(
-        ["run", str(cfg_path), "--output-dir", str(out)]
-    )
-    rc = cli.func(cli)
+    rc = quasicrack(["run", str(cfg_path), "--output-dir", str(out)])
     if rc == 0:
         jsonl = (out / "evolution.jsonl").read_text().strip().splitlines()
         grown = [json.loads(l) for l in jsonl if json.loads(l)["grew"]]

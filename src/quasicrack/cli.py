@@ -1,9 +1,10 @@
 """Command line entry points: run, audit, sweep, oracle.
 
-Exit status is nonzero for configuration errors only: a bad file, flag or
-value, or a crack that the mesher rejects (an initial crack, or a crack
-in a saved state) exits 2 with `config error: ...` on stderr. Audit or
-oracle failures are reported on stdout and exit 0.
+Exit status is nonzero for configuration errors only: a bad file, flag,
+key or value, or a crack that the mesher rejects (an initial crack, or a
+crack in a saved state). Each raises `ConfigError` or `MeshFailure`, and
+`main` turns either into exit 2 with `config error: ...` on stderr. Audit
+or oracle failures are reported on stdout and exit 0.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -40,13 +42,34 @@ from .evolution import (
 )
 from .mesh import MeshFailure
 
+#: the exceptions of a bad input, which `_config_errors` re-raises as ConfigError
+_BAD_INPUT = (
+    OSError, KeyError, TypeError, ValueError, ZeroDivisionError, DomainError, GeometryViolation
+)
+
 
 class ConfigError(Exception):
     pass
 
 
-def load_config(cfg: dict):
+@contextmanager
+def _config_errors():
+    """Re-raise the exception of a bad input as a ConfigError."""
     try:
+        yield
+    except _BAD_INPUT as e:
+        raise ConfigError(str(e)) from e
+
+
+def _read_json(path: str):
+    with _config_errors():
+        return json.loads(Path(path).read_text())
+
+
+def load_config(cfg: dict):
+    """(domain, initial crack, loading, grid, policy, h_max, h_tip) of a run
+    config; raises ConfigError."""
+    with _config_errors():
         domain = DomainSpec.from_json(cfg["domain"])
         m = int(cfg.get("m", max(1, len(cfg["initial_crack"]))))
         crack = CrackSet.from_json(cfg["initial_crack"], m=m)
@@ -75,8 +98,6 @@ def load_config(cfg: dict):
             loading = LoadingProgram("sampled", samples=samples, config=lcfg)
         else:
             raise KeyError(f"unknown loading mode {lcfg['mode']!r}")
-    except (KeyError, TypeError, ValueError, DomainError, GeometryViolation) as e:
-        raise ConfigError(str(e)) from e
     return domain, crack, loading, grid, policy, h_max, h_tip
 
 
@@ -88,35 +109,29 @@ def _run_from_config(cfg: dict, with_audit: bool = True) -> EvolutionState:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-        state = _run_from_config(cfg, with_audit=cfg.get("audit", {}).get("enabled", True))
-    except (ConfigError, MeshFailure, OSError, json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    out = cfg.get("output", {})
+    cfg = _read_json(args.config)
+    audit = cfg.get("audit", {})
+    state = _run_from_config(cfg, with_audit=audit.get("enabled", True))
     outdir = Path(args.output_dir or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    jsonl_path = outdir / out.get("jsonl", "evolution.jsonl")
+    jsonl_path = outdir / "evolution.jsonl"
     jsonl_path.write_text(state.to_jsonl())
-    if out.get("fields_dir"):
-        fdir = outdir / out["fields_dir"]
+    fields_dir = cfg.get("output", {}).get("fields_dir")
+    if fields_dir:
+        fdir = outdir / fields_dir
         fdir.mkdir(parents=True, exist_ok=True)
         for i in range(len(state.steps)):
             (fdir / f"step_{i:04d}.csv").write_text(state.field(i).to_csv())
-    (outdir / out.get("snapshots", "cracks.json")).write_text(
-        json.dumps(state.snapshots_json(), sort_keys=True, indent=1)
-    )
+    (outdir / "cracks.json").write_text(json.dumps(state.snapshots_json(), sort_keys=True, indent=1))
     if state.audit is not None:
-        pairs = cfg.get("audit", {}).get("monotone_pairs", 10)
         try:
-            state.audit["monotone_loading"] = audit_monotone_loading(state, pairs)
+            state.audit["monotone_loading"] = audit_monotone_loading(
+                state, audit.get("monotone_pairs", 10)
+            )
         except NotProportional:
             pass
-        (outdir / out.get("audit", "audit.json")).write_text(
-            json.dumps(state.audit, sort_keys=True, indent=1)
-        )
-    state.save(str(outdir / out.get("state", "state.json")))
+        (outdir / "audit.json").write_text(json.dumps(state.audit, sort_keys=True, indent=1))
+    state.save(str(outdir / "state.json"))
     last = state.energies[-1]
     grew = sum(state.grew)
     print(
@@ -135,41 +150,32 @@ def replay_state(path: str) -> EvolutionState:
     Everything else is restored as saved, so saving the result writes the
     same bytes; fields are re-solved on request (`EvolutionState.field`).
     """
-    payload = json.loads(Path(path).read_text())
-    cfg = payload["config"]
-    domain, k_init, loading, grid, policy, h_max, h_tip = load_config(cfg)
-    state = EvolutionState(
-        domain=domain,
-        grid=grid,
-        policy=policy,
-        loading=loading,
-        h_max=h_max,
-        h_tip=h_tip,
-        initial_crack=k_init,
-        events=payload.get("events", []),
-        audit=payload.get("audit"),
-        lambda_diagnostic=payload.get("lambda_diagnostic"),
-    )
+    payload = _read_json(path)
+    with _config_errors():
+        domain, k_init, loading, grid, policy, h_max, h_tip = load_config(payload["config"])
+        state = EvolutionState(
+            domain, grid, policy, loading, h_max, h_tip, k_init,
+            events=payload.get("events", []),
+            audit=payload.get("audit"),
+            lambda_diagnostic=payload.get("lambda_diagnostic"),
+        )
+        times = grid.times()
+        snaps, recs = payload["snapshots"]["steps"], payload["steps"]
+        if not len(times) == len(snaps) == len(recs):
+            raise ValueError("state file steps do not match the time grid")
+        steps = [
+            StepRecord.from_json(rec, CrackSet.from_json(snap["components"], m=k_init.m))
+            for snap, rec in zip(snaps, recs)
+        ]
     ev = _evaluator_of(state)
-    times = grid.times()
-    snaps = payload["snapshots"]["steps"]
-    if not len(times) == len(snaps) == len(payload["steps"]):
-        raise ConfigError("state file steps do not match the time grid")
-    for t, snap, rec in zip(times, snaps, payload["steps"]):
-        crack = CrackSet.from_json(snap["components"], m=k_init.m)
-        energy, _ = ev.record(crack, t)
-        state.steps.append(replace(StepRecord.from_json(rec, crack), energy=energy))
+    for t, step in zip(times, steps):
+        energy, _ = ev.record(step.crack, t)
+        state.steps.append(replace(step, energy=energy))
     return state
 
 
 def cmd_audit(args) -> int:
-    try:
-        state = replay_state(args.state)
-    except (
-        ConfigError, GeometryViolation, MeshFailure, OSError, json.JSONDecodeError, KeyError
-    ) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    state = replay_state(args.state)
     report = audit_conditions(state)
     try:
         report["monotone_loading"] = audit_monotone_loading(state)
@@ -186,25 +192,18 @@ def cmd_audit(args) -> int:
 
 
 def _parse_delta(text: str) -> float:
-    return TimeGrid(float(Fraction(text))).delta
+    with _config_errors():
+        return TimeGrid(float(Fraction(text))).delta
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-        deltas = [_parse_delta(d) for d in args.delta_list.split(",")]
-    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    cfg = _read_json(args.config)
+    deltas = [_parse_delta(d) for d in args.delta_list.split(",")]
     rows = []
     for d in deltas:
         run_cfg = dict(cfg)
         run_cfg["delta"] = d
-        try:
-            state = _run_from_config(run_cfg, with_audit=False)
-        except (ConfigError, MeshFailure) as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return 2
+        state = _run_from_config(run_cfg, with_audit=False)
         rep = audit_conditions(state, minimality_samples=0)
         rows.append(
             {
@@ -319,16 +318,11 @@ ORACLES = {
 def cmd_oracle(args) -> int:
     fixed = args.case == "taper-growth"
     if args.case not in ORACLES:
-        error = f"unknown case {args.case!r} (have {sorted(ORACLES)})"
-    elif fixed and args.h_tip is not None:
-        error = "taper-growth runs at the benchmark's own resolution and takes no --h-tip"
-    elif args.h_tip is not None and not 0.0 < args.h_tip < math.inf:
-        error = f"--h-tip must be positive and finite, got {args.h_tip}"
-    else:
-        error = None
-    if error:
-        print(f"config error: {error}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown case {args.case!r} (have {sorted(ORACLES)})")
+    if fixed and args.h_tip is not None:
+        raise ConfigError("taper-growth runs at its own resolution and takes no --h-tip")
+    if args.h_tip is not None and not 0.0 < args.h_tip < math.inf:
+        raise ConfigError(f"--h-tip must be positive and finite, got {args.h_tip}")
     run = ORACLES[args.case]
     checks = run() if fixed else run(1.0 / 256.0 if args.h_tip is None else args.h_tip)
     for label, ok in checks:
@@ -365,7 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, MeshFailure) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -72,6 +72,13 @@ _PROFILE_PARAMS = {
     "pw_linear": ("ts", "values"),
 }
 
+# the JSON profile types that are special cases of the two closed forms
+_SPECIAL_CASES = {
+    "affine_sqrt": lambda amp, c0, c1: ("power_sqrt", (amp, c0, c1, 1.0)),
+    "constant": lambda v: ("power_sqrt", (v, 1.0, 0.0, 1.0)),
+    "linear": lambda rate: ("pw_linear", ((0.0, 1.0), (0.0, rate))),
+}
+
 
 def _knot_interval(ts, t: float) -> int:
     """Index k of the knot interval [ts[k], ts[k+1]] that holds t: the right
@@ -89,48 +96,40 @@ def _check_knots(ts, what: str) -> None:
 
 @dataclass(frozen=True)
 class Profile:
-    """Scalar load factor phi(t) on [0,1], absolutely continuous."""
+    """Scalar load factor phi(t) on [0,1], absolutely continuous, in one of two
+    closed forms: `power_sqrt` (amp, c0, c1, p) is amp sqrt(max(c0 + c1 t^p, 0)),
+    and `pw_linear` (ts, values) is v_k (1 - w) + v_{k+1} w on [t_k, t_{k+1}],
+    w = (t - t_k) / (t_{k+1} - t_k). The constructor maps the other JSON types
+    onto them, with the floats of their own closed forms (`_SPECIAL_CASES`).
+    """
 
-    kind: str  # "linear" | "affine_sqrt" | "power_sqrt" | "constant" | "pw_linear"
+    kind: str  # "power_sqrt" | "pw_linear"
     params: tuple = ()
 
+    def __post_init__(self):
+        if self.kind in _SPECIAL_CASES:
+            kind, params = _SPECIAL_CASES[self.kind](*self.params)
+            object.__setattr__(self, "kind", kind)
+            object.__setattr__(self, "params", params)
+
     def value(self, t: float) -> float:
-        if self.kind == "linear":
-            (rate,) = self.params
-            return rate * t
-        if self.kind == "affine_sqrt":
-            amp, c0, c1 = self.params
-            return amp * math.sqrt(max(c0 + c1 * t, 0.0))
         if self.kind == "power_sqrt":
             amp, c0, c1, p = self.params
             return amp * math.sqrt(max(c0 + c1 * t**p, 0.0))
-        if self.kind == "constant":
-            (v,) = self.params
-            return v
-        if self.kind == "pw_linear":
-            ts, vs = self.params
-            return float(np.interp(t, ts, vs))
-        raise ValueError(f"unknown profile kind {self.kind!r}")
+        ts, vs = self.params
+        k = _knot_interval(ts, t)
+        w = (t - ts[k]) / (ts[k + 1] - ts[k])
+        return vs[k] * (1.0 - w) + vs[k + 1] * w
 
     def derivative(self, t: float) -> float:
-        if self.kind == "linear":
-            return self.params[0]
-        if self.kind == "affine_sqrt":
-            amp, c0, c1 = self.params
-            base = max(c0 + c1 * t, 1e-300)
-            return amp * 0.5 * c1 / math.sqrt(base)
         if self.kind == "power_sqrt":
             amp, c0, c1, p = self.params
             base = max(c0 + c1 * t**p, 1e-300)
             tp = t ** (p - 1.0) if t > 0.0 else (1.0 if p == 1.0 else 0.0)
             return amp * 0.5 * c1 * p * tp / math.sqrt(base)
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "pw_linear":
-            ts, vs = self.params
-            k = _knot_interval(ts, t)
-            return (vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])
-        raise ValueError(self.kind)
+        ts, vs = self.params
+        k = _knot_interval(ts, t)
+        return (vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])
 
     def nondecreasing_on(self, times) -> bool:
         vals = [self.value(t) for t in times]
@@ -156,7 +155,12 @@ class Profile:
 
 @dataclass(frozen=True)
 class LoadingProgram:
-    """Boundary displacement history g(t) on [0, 1]."""
+    """Boundary displacement history g(t) = sum_j c_j(t) g_j on [0, 1].
+
+    Each basis datum has a profile c_j: proportional loading has `datum` with
+    `profile`; sampled loading has one datum g_j per sample (t_j, g_j), whose
+    profile is its hat: the `pw_linear` over the sample times, 1 at t_j.
+    """
 
     mode: str  # "proportional" | "sampled"
     datum: BoundaryDatum | None = None  # fixed profile h (proportional)
@@ -164,22 +168,21 @@ class LoadingProgram:
     samples: tuple[tuple[float, BoundaryDatum], ...] = ()
     # the JSON it was read from (`cli.load_config`); None when built in Python
     config: dict | None = field(default=None, compare=False, repr=False)
+    _profiles: tuple[Profile, ...] = field(init=False, compare=False, repr=False)  # the c_j
 
     def __post_init__(self):
         if self.mode == "proportional":
             if self.datum is None or self.profile is None:
                 raise ValueError("proportional loading needs datum and profile")
+            profiles = (self.profile,)
         elif self.mode == "sampled":
-            _check_knots([t for t, _ in self.samples], "sample times")
+            ts = tuple(t for t, _ in self.samples)
+            _check_knots(ts, "sample times")
+            hats = np.eye(len(ts))  # row j: 1 at t_j, 0 at the other sample times
+            profiles = tuple(Profile("pw_linear", (ts, tuple(map(float, h)))) for h in hats)
         else:
             raise ValueError(f"unknown loading mode {self.mode!r}")
-
-    def _interval(self, t: float):
-        """Sample interval that t falls in (the right one at a sample time)."""
-        ts = [s for s, _ in self.samples]
-        k = _knot_interval(ts, t)
-        t0, t1 = ts[k], ts[k + 1]
-        return k, (t - t0) / (t1 - t0), t1 - t0
+        object.__setattr__(self, "_profiles", profiles)
 
     def basis(self) -> tuple[BoundaryDatum, ...]:
         """Basis data g_1..g_S with g(t) = sum_j c_j(t) g_j."""
@@ -188,15 +191,11 @@ class LoadingProgram:
         return tuple(g for _, g in self.samples)
 
     def coeffs(self, t: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(c(t), c'(t)) over `basis()`: (phi, phi') or hat-function weights."""
-        if self.mode == "proportional":
-            return (self.profile.value(t),), (self.profile.derivative(t),)
-        k, w, dt = self._interval(t)
-        c = [0.0] * len(self.samples)
-        cdot = [0.0] * len(self.samples)
-        c[k], c[k + 1] = 1.0 - w, w
-        cdot[k], cdot[k + 1] = -1.0 / dt, 1.0 / dt
-        return tuple(c), tuple(cdot)
+        """(c(t), c'(t)) over `basis()`: each datum's profile and its derivative at t."""
+        return (
+            tuple(p.value(t) for p in self._profiles),
+            tuple(p.derivative(t) for p in self._profiles),
+        )
 
 
 @dataclass(frozen=True)

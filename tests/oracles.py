@@ -10,7 +10,9 @@ topology (`edge_owners_loop`, which the Euler checks and the mesher's loop
 version count edges with) and edge jumps come from per-triangle Python
 loops, not from the mesher's sorted edge keys; the best joint tip move
 comes from an exhaustive loop over every combination, not from the step
-search's candidate generator.
+search's candidate generator. Each JSON profile type keeps its own closed
+form (`profile_reference`), and sampled loading its hat weights written
+out (`hat_weights_reference`).
 Geometric predicates are decided in `Fraction` arithmetic only, with no
 float filter and no bounding-box rejection; the domain's point queries
 use explicit crossing abscissae, and segment containment cuts the segment
@@ -113,6 +115,63 @@ def direct_energy_and_power(domain, crack, loading, t, h_max, h_tip):
     gdot = ScalarField(mesh, combined(cdot)(mesh))
     G = gram_matrix([u, gdot])
     return G[0][0], 2.0 * G[0][1]
+
+
+# each JSON profile type by its own closed form, and sampled loading's
+# hat weights written out, as `Profile` and `LoadingProgram.coeffs`
+# computed them before every profile was one of two closed forms
+
+
+def profile_reference(kind: str, params: tuple):
+    """(value, derivative) functions of t for a JSON profile type."""
+    if kind == "linear":
+        (rate,) = params
+        return (lambda t: rate * t), (lambda t: rate)
+    if kind == "constant":
+        (v,) = params
+        return (lambda t: v), (lambda t: 0.0)
+    if kind == "affine_sqrt":
+        amp, c0, c1 = params
+        return (
+            lambda t: amp * math.sqrt(max(c0 + c1 * t, 0.0)),
+            lambda t: amp * 0.5 * c1 / math.sqrt(max(c0 + c1 * t, 1e-300)),
+        )
+    if kind == "power_sqrt":
+        amp, c0, c1, p = params
+
+        def derivative(t):
+            tp = t ** (p - 1.0) if t > 0.0 else (1.0 if p == 1.0 else 0.0)
+            return amp * 0.5 * c1 * p * tp / math.sqrt(max(c0 + c1 * t**p, 1e-300))
+
+        return (lambda t: amp * math.sqrt(max(c0 + c1 * t**p, 0.0))), derivative
+    ts, vs = params  # pw_linear
+
+    def slope(t):
+        k = _interval_loop(ts, t)
+        return (vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])
+
+    return (lambda t: float(np.interp(t, ts, vs))), slope
+
+
+def _interval_loop(ts, t) -> int:
+    """Index of the knot interval that holds t: the right one at an inner
+    knot, the first or last one outside [ts[0], ts[-1]]."""
+    k = 0
+    while k < len(ts) - 2 and ts[k + 1] <= t:
+        k += 1
+    return k
+
+
+def hat_weights_reference(ts, t) -> tuple[tuple, tuple]:
+    """(c(t), c'(t)) of sampled loading at sample times ts: 1 - w and w on
+    the two samples of t's interval, -1/dt and 1/dt their rates, 0 elsewhere."""
+    k = _interval_loop(ts, t)
+    t0, t1 = ts[k], ts[k + 1]
+    w, dt = (t - t0) / (t1 - t0), t1 - t0
+    c, cdot = [0.0] * len(ts), [0.0] * len(ts)
+    c[k], c[k + 1] = 1.0 - w, w
+    cdot[k], cdot[k + 1] = -1.0 / dt, 1.0 / dt
+    return tuple(c), tuple(cdot)
 
 
 # the built-in data as scalar formulas f(x, y), one node at a time

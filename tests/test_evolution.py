@@ -2,10 +2,13 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasicrack.cases import (
+    GROWTH_AMP,
+    GROWTH_C1,
     growth_benchmark_config,
     linear_datum,
     slit_disk_crack,
@@ -31,7 +34,12 @@ from quasicrack.evolution import (
 )
 from quasicrack.geometry import CrackSet, Polyline, contains, length
 
-from oracles import best_joint_extension, direct_energy_and_power
+from oracles import (
+    best_joint_extension,
+    direct_energy_and_power,
+    hat_weights_reference,
+    profile_reference,
+)
 from verification import pointwise, unit_square
 
 TAPER = dict(length_x=3.0, h0=0.35, h1=0.725)
@@ -94,6 +102,77 @@ def test_profile_from_json():
     ) == Profile("pw_linear", ((0.0, 0.5, 1.0), (0.0, 1.0, 1.5)))
     with pytest.raises(ValueError):
         Profile.from_json({"type": "cubic"})
+
+
+def json_profiles():
+    """The benchmark's profile and random ones of each JSON type, with
+    negative rates, values and amplitudes, and square-root arguments that
+    cross zero."""
+    rng = np.random.default_rng(21)
+
+    def u(lo, hi, n=None):
+        return np.asarray(rng.uniform(lo, hi, n)).tolist()
+
+    out = [{"type": "affine_sqrt", "amp": GROWTH_AMP, "c0": 1.0, "c1": GROWTH_C1}]
+    for _ in range(12):
+        ts = [0.0, *sorted(u(0.0, 1.0, int(rng.integers(0, 5)))), 1.0]
+        out += [
+            {"type": "linear", "rate": u(-3.0, 3.0)},
+            {"type": "constant", "value": u(-3.0, 3.0)},
+            {"type": "affine_sqrt", "amp": u(-2.0, 2.0), "c0": u(-0.5, 1.5), "c1": u(-2.0, 2.0)},
+            {
+                "type": "power_sqrt",
+                "amp": u(-2.0, 2.0),
+                "c0": u(-0.5, 1.5),
+                "c1": u(-2.0, 2.0),
+                "p": u(0.5, 4.0),
+            },
+            {"type": "pw_linear", "ts": ts, "values": u(-2.0, 2.0, len(ts))},
+        ]
+    return out
+
+
+PROFILE_TIMES = sorted(
+    {
+        *np.linspace(0.0, 1.0, 257).tolist(),
+        *(t for delta in (0.3, 1 / 16, 1 / 64) for t in TimeGrid(delta).times()),
+    }
+)
+
+
+@pytest.mark.parametrize("cfg", json_profiles(), ids=lambda cfg: cfg["type"])
+def test_profile_types_keep_their_closed_forms(cfg):
+    # every JSON type is one of two closed forms, and gives the floats of
+    # its own; sqrt forms give the same bits, and a pw_linear value moves
+    # in its last bit at most (np.interp rounds another way)
+    prof = Profile.from_json(cfg)
+    assert prof.kind in ("power_sqrt", "pw_linear")
+    kind = cfg["type"]
+    params = tuple(
+        tuple(v) if isinstance(v, list) else v for k, v in cfg.items() if k != "type"
+    )
+    value, derivative = profile_reference(kind, params)
+    for t in PROFILE_TIMES:
+        assert prof.derivative(t) == derivative(t)
+        if kind == "pw_linear":
+            assert prof.value(t) == pytest.approx(value(t), rel=1e-15, abs=1e-15)
+        else:
+            assert prof.value(t) == value(t)
+        if kind.endswith("_sqrt"):
+            assert repr((prof.value(t), prof.derivative(t))) == repr((value(t), derivative(t)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_sampled_coefficients_are_the_hat_weights(n):
+    # bitwise, signs of zero included, at and between the sample times
+    rng = np.random.default_rng(n)
+    layouts = [[k / (n - 1) for k in range(n)]] + [
+        [0.0, *np.sort(rng.uniform(0.0, 1.0, n - 2)).tolist(), 1.0] for _ in range(19)
+    ]
+    for ts in layouts:
+        loading = LoadingProgram("sampled", samples=tuple((t, zero_datum()) for t in ts))
+        for t in [*ts, *rng.uniform(0.0, 1.0, 25).tolist(), *TimeGrid(1 / 16).times()]:
+            assert repr(loading.coeffs(t)) == repr(hat_weights_reference(ts, t))
 
 
 def test_policy_validation():
