@@ -25,7 +25,7 @@ from .cases import (
     slit_disk_crack,
     slit_disk_domain,
 )
-from .domain import DomainError, DomainSpec
+from .domain import DomainError, DomainSpec, reject_unknown_keys
 from .geometry import CrackSet, GeometryViolation, crack_tips
 from .evolution import (
     CandidatePolicy,
@@ -46,6 +46,7 @@ from .mesh import MeshFailure
 _BAD_INPUT = (
     OSError, KeyError, TypeError, ValueError, ZeroDivisionError, DomainError, GeometryViolation
 )
+_RUN_KEYS = ("domain", "initial_crack", "m", "delta", "mesh", "policy", "loading", "audit", "output")
 
 
 class ConfigError(Exception):
@@ -61,19 +62,45 @@ def _config_errors():
         raise ConfigError(str(e)) from e
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
+    """The JSON object that a config or state file holds."""
     with _config_errors():
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"{path} does not hold a JSON object")
+    return data
+
+
+def _run_options(cfg: dict) -> tuple[bool, int, str]:
+    """(audit enabled, monotone pairs, fields_dir) of a run config, whose
+    top-level keys and `audit` and `output` sections are checked first."""
+    with _config_errors():
+        reject_unknown_keys(cfg, _RUN_KEYS, "config")
+        audit, output = cfg.get("audit", {}), cfg.get("output", {})
+        reject_unknown_keys(audit, ("enabled", "monotone_pairs"), "audit")
+        reject_unknown_keys(output, ("fields_dir",), "output")
+        enabled = audit.get("enabled", True)
+        pairs = audit.get("monotone_pairs", 10)
+        fields_dir = output.get("fields_dir", "")
+        if not isinstance(enabled, bool):
+            raise ValueError(f"audit enabled must be a boolean, got {enabled!r}")
+        if type(pairs) is not int or pairs < 0:
+            raise ValueError(f"audit monotone_pairs must be an integer >= 0, got {pairs!r}")
+        if not isinstance(fields_dir, str):
+            raise ValueError(f"output fields_dir must be a string, got {fields_dir!r}")
+    return enabled, pairs, fields_dir
 
 
 def load_config(cfg: dict):
     """(domain, initial crack, loading, grid, policy, h_max, h_tip) of a run
-    config; raises ConfigError."""
+    config, once every section of it is checked; raises ConfigError."""
     with _config_errors():
+        _run_options(cfg)
         domain = DomainSpec.from_json(cfg["domain"])
         m = int(cfg.get("m", max(1, len(cfg["initial_crack"]))))
         crack = CrackSet.from_json(cfg["initial_crack"], m=m)
         mesh = cfg["mesh"]
+        reject_unknown_keys(mesh, ("h_max", "h_tip"), "mesh")
         h_max, h_tip = float(mesh["h_max"]), float(mesh["h_tip"])
         if not (0.0 < h_tip <= h_max < math.inf):
             raise ValueError(f"mesh sizes need 0 < h_tip <= h_max < inf, got {h_tip=}, {h_max=}")
@@ -84,6 +111,7 @@ def load_config(cfg: dict):
         if lcfg is None:
             raise ValueError("the loading was built in Python and has no JSON form")
         if lcfg["mode"] == "proportional":
+            reject_unknown_keys(lcfg, ("mode", "datum", "profile"), "proportional loading")
             loading = LoadingProgram(
                 "proportional",
                 datum=datum_from_config(lcfg["datum"]),
@@ -91,6 +119,9 @@ def load_config(cfg: dict):
                 config=lcfg,
             )
         elif lcfg["mode"] == "sampled":
+            reject_unknown_keys(lcfg, ("mode", "samples"), "sampled loading")
+            for s in lcfg["samples"]:
+                reject_unknown_keys(s, ("t", "datum"), "sample")
             samples = tuple(
                 (float(s["t"]), datum_from_config(s["datum"]))
                 for s in lcfg["samples"]
@@ -110,13 +141,12 @@ def _run_from_config(cfg: dict, with_audit: bool = True) -> EvolutionState:
 
 def cmd_run(args) -> int:
     cfg = _read_json(args.config)
-    audit = cfg.get("audit", {})
-    state = _run_from_config(cfg, with_audit=audit.get("enabled", True))
+    with_audit, pairs, fields_dir = _run_options(cfg)
+    state = _run_from_config(cfg, with_audit=with_audit)
     outdir = Path(args.output_dir or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     jsonl_path = outdir / "evolution.jsonl"
     jsonl_path.write_text(state.to_jsonl())
-    fields_dir = cfg.get("output", {}).get("fields_dir")
     if fields_dir:
         fdir = outdir / fields_dir
         fdir.mkdir(parents=True, exist_ok=True)
@@ -125,9 +155,7 @@ def cmd_run(args) -> int:
     (outdir / "cracks.json").write_text(json.dumps(state.snapshots_json(), sort_keys=True, indent=1))
     if state.audit is not None:
         try:
-            state.audit["monotone_loading"] = audit_monotone_loading(
-                state, audit.get("monotone_pairs", 10)
-            )
+            state.audit["monotone_loading"] = audit_monotone_loading(state, pairs)
         except NotProportional:
             pass
         (outdir / "audit.json").write_text(json.dumps(state.audit, sort_keys=True, indent=1))

@@ -231,7 +231,10 @@ class DomainSpec:
 
 
 def reject_unknown_keys(cfg: dict, known, what: str) -> None:
-    """Raise ValueError on a key outside `known`, which would go unread."""
+    """Raise ValueError on a key outside `known`, which would go unread, and
+    on a `cfg` that is not a JSON object."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} must be a JSON object, got {cfg!r}")
     unknown = sorted(set(cfg) - set(known))
     if unknown:
         raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}")

@@ -111,6 +111,8 @@ class Profile:
             kind, params = _SPECIAL_CASES[self.kind](*self.params)
             object.__setattr__(self, "kind", kind)
             object.__setattr__(self, "params", params)
+        elif self.kind not in ("power_sqrt", "pw_linear"):
+            raise ValueError(f"unknown profile kind {self.kind!r}")
 
     def value(self, t: float) -> float:
         if self.kind == "power_sqrt":
@@ -263,12 +265,15 @@ class CandidatePolicy:
 
     def step_lengths(self, h_tip: float) -> tuple[float, ...]:
         """The ladder; a rung shorter than h_tip (with the mesher's slack)
-        could never be meshed, so it raises ValueError."""
+        could never be meshed, and a ladder without a rung could never
+        grow, so either raises ValueError."""
         ell0 = self.ell0 if self.ell0 is not None else 2.0 * h_tip
         if ell0 < h_tip * (1.0 - 1e-9):
             raise ValueError(f"ell0 must not be shorter than h_tip, got {ell0=}, {h_tip=}")
         lmax = self.length_max if self.length_max is not None else 20.0 * ell0
         n = int(math.floor(lmax / ell0 + 1e-9))
+        if n < 1:
+            raise ValueError(f"length_max must not be shorter than ell0, got {lmax=}, {ell0=}")
         return (0.0,) + tuple(k * ell0 for k in range(1, n + 1))
 
     def to_json(self) -> dict:

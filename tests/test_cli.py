@@ -2,9 +2,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from quasicrack.cases import growth_benchmark_config
 from quasicrack.cli import ConfigError, load_config, main, replay_state
 from quasicrack.evolution import LoadingProgram, run_evolution
 
@@ -105,6 +107,7 @@ def test_run_delta_above_one_is_config_error(quick_config, tmp_path):
         ("policy", {"ell0": 0}),
         ("policy", {"length_max": -0.1}),
         ("policy", {"ell0": 1 / 128}),  # a rung shorter than h_tip
+        ("policy", {"length_max": 0.01}),  # below ell0 = 1/32: a ladder without a rung
     ],
 )
 def test_bad_sizes_are_config_errors(section, values):
@@ -136,6 +139,14 @@ def test_malformed_pw_linear_profile_exits_2(quick_config, tmp_path, ts, values,
     assert not out.exists()
 
 
+def sampled(cfg, sample=None, **extra):
+    """`cfg`'s datum sampled at t = 0 and 1, with extra keys in the loading
+    or in its first sample."""
+    samples = [{"t": t, "datum": cfg["loading"]["datum"]} for t in (0.0, 1.0)]
+    samples[0].update(sample or {})
+    return {"mode": "sampled", "samples": samples, **extra}
+
+
 @pytest.mark.parametrize(
     "typo, edit",
     [
@@ -148,8 +159,38 @@ def test_malformed_pw_linear_profile_exits_2(quick_config, tmp_path, ts, values,
         ("rte", lambda c: c["loading"].update(profile={"type": "linear", "rte": 3})),
         # a datum with cx = 1.0
         ("cX", lambda c: c["loading"].update(datum={"type": "linear", "cX": 5})),
+        # keys that were never read, in every other section
+        ("M", lambda c: c.update(M=2)),
+        ("h_tipp", lambda c: c["mesh"].update(h_tipp=1 / 128)),
+        ("enable", lambda c: c["audit"].update(enable=False)),  # the audit ran
+        ("samples", lambda c: c["loading"].update(samples=[])),
+        ("profile", lambda c: c.update(loading=sampled(c, profile={"type": "linear"}))),
+        ("datum_", lambda c: c.update(loading=sampled(c, sample={"datum_": {"type": "zero"}}))),
+        ("jsonl", lambda c: c.update(output={"jsonl": "run.jsonl"})),  # a file once renamed
+        # a value of the wrong type: the message names it
+        ("no", lambda c: c["audit"].update(enabled="no")),
+        (2.5, lambda c: c["audit"].update(monotone_pairs=2.5)),
+        (-1, lambda c: c["audit"].update(monotone_pairs=-1)),
+        (5, lambda c: c.update(output={"fields_dir": 5})),
+        ([], lambda c: c.update(audit=[])),
     ],
-    ids=["domain", "profile", "datum"],
+    ids=[
+        "domain",
+        "profile",
+        "datum",
+        "top_level",
+        "mesh",
+        "audit",
+        "proportional_loading",
+        "sampled_loading",
+        "sample",
+        "output",
+        "audit_enabled_type",
+        "monotone_pairs_type",
+        "monotone_pairs_negative",
+        "fields_dir_type",
+        "section_type",
+    ],
 )
 def test_run_unknown_config_key_exits_2(quick_config, tmp_path, typo, edit):
     # a misspelt key is rejected, not run at its default
@@ -161,6 +202,16 @@ def test_run_unknown_config_key_exits_2(quick_config, tmp_path, typo, edit):
     out = tmp_path / "out"
     assert_config_error(run_cli("run", str(bad), "--output-dir", str(out), timeout=60), repr(typo))
     assert not out.exists()
+
+
+def test_readme_config_example_is_the_benchmark_and_loads():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("A config file looks like:\n\n```json\n", 1)[1].split("```", 1)[0]
+    example = json.loads(block)
+    cfg = growth_benchmark_config()
+    del cfg["audit"]
+    assert example == cfg
+    load_config(example)
 
 
 def test_ell0_equal_to_h_tip_is_accepted():
@@ -277,6 +328,16 @@ def test_audit_reads_retired_policy_keys_at_their_defaults(quick_config, tmp_pat
     ).read_bytes()
     assert audit_with("sequential", budget=4096, allow_all_tips=False) == 2
     assert audit_with("small_budget", budget=10, allow_all_tips=True) == 2
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--delta-list", "1/2"], ["audit"]], ids=["run", "sweep", "audit"]
+)
+def test_a_file_without_a_json_object_exits_2(tmp_path, command):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    r = run_cli(command[0], str(p), *command[1:], timeout=60)
+    assert_config_error(r, "does not hold a JSON object")
 
 
 def test_audit_bad_state(tmp_path):

@@ -102,6 +102,8 @@ def test_profile_from_json():
     ) == Profile("pw_linear", ((0.0, 0.5, 1.0), (0.0, 1.0, 1.5)))
     with pytest.raises(ValueError):
         Profile.from_json({"type": "cubic"})
+    with pytest.raises(ValueError):
+        Profile("cubic", (1.0,))
 
 
 def json_profiles():
