@@ -22,6 +22,7 @@ re-solves one on request, bitwise equal to the run's.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import itertools
 import json
@@ -83,7 +84,7 @@ _SPECIAL_CASES = {
 def _knot_interval(ts, t: float) -> int:
     """Index k of the knot interval [ts[k], ts[k+1]] that holds t: the right
     one at an inner knot, the first or last one outside [ts[0], ts[-1]]."""
-    return int(min(max(np.searchsorted(ts, t, side="right") - 1, 0), len(ts) - 2))
+    return min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
 
 
 def _check_knots(ts, what: str) -> None:
@@ -194,10 +195,8 @@ class LoadingProgram:
 
     def coeffs(self, t: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(c(t), c'(t)) over `basis()`: each datum's profile and its derivative at t."""
-        return (
-            tuple(p.value(t) for p in self._profiles),
-            tuple(p.derivative(t) for p in self._profiles),
-        )
+        profiles = self._profiles
+        return tuple([p.value(t) for p in profiles]), tuple([p.derivative(t) for p in profiles])
 
 
 @dataclass(frozen=True)
