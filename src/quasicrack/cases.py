@@ -29,8 +29,8 @@ def slit_disk_domain(n_sides: int = 128) -> DomainSpec:
     return DomainSpec.all_dirichlet(regular_polygon_disk(n_sides))
 
 
-def slit_disk_crack(tip_x: float = 0.0, m: int = 1) -> CrackSet:
-    return CrackSet((Polyline(((-1.0, 0.0), (tip_x, 0.0))),), m)
+def slit_disk_crack() -> CrackSet:
+    return CrackSet((Polyline(((-1.0, 0.0), (0.0, 0.0))),), 1)
 
 
 def mode3_values(pts: np.ndarray, kappa: float = 1.0, tip: Point = (0.0, 0.0)) -> np.ndarray:
@@ -86,8 +86,8 @@ def taper_domain(
     return DomainSpec(boundary, dirichlet_arcs=((0, 1), (2, 3)))
 
 
-def taper_crack(a0: float = 0.3, m: int = 1) -> CrackSet:
-    return CrackSet((Polyline(((0.0, 0.0), (a0, 0.0))),), m)
+def taper_crack(a0: float) -> CrackSet:
+    return CrackSet((Polyline(((0.0, 0.0), (a0, 0.0))),), 1)
 
 
 def taper_datum(
@@ -148,9 +148,7 @@ GROWTH_AMP = 0.4407
 GROWTH_C1 = 0.345
 
 
-def growth_benchmark_config(
-    delta: float = 1.0 / 64.0, refine: int = 1, audit: bool = True
-) -> dict:
+def growth_benchmark_config(delta: float = 1.0 / 64.0, refine: int = 1) -> dict:
     """Stable-growth benchmark: proportional loading on the tapered strip."""
     h_tip = 1.0 / (64.0 * refine)
     return {
@@ -188,5 +186,5 @@ def growth_benchmark_config(
                 "c1": GROWTH_C1,
             },
         },
-        "audit": {"enabled": audit, "monotone_pairs": 10},
+        "audit": {"enabled": True, "monotone_pairs": 10},
     }

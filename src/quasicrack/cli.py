@@ -25,7 +25,7 @@ from .cases import (
     slit_disk_crack,
     slit_disk_domain,
 )
-from .domain import DomainError, DomainSpec, reject_unknown_keys
+from .domain import DomainError, DomainSpec, json_number, reject_unknown_keys
 from .geometry import CrackSet, GeometryViolation, crack_tips
 from .evolution import (
     CandidatePolicy,
@@ -38,6 +38,7 @@ from .evolution import (
     _evaluator_of,
     audit_conditions,
     audit_monotone_loading,
+    energy_balance,
     run_evolution,
 )
 from .mesh import MeshFailure
@@ -47,6 +48,8 @@ _BAD_INPUT = (
     OSError, KeyError, TypeError, ValueError, ZeroDivisionError, DomainError, GeometryViolation
 )
 _RUN_KEYS = ("domain", "initial_crack", "m", "delta", "mesh", "policy", "loading", "audit", "output")
+#: comparison-inequality pairs of `quasicrack audit`, and of a run config that sets none
+_MONOTONE_PAIRS = 10
 
 
 class ConfigError(Exception):
@@ -80,7 +83,7 @@ def _run_options(cfg: dict) -> tuple[bool, int, str]:
         reject_unknown_keys(audit, ("enabled", "monotone_pairs"), "audit")
         reject_unknown_keys(output, ("fields_dir",), "output")
         enabled = audit.get("enabled", True)
-        pairs = audit.get("monotone_pairs", 10)
+        pairs = audit.get("monotone_pairs", _MONOTONE_PAIRS)
         fields_dir = output.get("fields_dir", "")
         if not isinstance(enabled, bool):
             raise ValueError(f"audit enabled must be a boolean, got {enabled!r}")
@@ -97,16 +100,16 @@ def load_config(cfg: dict):
     with _config_errors():
         _run_options(cfg)
         domain = DomainSpec.from_json(cfg["domain"])
-        m = int(cfg.get("m", max(1, len(cfg["initial_crack"]))))
-        crack = CrackSet.from_json(cfg["initial_crack"], m=m)
+        m = json_number(cfg.get("m", max(1, len(cfg["initial_crack"]))), "m", integer=True)
+        crack = CrackSet.from_json(cfg["initial_crack"], m)
         mesh = cfg["mesh"]
         reject_unknown_keys(mesh, ("h_max", "h_tip"), "mesh")
-        h_max, h_tip = float(mesh["h_max"]), float(mesh["h_tip"])
+        h_max, h_tip = (float(json_number(mesh[k], f"mesh {k}")) for k in ("h_max", "h_tip"))
         if not (0.0 < h_tip <= h_max < math.inf):
             raise ValueError(f"mesh sizes need 0 < h_tip <= h_max < inf, got {h_tip=}, {h_max=}")
         policy = CandidatePolicy.from_json(cfg.get("policy", {}))
         policy.step_lengths(h_tip)
-        grid = TimeGrid(float(cfg["delta"]))
+        grid = TimeGrid(float(json_number(cfg["delta"], "delta")))
         lcfg = cfg["loading"]
         if lcfg is None:
             raise ValueError("the loading was built in Python and has no JSON form")
@@ -123,7 +126,7 @@ def load_config(cfg: dict):
             for s in lcfg["samples"]:
                 reject_unknown_keys(s, ("t", "datum"), "sample")
             samples = tuple(
-                (float(s["t"]), datum_from_config(s["datum"]))
+                (float(json_number(s["t"], "sample t")), datum_from_config(s["datum"]))
                 for s in lcfg["samples"]
             )
             loading = LoadingProgram("sampled", samples=samples, config=lcfg)
@@ -137,6 +140,15 @@ def _run_from_config(cfg: dict, with_audit: bool = True) -> EvolutionState:
     return run_evolution(
         domain, crack, loading, grid, policy, h_max, h_tip, with_audit=with_audit
     )
+
+
+def _add_monotone_loading(report: dict, state: EvolutionState, pairs: int) -> None:
+    """Add `pairs` rows of the comparison inequality to `report`, where the
+    loading is proportional and nondecreasing."""
+    try:
+        report["monotone_loading"] = audit_monotone_loading(state, pairs)
+    except NotProportional:
+        pass
 
 
 def cmd_run(args) -> int:
@@ -154,10 +166,7 @@ def cmd_run(args) -> int:
             (fdir / f"step_{i:04d}.csv").write_text(state.field(i).to_csv())
     (outdir / "cracks.json").write_text(json.dumps(state.snapshots_json(), sort_keys=True, indent=1))
     if state.audit is not None:
-        try:
-            state.audit["monotone_loading"] = audit_monotone_loading(state, pairs)
-        except NotProportional:
-            pass
+        _add_monotone_loading(state.audit, state, pairs)
         (outdir / "audit.json").write_text(json.dumps(state.audit, sort_keys=True, indent=1))
     state.save(str(outdir / "state.json"))
     last = state.energies[-1]
@@ -192,7 +201,7 @@ def replay_state(path: str) -> EvolutionState:
         if not len(times) == len(snaps) == len(recs):
             raise ValueError("state file steps do not match the time grid")
         steps = [
-            StepRecord.from_json(rec, CrackSet.from_json(snap["components"], m=k_init.m))
+            StepRecord.from_json(rec, CrackSet.from_json(snap["components"], k_init.m))
             for snap, rec in zip(snaps, recs)
         ]
     ev = _evaluator_of(state)
@@ -205,10 +214,7 @@ def replay_state(path: str) -> EvolutionState:
 def cmd_audit(args) -> int:
     state = replay_state(args.state)
     report = audit_conditions(state)
-    try:
-        report["monotone_loading"] = audit_monotone_loading(state)
-    except NotProportional:
-        pass
+    _add_monotone_loading(report, state, _MONOTONE_PAIRS)
     text = json.dumps(report, sort_keys=True, indent=1)
     if args.out:
         Path(args.out).write_text(text)
@@ -232,12 +238,12 @@ def cmd_sweep(args) -> int:
         run_cfg = dict(cfg)
         run_cfg["delta"] = d
         state = _run_from_config(run_cfg, with_audit=False)
-        rep = audit_conditions(state, minimality_samples=0)
+        balance = energy_balance(state)
         rows.append(
             {
                 "delta": d,
-                "one_sided_defect": rep["energy_balance"]["one_sided_defect"],
-                "trapezoid_residual": rep["energy_balance"]["max_pair_residual"],
+                "one_sided_defect": balance["one_sided_defect"],
+                "trapezoid_residual": balance["max_pair_residual"],
                 "growth_steps": sum(state.grew),
             }
         )

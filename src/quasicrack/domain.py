@@ -134,9 +134,9 @@ class DomainSpec:
                 return True
         return False
 
-    def contains_point(self, p: Point, *, strict: bool = False) -> bool:
-        """Point-in-polygon; boundary points count as inside unless strict."""
-        return self._locate(p) >= (1 if strict else 0)
+    def contains_point(self, p: Point) -> bool:
+        """Point-in-polygon; boundary points count as inside."""
+        return self._locate(p) >= 0
 
     def _locate(self, p: Point) -> int:
         """+1 inside, 0 on the boundary, -1 outside: an exact ray cast toward +x."""
@@ -240,6 +240,14 @@ def reject_unknown_keys(cfg: dict, known, what: str) -> None:
         raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}")
 
 
+def json_number(value, what: str, *, integer: bool = False):
+    """`value` if it is a JSON number (an integer where `integer`), else
+    raise ValueError; a JSON boolean is not a number."""
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
+
+
 def _snap_unit(v: float) -> float:
     """Clean up cos/sin values at cardinal angles (sin(pi) != 0 in floats)."""
     for exact in (0.0, 1.0, -1.0):
@@ -248,15 +256,10 @@ def _snap_unit(v: float) -> float:
     return v
 
 
-def regular_polygon_disk(
-    n: int = 128, *, center: Point = (0.0, 0.0), radius: float = 1.0
-) -> tuple[Point, ...]:
-    """Inscribed regular n-gon, CCW, starting at angle 0 (contains (-r, 0) for even n)."""
-    cx, cy = center
+def regular_polygon_disk(n: int) -> tuple[Point, ...]:
+    """Regular n-gon inscribed in the unit circle, CCW, starting at angle 0
+    (contains (-1, 0) for even n)."""
     return tuple(
-        (
-            cx + radius * _snap_unit(math.cos(2.0 * math.pi * k / n)),
-            cy + radius * _snap_unit(math.sin(2.0 * math.pi * k / n)),
-        )
+        (_snap_unit(math.cos(2.0 * math.pi * k / n)), _snap_unit(math.sin(2.0 * math.pi * k / n)))
         for k in range(n)
     )

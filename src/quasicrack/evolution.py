@@ -27,11 +27,11 @@ import collections
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .domain import DomainSpec, reject_unknown_keys
+from .domain import DomainSpec, json_number, reject_unknown_keys
 from .geometry import (
     CrackSet,
     GeometryViolation,
@@ -54,6 +54,7 @@ from .energy import EnergyRecord, Evaluator
 KINK_REPORT_RAD = math.radians(10.0)
 JOINT_BUDGET = 4096  # most tip-move combinations searched jointly in one round
 MONOTONE_TOL = 1e-6  # comparison-inequality slack, relative to the final total energy
+MINIMALITY_SAMPLES = 4  # steps re-minimized by the minimality audit, first and last among them
 
 
 class NotProportional(Exception):
@@ -147,13 +148,18 @@ class Profile:
             raise ValueError(f"unknown profile type {kind!r}")
         reject_unknown_keys(cfg, ("type", *_PROFILE_PARAMS[kind]), f"{kind} profile")
         if kind == "pw_linear":
-            ts, vs = tuple(map(float, cfg["ts"])), tuple(map(float, cfg["values"]))
+            ts, vs = (
+                tuple(float(json_number(v, f"pw_linear {key}")) for v in cfg[key])
+                for key in ("ts", "values")
+            )
             _check_knots(ts, "pw_linear knots")
             if len(vs) != len(ts):
                 raise ValueError("pw_linear needs one value per knot")
             return cls("pw_linear", (ts, vs))
         cfg = {"rate": 1.0, **cfg}  # a linear profile's rate defaults to 1
-        return cls(kind, tuple(float(cfg[name]) for name in _PROFILE_PARAMS[kind]))
+        return cls(kind, tuple(
+            float(json_number(cfg[name], f"{kind} profile {name}")) for name in _PROFILE_PARAMS[kind]
+        ))
 
 
 @dataclass(frozen=True)
@@ -219,12 +225,6 @@ class TimeGrid:
         return [i * self.delta for i in range(self.n_steps + 1)]
 
 
-def _default_angles(count: int = 17, theta_max: float = math.radians(80.0)):
-    half = (count - 1) // 2
-    pos = [theta_max * k / half for k in range(1, half + 1)]
-    return tuple(-a for a in reversed(pos)) + (0.0,) + tuple(pos)
-
-
 @dataclass(frozen=True)
 class CandidatePolicy:
     """Finite family of per-step tip extensions (the computable surrogate
@@ -237,7 +237,7 @@ class CandidatePolicy:
     combinations, makes one joint round of at most one segment per tip.
     """
 
-    angles: tuple[float, ...] = _default_angles()
+    angles: tuple[float, ...] = tuple(math.radians(80.0) * k / 8 for k in range(-8, 9))
     theta_max: float = math.radians(80.0)
     ell0: float | None = None  # defaults to 2 * h_tip when resolved
     length_max: float | None = None  # defaults to 20 * ell0
@@ -248,7 +248,6 @@ class CandidatePolicy:
         object.__setattr__(self, "angles", ang)
         if len(ang) % 2 != 1:
             raise ValueError("angle count must be odd")
-        sym = tuple(sorted(abs(a) for a in ang if a != 0.0))
         neg = tuple(sorted(-a for a in ang if a < 0.0))
         pos = tuple(sorted(a for a in ang if a > 0.0))
         if neg != pos or 0.0 not in ang:
@@ -263,9 +262,10 @@ class CandidatePolicy:
                 raise ValueError(f"{name} must be positive, got {value}")
 
     def step_lengths(self, h_tip: float) -> tuple[float, ...]:
-        """The ladder; a rung shorter than h_tip (with the mesher's slack)
-        could never be meshed, and a ladder without a rung could never
-        grow, so either raises ValueError."""
+        """The ladder's rungs ell0, 2 ell0, ..., up to length_max; a rung
+        shorter than h_tip (with the mesher's slack) could never be meshed,
+        and a ladder without a rung could never grow, so either raises
+        ValueError."""
         ell0 = self.ell0 if self.ell0 is not None else 2.0 * h_tip
         if ell0 < h_tip * (1.0 - 1e-9):
             raise ValueError(f"ell0 must not be shorter than h_tip, got {ell0=}, {h_tip=}")
@@ -273,7 +273,7 @@ class CandidatePolicy:
         n = int(math.floor(lmax / ell0 + 1e-9))
         if n < 1:
             raise ValueError(f"length_max must not be shorter than ell0, got {lmax=}, {ell0=}")
-        return (0.0,) + tuple(k * ell0 for k in range(1, n + 1))
+        return tuple(k * ell0 for k in range(1, n + 1))
 
     def to_json(self) -> dict:
         return {
@@ -290,9 +290,15 @@ class CandidatePolicy:
         # defaults, which the search now always follows; any other value
         # is a different search and stays an unknown keyword
         retired = (("budget", int, 4096), ("allow_all_tips", bool, True))
+        reject_unknown_keys(cfg, [f.name for f in fields(cls)] + [k for k, _, _ in retired], "policy")
         kw = {k: v for k, v in cfg.items() if (k, type(v), v) not in retired}
+        for name in ("theta_max", "ell0", "length_max", "multi_segment"):
+            if kw.get(name) is not None:
+                json_number(kw[name], f"policy {name}", integer=name == "multi_segment")
         if "angles" in kw:
-            kw["angles"] = tuple(kw["angles"])
+            if not isinstance(kw["angles"], list):
+                raise ValueError(f"policy angles must be a list, got {kw['angles']!r}")
+            kw["angles"] = tuple(json_number(a, "policy angle") for a in kw["angles"])
         return cls(**kw)
 
 
@@ -453,13 +459,9 @@ def _tip_candidates(domain, crack, tip, policy, h_tip):
     """Single-segment extensions of one tip: (candidate, angle, added_length)."""
     out = []
     for ell in policy.step_lengths(h_tip):
-        if ell == 0.0:
-            continue
         for ang in policy.angles:
             try:
-                cand = extend_tip(
-                    crack, tip, ang, ell, domain=domain, max_kink=policy.theta_max
-                )
+                cand = extend_tip(crack, tip, ang, ell, domain=domain)
             except GeometryViolation:
                 continue
             out.append((cand, ang, ell))
@@ -501,9 +503,7 @@ def _moves(domain, base, tips, policy, h_tip, joint):
         exts = [((tip.component_id, tip.end), ang, ell)]
         try:
             for tip, _, ang, ell in later:
-                crack = extend_tip(
-                    crack, tip, ang, ell, domain=domain, max_kink=policy.theta_max
-                )
+                crack = extend_tip(crack, tip, ang, ell, domain=domain)
                 exts.append(((tip.component_id, tip.end), ang, ell))
         except GeometryViolation:
             continue
@@ -536,7 +536,7 @@ def _minimize_step(domain, base, policy, h_tip, energy_fn) -> _StepOutcome:
     fit JOINT_BUDGET (one round), else single-tip moves chained while they
     strictly lower the energy, up to `multi_segment` per tip."""
     tips = _active_tips(domain, base)
-    per_tip = (len(policy.step_lengths(h_tip)) - 1) * len(policy.angles) + 1
+    per_tip = len(policy.step_lengths(h_tip)) * len(policy.angles) + 1
     several = len(tips) > 1
     joint = several and per_tip ** len(tips) <= JOINT_BUDGET
     current, extensions, n_eval = base, [], 0
@@ -654,32 +654,19 @@ def _reminimized(state, ev, base, crack, t) -> tuple[float, float]:
     return energies
 
 
-def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> dict:
-    """Numerical audit of the evolution's defining conditions.
+def energy_balance(state: EvolutionState) -> dict:
+    """(d)+(f): the discrete energy balance of a run.
 
-    Reports (never raises): (a) irreversibility, (b)/(c) minimality over
-    the candidate family at sampled steps, (d)+(f) the discrete energy
-    balance E(t_j) - E(t_i) vs the trapezoid integral of the power, and
-    (e) stationarity at frozen datum after growth steps. Minimality is
-    certified relative to the candidate family only.
+    `max_pair_residual` is the spread of E(t_i) minus the trapezoid
+    integral of the sampled power; `one_sided_defect` is the largest
+    violation of the one-sided balance inequality, with the power
+    integrated against the piecewise-constant-in-time solution; `scale`
+    is the largest |E(t_i)|.
     """
     times = state.grid.times()
     n = len(times)
-    report: dict = {"family_relative": True}
     cracks = [s.crack for s in state.steps]
-    energies = [s.energy for s in state.steps]
-
-    ok_contain = all(contains(cracks[i + 1], cracks[i], 0.0) for i in range(n - 1))
-    if n > 1:
-        ok_contain = ok_contain and contains(cracks[-1], cracks[0], 0.0)
-    report["irreversibility"] = {"pass": bool(ok_contain)}
-
-    surf = [r.surface for r in energies]
-    report["surface_monotone"] = {
-        "pass": all(b >= a for a, b in zip(surf, surf[1:]))
-    }
-
-    # (d)+(f): trapezoid integral of the sampled power vs energy increments
+    energies = state.energies
     powers = [r.power for r in energies]
     totals = [r.total for r in energies]
     F = [0.0]
@@ -688,11 +675,8 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
             F[-1] + 0.5 * (powers[i - 1] + powers[i]) * (times[i] - times[i - 1])
         )
     drift = [totals[i] - F[i] for i in range(n)]
-    residual = max(drift) - min(drift) if n else 0.0
 
-    # the defect of the one-sided balance inequality, with the power
-    # integrated against the piecewise-constant-in-time solution: the
-    # exact per-interval term is 2 (grad u(t_i) | grad(u(t_{i+1}) - u(t_i))),
+    # the exact per-interval term is 2 (grad u(t_i) | grad(u(t_{i+1}) - u(t_i))),
     # both solved on K_i, whose quadratic remainder is the first-order term
     # that must decay
     ev = _evaluator_of(state)
@@ -702,21 +686,40 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
             Fl[-1] + ev.balance_increment(cracks[i - 1], times[i - 1], times[i])
         )
     drift_l = [totals[i] - Fl[i] for i in range(n)]
-    one_sided_defect = max(
-        (drift_l[j] - drift_l[i] for i in range(n) for j in range(i, n)),
-        default=0.0,
-    )
-    report["energy_balance"] = {
-        "max_pair_residual": residual,
-        "one_sided_defect": one_sided_defect,
-        "scale": max(abs(t) for t in totals) if totals else 0.0,
+    return {
+        "max_pair_residual": max(drift) - min(drift),
+        "one_sided_defect": max(drift_l[j] - drift_l[i] for i in range(n) for j in range(i, n)),
+        "scale": max(abs(t) for t in totals),
     }
 
+
+def audit_conditions(state: EvolutionState) -> dict:
+    """Numerical audit of the evolution's defining conditions.
+
+    Reports (never raises): (a) irreversibility, (b)/(c) minimality over
+    the candidate family at MINIMALITY_SAMPLES spread steps, (d)+(f) the
+    `energy_balance`, and (e) stationarity at frozen datum after growth
+    steps. Minimality is certified relative to the candidate family only.
+    """
+    times = state.grid.times()
+    n = len(times)
+    report: dict = {"family_relative": True}
+    cracks = [s.crack for s in state.steps]
+    ev = _evaluator_of(state)
+
+    ok_contain = all(contains(cracks[i + 1], cracks[i]) for i in range(n - 1))
+    ok_contain = ok_contain and contains(cracks[-1], cracks[0])
+    report["irreversibility"] = {"pass": bool(ok_contain)}
+
+    surf = [r.surface for r in state.energies]
+    report["surface_monotone"] = {
+        "pass": all(b >= a for a, b in zip(surf, surf[1:]))
+    }
+    report["energy_balance"] = energy_balance(state)
+
     # (b)/(c): sampled re-minimization at the recorded data
-    checked = []
-    if minimality_samples > 0:
-        picks = np.linspace(0, n - 1, min(minimality_samples, n)).round()
-        checked = sorted({0, n - 1, *map(int, picks)})
+    picks = np.linspace(0, n - 1, min(MINIMALITY_SAMPLES, n)).round()
+    checked = sorted({0, n - 1, *map(int, picks)})
     min_ok = True
     min_rows = []
     for i in checked:
@@ -751,9 +754,7 @@ def audit_conditions(state: EvolutionState, *, minimality_samples: int = 4) -> d
     return report
 
 
-def audit_monotone_loading(
-    state: EvolutionState, n_pairs: int = 10, seed: int = 0
-) -> list[dict]:
+def audit_monotone_loading(state: EvolutionState, n_pairs: int, seed: int = 0) -> list[dict]:
     """Pairwise check E(g(t), K(t)) <= E(g(t), K(s)) for s < t.
 
     Valid for proportional loading with nondecreasing nonnegative profile.

@@ -12,8 +12,8 @@ bounding-box tests, which float compares decide exactly.
 
 Each crack set caches one exact union table: per supporting line, its
 segments and the merged closed intervals they cover, with float endpoints.
-The length of the union and exact containment (`contains` at tol 0) are
-both read from it. A crack builds its table segment by segment, except one
+The length of the union and exact containment (`contains`) are both read
+from it. A crack builds its table segment by segment, except one
 made by `extend_tip`, which tests its new segment exactly against only the
 rows of its base whose bounding box meets it and takes the base's table
 with that segment added. It keeps nothing else of its base. The one
@@ -22,9 +22,8 @@ not axis-aligned.
 
 Distances from arrays of points are one kernel, `segment_distances`, an
 (N, S) matrix over segments in which an isolated point q is [q, q]. The
-Hausdorff distance and containment at tol > 0 bound it by branch and
-bound; the mesher's clearance test computes its entries on the pairs that
-bounding boxes cannot rule out.
+Hausdorff distance bounds it by branch and bound; the mesher's clearance
+test computes its entries on the pairs that bounding boxes cannot rule out.
 """
 
 from __future__ import annotations
@@ -261,9 +260,8 @@ class CrackSet:
         return [[[x, y] for x, y in c.vertices] for c in self.components]
 
     @classmethod
-    def from_json(cls, data: Sequence, m: int | None = None) -> "CrackSet":
-        comps = tuple(Polyline(tuple((x, y) for x, y in c)) for c in data)
-        return cls(comps, m if m is not None else max(1, len(comps)))
+    def from_json(cls, data: Sequence, m: int) -> "CrackSet":
+        return cls(tuple(Polyline(tuple((x, y) for x, y in c)) for c in data), m)
 
 
 # ---------------------------------------------------------------------------
@@ -516,37 +514,32 @@ def hausdorff_distance(
 # ---------------------------------------------------------------------------
 
 
-def contains(k_big: CrackSet, k_small: CrackSet, tol: float) -> bool:
-    """True iff every point of k_small is within tol of k_big.
+def contains(k_big: CrackSet, k_small: CrackSet) -> bool:
+    """True iff every point of k_small lies on k_big (exact).
 
-    tol == 0 is exact: each segment of k_small must lie in one merged
-    interval of k_big's union table on its line (so prefix-preserving
-    extensions certify containment with zero slack); tol > 0 certifies
-    the directed Hausdorff distance by branch and bound.
+    Each isolated point of k_small must lie on k_big, and each segment in
+    one merged interval of k_big's union table on its line, so
+    prefix-preserving extensions certify containment with zero slack.
     """
     if k_small.is_empty:
         return True
     if k_big.is_empty:
         return False
-    if tol == 0.0:
-        big_segs = k_big.segments()
-        big_pts = set(k_big.isolated_points())
-        for p in k_small.isolated_points():
-            if p not in big_pts and not any(_on_segment(p, *s) for s in big_segs):
-                return False
-        lines = k_big._lines
-        for seg in k_small.segments():
-            k = _find_line(lines, seg)
-            if k < 0:
-                return False
-            dom, merged = lines[k].dom, lines[k].merged
-            lo, hi = min(seg[0][dom], seg[1][dom]), max(seg[0][dom], seg[1][dom])
-            if not any(mlo <= lo and hi <= mhi for mlo, mhi in merged):
-                return False
-        return True
-    gap = max(tol * 1e-9, 1e-15)
-    d = _directed_distance(k_small, k_big, gap)
-    return d <= tol + gap
+    big_segs = k_big.segments()
+    big_pts = set(k_big.isolated_points())
+    for p in k_small.isolated_points():
+        if p not in big_pts and not any(_on_segment(p, *s) for s in big_segs):
+            return False
+    lines = k_big._lines
+    for seg in k_small.segments():
+        k = _find_line(lines, seg)
+        if k < 0:
+            return False
+        dom, merged = lines[k].dom, lines[k].merged
+        lo, hi = min(seg[0][dom], seg[1][dom]), max(seg[0][dom], seg[1][dom])
+        if not any(mlo <= lo and hi <= mhi for mlo, mhi in merged):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +575,11 @@ def extend_tip(
     step: float,
     *,
     domain=None,
-    max_kink: float | None = None,
 ) -> CrackSet:
     """New crack set with one segment of length `step` appended at `tip`.
 
-    The segment leaves the tip rotated by `angle` from the outward tangent.
-    The original vertex lists are preserved verbatim, so the result always
+    The segment leaves the tip rotated by `angle` from the outward tangent;
+    the kink bound on `angle` is the candidate policy's. The original vertex lists are preserved verbatim, so the result always
     contains the input exactly. `domain`, when given, must expose
     ``contains_segment(p, q)``; the extension may touch the boundary at its
     far endpoint but must not cross it. The new segment is tested exactly
@@ -596,8 +588,6 @@ def extend_tip(
     """
     if step <= 0.0:
         raise GeometryViolation("extension step must be positive")
-    if max_kink is not None and abs(angle) > max_kink + 1e-12:
-        raise GeometryViolation(f"kink angle {angle} exceeds bound {max_kink}")
     if tip.component_id < 0 or tip.component_id >= len(crack.components):
         raise GeometryViolation("tip refers to a missing component")
     comp = crack.components[tip.component_id]

@@ -23,6 +23,8 @@ from .solver import ScalarField
 KINK_TOLERANCE_RAD = math.radians(10.0)
 #: minimum number of annulus nodes for a trustworthy fit
 MIN_FIT_NODES = 8
+#: the two forward-difference steps of the Richardson release rate, in h_tip
+RICHARDSON_FACTORS = (4.0, 8.0)
 
 
 class AnnulusUnresolved(Exception):
@@ -144,32 +146,24 @@ def safe_fit_window(
 # ---------------------------------------------------------------------------
 
 
-def _forward_difference(
-    ev: Evaluator, crack: CrackSet, tip: Tip, dsigma: float, t: float = 0.0
-) -> float:
+def _forward_difference(ev: Evaluator, crack: CrackSet, tip: Tip, dsigma: float, t: float) -> float:
     """[E(K extended straight by dsigma) - E(K)] / dsigma at time t; E(K) is memoized by `ev`."""
     e0 = ev.energy(crack, t)
     extended = extend_tip(crack, tip, 0.0, dsigma, domain=ev.domain)
     return (ev.energy(extended, t) - e0) / dsigma
 
 
-def release_rate_richardson_at(
-    ev: Evaluator,
-    crack: CrackSet,
-    tip: Tip,
-    t: float,
-    factors: tuple[float, float] = (4.0, 8.0),
-) -> float:
+def release_rate_richardson_at(ev: Evaluator, crack: CrackSet, tip: Tip, t: float) -> float:
     """Release rate of the datum g(t) of an existing evaluator: the
     Richardson extrapolation of the forward difference over two steps.
 
-    Steps are `factors` times the evaluator's h_tip. Both differences share
-    E(K), which the evaluator memoizes, and with an S-datum basis each mesh
-    is solved once for all S data. The surface term contributes +1 per unit
+    Steps are RICHARDSON_FACTORS times the evaluator's h_tip. Both
+    differences share E(K), which the evaluator memoizes, and with an
+    S-datum basis each mesh is solved once for all S data. The surface term contributes +1 per unit
     length exactly; the bulk term tends to -kappa^2 as the step shrinks.
     """
-    d1, d2 = (_forward_difference(ev, crack, tip, f * ev.h_tip, t) for f in factors)
-    w = factors[1] / factors[0]
+    d1, d2 = (_forward_difference(ev, crack, tip, f * ev.h_tip, t) for f in RICHARDSON_FACTORS)
+    w = RICHARDSON_FACTORS[1] / RICHARDSON_FACTORS[0]
     return (w * d1 - d2) / (w - 1.0)
 
 

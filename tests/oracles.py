@@ -20,7 +20,7 @@ at every parameter where it meets the boundary. The mesher's batched sampling,
 lattice and thinning are checked against the per-point loops they
 replaced: a recursive bisection, a nested-loop lattice, and a greedy
 thinning that rebuilds its KD-tree after every kept point.
-The exact union table behind `length` and `contains(., ., 0)` is checked
+The exact union table behind `length` and `contains` is checked
 against two direct scans: per-line interval merging for the length, and
 a per-segment cover walk over every segment of the larger set. The
 fit-window clearance is checked against explicit per-edge and
@@ -213,7 +213,7 @@ def best_joint_extension(domain, base, policy, h_tip, energy_fn):
         if not domain.on_boundary(t.position)
     )
     moves = [None] + [
-        (ang, ell) for ell in policy.step_lengths(h_tip) if ell > 0.0 for ang in policy.angles
+        (ang, ell) for ell in policy.step_lengths(h_tip) for ang in policy.angles
     ]
     best = None
     for combo in itertools.product(moves, repeat=len(keys)):
@@ -222,10 +222,7 @@ def best_joint_extension(domain, base, policy, h_tip, energy_fn):
             for key, move in zip(keys, combo):
                 if move is not None:
                     ang, ell = move
-                    crack = extend_tip(
-                        crack, tip_of(crack, key), ang, ell,
-                        domain=domain, max_kink=policy.theta_max,
-                    )
+                    crack = extend_tip(crack, tip_of(crack, key), ang, ell, domain=domain)
                     max_ang = max(max_ang, abs(ang))
         except GeometryViolation:
             continue

@@ -8,7 +8,8 @@ import pytest
 
 from quasicrack.cases import growth_benchmark_config
 from quasicrack.cli import ConfigError, load_config, main, replay_state
-from quasicrack.evolution import LoadingProgram, run_evolution
+from quasicrack import evolution
+from quasicrack.evolution import LoadingProgram, TimeGrid, run_evolution
 
 from verification import subcritical_benchmark_config
 
@@ -173,6 +174,19 @@ def sampled(cfg, sample=None, **extra):
         (-1, lambda c: c["audit"].update(monotone_pairs=-1)),
         (5, lambda c: c.update(output={"fields_dir": 5})),
         ([], lambda c: c.update(audit=[])),
+        ([], lambda c: c.update(policy=[])),
+        # a count that is not an integer, or a number that is a boolean
+        (1.7, lambda c: c.update(m=1.7)),
+        (True, lambda c: c.update(m=True)),
+        ("2", lambda c: c.update(m="2")),
+        (2.5, lambda c: c["policy"].update(multi_segment=2.5)),
+        (True, lambda c: c["policy"].update(multi_segment=True)),
+        (True, lambda c: c["policy"].update(theta_max=True)),
+        (True, lambda c: c["policy"].update(length_max=True)),
+        ("0", lambda c: c["policy"].update(angles="0")),
+        (True, lambda c: c.update(delta=True)),
+        (True, lambda c: c["mesh"].update(h_max=True)),
+        (True, lambda c: c["loading"]["profile"].update(rate=True)),
     ],
     ids=[
         "domain",
@@ -190,6 +204,18 @@ def sampled(cfg, sample=None, **extra):
         "monotone_pairs_negative",
         "fields_dir_type",
         "section_type",
+        "policy_type",
+        "m_float",
+        "m_bool",
+        "m_string",
+        "multi_segment_float",
+        "multi_segment_bool",
+        "theta_max_bool",
+        "length_max_bool",
+        "angles_string",
+        "delta_bool",
+        "h_max_bool",
+        "profile_bool",
     ],
 )
 def test_run_unknown_config_key_exits_2(quick_config, tmp_path, typo, edit):
@@ -218,7 +244,7 @@ def test_ell0_equal_to_h_tip_is_accepted():
     cfg = subcritical_benchmark_config(delta=1 / 4)
     cfg["policy"]["ell0"] = cfg["mesh"]["h_tip"]
     *_, policy, _, h_tip = load_config(cfg)
-    assert policy.step_lengths(h_tip)[:2] == (0.0, h_tip)
+    assert policy.step_lengths(h_tip)[0] == h_tip
 
 
 def test_run_zero_tip_size_exits_2(quick_config, tmp_path):
@@ -354,6 +380,25 @@ def test_sweep(quick_config):
     assert r.returncode == 0, r.stderr
     rows = json.loads((d / "sweep.json").read_text())
     assert [row["delta"] for row in rows] == [0.5, 0.25]
+
+
+def test_sweep_searches_once_per_time_step(tmp_path, monkeypatch):
+    # the sweep reads only the energy balance, so it re-runs no audit search
+    search, calls = evolution._minimize_step, []
+
+    def counting(*args):
+        calls.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(evolution, "_minimize_step", counting)
+    path = tmp_path / "benchmark.json"
+    path.write_text(json.dumps(growth_benchmark_config()))
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", str(path), "--delta-list", "1/8", "--out", str(out)]) == 0
+    assert len(calls) == len(TimeGrid(1 / 8).times()) == 9
+    (row,) = json.loads(out.read_text())
+    assert row["one_sided_defect"] == 0.002309282235175125
+    assert row["growth_steps"] == 5
 
 
 def test_sweep_zero_denominator_exits_2(quick_config):

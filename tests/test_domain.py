@@ -31,7 +31,7 @@ def test_point_queries():
     dom = unit_square()
     assert dom.contains_point((0.5, 0.5))
     assert dom.contains_point((0.0, 0.5))
-    assert not dom.contains_point((0.0, 0.5), strict=True)
+    assert dom._locate((0.0, 0.5)) == 0  # on the boundary
     assert not dom.contains_point((1.5, 0.5))
     assert dom.contains_segment((0.1, 0.1), (0.9, 0.9))
     assert not dom.contains_segment((0.5, 0.5), (1.5, 0.5))

@@ -3,8 +3,10 @@
 A public top-level function or class of `src/quasicrack` must be
 referenced from some other top-level statement in `src/`, `scripts/` or
 `perfbench/`, and every public method, property and dataclass field of a
-public class must be read there as an attribute. Verification-only code
-lives in `tests/` instead. Every name that a module of `tests/`, `src/` or
+public class must be read there as an attribute. A defaulted parameter of a
+public function or method must be set by some call there; one that no call
+sets belongs in the body as a constant. Verification-only code lives in
+`tests/` instead. Every name that a module of `tests/`, `src/` or
 `scripts/` imports is used there.
 """
 
@@ -100,6 +102,83 @@ def unread_public_members() -> list[str]:
 def test_every_public_src_member_is_read():
     found = unread_public_members()
     assert not found, f"public members in src/ never read in src/, scripts/ or perfbench/: {found}"
+
+
+#: defaulted parameters that no call in src/, scripts/ or perfbench/ sets
+ALLOWED_UNSET = {
+    # a datum config sets these through `cases.DATUM_BUILDERS`
+    "cases.mode3_datum": ["tip"],
+    "cases.linear_datum": ["cx", "cy"],
+    # scripts/run_benchmark.py calls it under an alias
+    "cli.main": ["argv"],
+    # validated by the acceptance suite; the sweep's refinement study is to call it
+    "geometry.hausdorff_distance": ["domain_diameter", "tol"],
+    # acceptance criterion 6 halves them on the refined mesh
+    "sif.griffith_audit": ["tol_kappa", "tol_growth"],
+}
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """(name, positional index or None) of each parameter of `fn` with a
+    default; `bound` leaves out the first parameter (self or cls)."""
+    args = fn.args
+    pos = (args.posonlyargs + args.args)[int(bound):]
+    out = [(a.arg, i) for i, a in enumerate(pos) if i >= len(pos) - len(args.defaults)]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def unset_defaulted_parameters() -> dict[str, list[str]]:
+    """Per public `src/` function or method (`module.name` or
+    `module.Class.name`), its defaulted parameters that no call of that
+    name sets.
+
+    A call sets a parameter when it passes it by keyword or by position,
+    or passes a `*` or `**` splat.
+    """
+    defs = []  # (qualified name, name, defaulted parameters)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defs.append((f"{path.stem}.{node.name}", node.name, _defaulted(node, False)))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        static = any(
+                            isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in item.decorator_list
+                        )
+                        qual = f"{path.stem}.{node.name}.{item.name}"
+                        defs.append((qual, item.name, _defaulted(item, not static)))
+    calls = {}  # called name -> its calls
+    for path in _SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call: ast.Call, param: str, index: int | None) -> bool:
+        return (
+            any(k.arg in (param, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (index is not None and index < len(call.args))
+        )
+
+    found = {}
+    for qual, name, params in defs:
+        unset = [p for p, i in params if not any(sets(c, p, i) for c in calls.get(name, []))]
+        if unset:
+            found[qual] = unset
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    found = unset_defaulted_parameters()
+    assert found == ALLOWED_UNSET, (
+        "defaulted parameters in src/ that no call in src/, scripts/ or perfbench/ "
+        f"sets (make each a constant, or allowlist it with its reason): {found}"
+    )
 
 
 def unused_imports() -> list[str]:

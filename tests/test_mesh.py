@@ -236,7 +236,7 @@ def test_extension_of_a_meshed_crack_checks_its_new_segment():
     def message(crack):
         with pytest.raises(MeshFailure) as err:
             triangulate(dom, crack, 0.1, 0.02)
-        fresh = CrackSet.from_json(crack.to_json())
+        fresh = CrackSet.from_json(crack.to_json(), crack.m)
         with pytest.raises(MeshFailure, match=f"^{err.value}$"):
             triangulate(dom, fresh, 0.1, 0.02)
         return str(err.value)
@@ -252,7 +252,7 @@ def test_extension_of_a_meshed_crack_checks_its_new_segment():
     assert message(grow(along, "start", 0.0, 0.01)) == "crack segment shorter than h_tip"
     grown = grow(grow(base, "start", 0.0, 0.1), "finish", 0.3, 0.1)
     assert fingerprint_bytes(triangulate(dom, grown, 0.1, 0.02)) == fingerprint_bytes(
-        triangulate(dom, CrackSet.from_json(grown.to_json()), 0.1, 0.02)
+        triangulate(dom, CrackSet.from_json(grown.to_json(), grown.m), 0.1, 0.02)
     )
 
 

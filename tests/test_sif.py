@@ -106,7 +106,7 @@ def test_tip_geometry_invalid_on_kink():
 
 def test_safe_fit_window_shrinks_near_boundary():
     dom = slit_disk_domain()
-    crack = slit_disk_crack(tip_x=0.9)  # tip close to the wall
+    crack = CrackSet((Polyline(((-1.0, 0.0), (0.9, 0.0))),), 1)  # tip close to the wall
     tip = crack_tips(crack)[1]
     r1, r2 = safe_fit_window(dom, crack, tip, 1 / 64)
     assert r2 <= 0.95 * dom.distance_to_boundary(tip.position) + 1e-12
@@ -116,7 +116,9 @@ def test_safe_fit_window_shrinks_near_boundary():
 @settings(max_examples=100)
 def test_safe_fit_window_matches_clearance_loop(n, seed, h_tip):
     # random multi-component cracks around the centre of a regular n-gon
-    dom = DomainSpec.all_dirichlet(regular_polygon_disk(n, center=(1.0, 1.0), radius=1.3))
+    dom = DomainSpec.all_dirichlet(
+        tuple((1.0 + 1.3 * x, 1.0 + 1.3 * y) for x, y in regular_polygon_disk(n))
+    )
     crack = random_crackset(np.random.default_rng(seed), max_components=4)
     for tip in crack_tips(crack):
         assert dom.distance_to_boundary(tip.position) == boundary_distance_loop(dom, tip.position)

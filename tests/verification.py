@@ -401,9 +401,8 @@ def local_energy(
     crossing points are inserted as polygon vertices so the clipped crack
     stays conforming.
     """
-    poly = list(
-        regular_polygon_disk(ball.n_sides, center=ball.center, radius=ball.radius)
-    )
+    (cx, cy), r = ball.center, ball.radius
+    poly = [(cx + r * x, cy + r * y) for x, y in regular_polygon_disk(ball.n_sides)]
     new_poly, clipped = _clip_crack_to_polygon(poly, crack)
     dom = DomainSpec.all_dirichlet(tuple(new_poly))
     mesh = triangulate(dom, clipped, h_max, h_tip)
@@ -605,7 +604,7 @@ def release_rate_fd(
     to -kappa^2 as dsigma -> 0.
     """
     ev = Evaluator(domain, (g,), _unit, h_max, h_tip)
-    return _forward_difference(ev, crack, tip, dsigma)
+    return _forward_difference(ev, crack, tip, dsigma, 0.0)
 
 
 def release_rate_richardson(
@@ -615,14 +614,13 @@ def release_rate_richardson(
     tip: Tip,
     h_max: float,
     h_tip: float,
-    factors: tuple[float, float] = (4.0, 8.0),
 ) -> float:
     """Richardson extrapolation of the forward difference over two steps.
 
     Both differences share one evaluator, so E(K) is meshed once.
     """
     ev = Evaluator(domain, (g,), _unit, h_max, h_tip)
-    return release_rate_richardson_at(ev, crack, tip, 0.0, factors)
+    return release_rate_richardson_at(ev, crack, tip, 0.0)
 
 
 # ---------------------------------------------------------------------------
