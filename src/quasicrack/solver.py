@@ -16,11 +16,17 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .mesh import CrackMesh
 
 CG_RTOL = 1e-10
 CG_MAXITER_FACTOR = 20
+#: Largest free block that `solve_many` factors; a larger one takes the block
+#: CG. A growth mesh's block (786 free nodes at refine 1) factors and solves
+#: faster than the CG, but the factor of a 15.6k-node calibration block holds
+#: about 10 MB of L+U, beyond the memory the CG needs.
+DIRECT_MAX_FREE = 8192
 
 
 class SolveFailure(Exception):
@@ -136,9 +142,11 @@ def solve(mesh: CrackMesh, g: BoundaryDatum) -> ScalarField:
 
 
 def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
-    """`solve` for several data on one mesh: shared assembly, pinning and block CG.
+    """`solve` for several data on one mesh: shared assembly, pinning and solve.
 
-    Each returned field is bitwise equal to `solve(mesh, g)` for its datum.
+    A free block of at most DIRECT_MAX_FREE nodes is factored once and every
+    datum solved from the factor; a larger one takes the block CG. Each
+    returned field is bitwise equal to `solve(mesh, g)` for its datum.
     """
     n = mesh.n_nodes
     samples = [np.asarray(g(mesh), dtype=float) for g in data]
@@ -166,10 +174,37 @@ def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
     Kff = Kf[:, free]
     Kfc = Kf[:, constrained]
     rhs = np.array([-Kfc @ values[constrained] for values in columns])
-    x0 = np.array([gvals[free] for gvals in samples])
-    for values, x in zip(columns, _cg_solve(Kff, rhs, x0)):
+    if Kff.shape[0] <= DIRECT_MAX_FREE:
+        X = _direct_solve(Kff, rhs)
+    else:
+        X = _cg_solve(Kff, rhs, np.array([gvals[free] for gvals in samples]))
+    for values, x in zip(columns, X):
         values[free] = x
     return [ScalarField(mesh, values) for values in columns]
+
+
+def _direct_solve(A: csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x_k = rhs[k] for every row k from one sparse LU factor of A.
+
+    Minimum degree ordering on A^T + A with diagonal pivots suits the
+    symmetric positive definite stiffness block. Each row is its own
+    `lu.solve`, so a row's bits do not depend on the others: a block
+    `lu.solve` of (n, S) columns can round differently from one column.
+    """
+    try:
+        lu = splu(
+            A.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            relax=1,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as e:  # SuperLU's "Factor is exactly singular"
+        raise SolveFailure(f"singular stiffness block ({e})") from e
+    X = np.array([lu.solve(b) for b in rhs])
+    if not np.isfinite(X).all():
+        raise SolveFailure("sparse LU solve gave a non-finite solution")
+    return X
 
 
 def _cg_solve(A: csr_matrix, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from quasicrack import solver
 from quasicrack.cases import (
@@ -200,8 +201,9 @@ def _scipy_rows(A, rhs, x0=None):
 
 
 def test_solve_many_columns_bitwise_equal_solve(monkeypatch):
-    # shared assembly, pinning and block CG, on a mesh with a floating
-    # component and on taper meshes at refine 1 and 2, for S = 1..7
+    # shared assembly, pinning and solve, on a mesh with a floating
+    # component and on taper meshes at refine 1 and 2, for S = 1..7: each
+    # mesh takes the factor, and then the block CG under a zero DIRECT_MAX_FREE
     dom = unit_square(dirichlet_arcs=((0, 1),))
     crack = CrackSet((Polyline(((0.0, 0.5), (1.0, 0.5))),), 1)
     floating = (
@@ -211,13 +213,43 @@ def test_solve_many_columns_bitwise_equal_solve(monkeypatch):
     systems = [(triangulate(dom, crack, 0.1, 0.02), floating)]
     systems += [(_taper_mesh(refine), _mixed_data()) for refine in (1, 2)]
     for mesh, data in systems:
-        single = [solve(mesh, g).nodal_values.tobytes() for g in data]
+        assert np.sum(~_dirichlet_mask(mesh)) <= solver.DIRECT_MAX_FREE
+        for direct_max_free in (solver.DIRECT_MAX_FREE, 0):
+            with monkeypatch.context() as m:
+                m.setattr(solver, "DIRECT_MAX_FREE", direct_max_free)
+                single = [solve(mesh, g).nodal_values.tobytes() for g in data]
+                for S in range(1, len(data) + 1):
+                    block = [u.nodal_values.tobytes() for u in solve_many(mesh, data[:S])]
+                    assert block == single[:S]
+                if direct_max_free == 0:
+                    m.setattr(solver, "_cg_solve", _scipy_rows)
+                    assert [solve(mesh, g).nodal_values.tobytes() for g in data] == single
+
+
+def test_factor_columns_repeat_and_match_scipy_cg(monkeypatch):
+    # the factor's columns are the same bits on every call, and within the
+    # CG's tolerance of scipy's `cg` on each datum
+    for refine in (1, 2):
+        mesh, data = _taper_mesh(refine), _mixed_data()
+        first = [u.nodal_values for u in solve_many(mesh, data)]
+        again = [u.nodal_values for u in solve_many(mesh, data)]
+        assert [u.tobytes() for u in first] == [u.tobytes() for u in again]
         with monkeypatch.context() as m:
+            m.setattr(solver, "DIRECT_MAX_FREE", 0)
             m.setattr(solver, "_cg_solve", _scipy_rows)
-            assert [solve(mesh, g).nodal_values.tobytes() for g in data] == single
-        for S in range(1, len(data) + 1):
-            block = [u.nodal_values.tobytes() for u in solve_many(mesh, data[:S])]
-            assert block == single[:S]
+            reference = [u.nodal_values for u in solve_many(mesh, data)]
+        for u, ref in zip(first, reference):
+            assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_factor_failure_raises(square_mesh):
+    _, mesh = square_mesh
+    data = (pointwise(lambda x, y: x * x - y), pointwise(lambda x, y: math.nan))
+    with pytest.raises(SolveFailure, match="non-finite"):
+        solve_many(mesh, data)
+    # [[1, 1], [1, 1]] has a zero pivot after one elimination step
+    with pytest.raises(SolveFailure, match="singular stiffness block"):
+        solver._direct_solve(csr_matrix(np.ones((2, 2))), np.ones((1, 2)))
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +295,7 @@ def _failure_message(monkeypatch, mesh, data) -> str:
 
 def test_cg_failure_past_maxiter(monkeypatch, square_mesh):
     _, mesh = square_mesh
+    monkeypatch.setattr(solver, "DIRECT_MAX_FREE", 0)  # the block CG
     maxiter = solver.CG_MAXITER_FACTOR * int(np.sum(~_dirichlet_mask(mesh)))
     message = f"conjugate gradient did not converge (info={maxiter})"
     with monkeypatch.context() as m:
