@@ -289,10 +289,10 @@ def test_criterion_8_geometry_oracles():
 # growth benchmark; like the pinned mesh hashes these depend on the qhull
 # (scipy) and floating-point (numpy) bits of numpy 2.4 and scipy 1.17
 PINNED_RUN = {
-    "evolution.jsonl": "4a3fd79c83f619d7c4c8dc493c01fad35f9de204533ba711fd28a7db69c25821",
+    "evolution.jsonl": "fcee858413b001bb72a702843cd25605002015a8e4baaf96fa942c2cf44246d3",
     "cracks.json": "85bffa6bdcd0f34df99abfbeebe66a41e7d8a4cd75b2c945da0d2b8fee8a4a3f",
-    "audit.json": "d3479e6af43da9f836ea136f9b9c2d2336d91bd0c1b9f70fd78f7f980c8733f0",
-    "state.json": "9944ed0b202b5ad464b50f6831cf47457fc3988e0fbee0c4622eb181c16ce07e",
+    "audit.json": "4b117dde9d75491859988a388e3c24c721e44fc1b913d7de69d25b17d675d076",
+    "state.json": "e2255eefb251d4197881af6d38d14d72ebc2fc3eff5740eaa79678ebebe7f52c",
 }
 
 
