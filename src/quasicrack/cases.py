@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .domain import DomainSpec, regular_polygon_disk, reject_unknown_keys
-from .geometry import CrackSet, Point, Polyline
+from .geometry import CrackSet, Point, Polyline, json_number, json_point
 from .mesh import CrackMesh
 from .solver import BoundaryDatum
 
@@ -131,7 +131,11 @@ def datum_from_config(cfg: dict) -> BoundaryDatum:
     build = DATUM_BUILDERS[kind]
     params = {k: v for k, v in cfg.items() if k != "type"}
     reject_unknown_keys(params, inspect.signature(build).parameters, f"{kind} datum")
-    return build(**params)
+    # `tip` (mode3) is the one point among the builders' parameters
+    return build(**{
+        k: (json_point if k == "tip" else json_number)(v, f"{kind} datum {k}")
+        for k, v in params.items()
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .cases import (
     slit_disk_crack,
     slit_disk_domain,
 )
-from .domain import DomainError, DomainSpec, json_number, reject_unknown_keys
-from .geometry import CrackSet, GeometryViolation, crack_tips
+from .domain import DomainError, DomainSpec, reject_unknown_keys
+from .geometry import CrackSet, GeometryViolation, crack_tips, json_number
 from .evolution import (
     CandidatePolicy,
     EvolutionState,

@@ -18,6 +18,8 @@ from .geometry import (
     _orient,
     _segments_intersect,
     _segments_properly_cross,
+    json_number,
+    json_point,
 )
 
 
@@ -225,8 +227,11 @@ class DomainSpec:
     def from_json(cls, data: dict) -> "DomainSpec":
         reject_unknown_keys(data, ("polygon", "dirichlet_arcs"), "domain")
         return cls(
-            tuple((x, y) for x, y in data["polygon"]),
-            tuple((a, b) for a, b in data.get("dirichlet_arcs", [])),
+            tuple(json_point(p, "polygon vertex") for p in data["polygon"]),
+            tuple(
+                tuple(json_number(i, "dirichlet arc index", integer=True) for i in arc)
+                for arc in data.get("dirichlet_arcs", [])
+            ),
         )
 
 
@@ -238,14 +243,6 @@ def reject_unknown_keys(cfg: dict, known, what: str) -> None:
     unknown = sorted(set(cfg) - set(known))
     if unknown:
         raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}")
-
-
-def json_number(value, what: str, *, integer: bool = False):
-    """`value` if it is a JSON number (an integer where `integer`), else
-    raise ValueError; a JSON boolean is not a number."""
-    if type(value) not in ((int,) if integer else (int, float)):
-        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return value
 
 
 def _snap_unit(v: float) -> float:

@@ -31,13 +31,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .domain import DomainSpec, json_number, reject_unknown_keys
+from .domain import DomainSpec, reject_unknown_keys
 from .geometry import (
     CrackSet,
     GeometryViolation,
     Tip,
     contains,
     extend_tip,
+    json_number,
     length,
     tips_on_boundary,
 )

@@ -49,6 +49,22 @@ class GeometryViolation(Exception):
     """A crack operation would produce an invalid set."""
 
 
+def json_number(value, what: str, *, integer: bool = False):
+    """`value` if it is a JSON number (an integer where `integer`), else
+    raise ValueError; a JSON boolean is not a number."""
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
+
+
+def json_point(value, what: str) -> Point:
+    """`value` as a point if it is a JSON pair of numbers, else raise ValueError."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{what} must be a pair of numbers, got {value!r}")
+    x, y = (json_number(v, what) for v in value)
+    return (x, y)
+
+
 # ---------------------------------------------------------------------------
 # exact predicates
 # ---------------------------------------------------------------------------
@@ -261,7 +277,7 @@ class CrackSet:
 
     @classmethod
     def from_json(cls, data: Sequence, m: int) -> "CrackSet":
-        return cls(tuple(Polyline(tuple((x, y) for x, y in c)) for c in data), m)
+        return cls(tuple(Polyline(tuple(json_point(p, "crack vertex") for p in c)) for c in data), m)
 
 
 # ---------------------------------------------------------------------------

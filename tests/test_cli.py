@@ -187,6 +187,12 @@ def sampled(cfg, sample=None, **extra):
         (True, lambda c: c.update(delta=True)),
         (True, lambda c: c["mesh"].update(h_max=True)),
         (True, lambda c: c["loading"]["profile"].update(rate=True)),
+        ("3", lambda c: c["loading"].update(datum={"type": "linear", "cx": "3"})),
+        (True, lambda c: c["loading"].update(datum={"type": "mode3", "tip": [True, 0.0]})),
+        # a coordinate that is a boolean, or an arc index that is not an integer
+        (False, lambda c: c.update(initial_crack=[[[False, 0.0], [0.7, 0.0]]])),
+        (True, lambda c: c["domain"]["polygon"][0].__setitem__(0, True)),
+        (1.7, lambda c: c["domain"].update(dirichlet_arcs=[[0, 1.7], [2, 3]])),
     ],
     ids=[
         "domain",
@@ -216,6 +222,11 @@ def sampled(cfg, sample=None, **extra):
         "delta_bool",
         "h_max_bool",
         "profile_bool",
+        "datum_string",
+        "datum_tip_bool",
+        "crack_vertex_bool",
+        "polygon_vertex_bool",
+        "arc_index_float",
     ],
 )
 def test_run_unknown_config_key_exits_2(quick_config, tmp_path, typo, edit):
