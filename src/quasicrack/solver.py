@@ -25,7 +25,7 @@ CG_MAXITER_FACTOR = 20
 #: Largest free block that `solve_many` factors; a larger one takes the block
 #: CG. A growth mesh's block (786 free nodes at refine 1) factors and solves
 #: faster than the CG, but the factor of a 15.6k-node calibration block holds
-#: about 10 MB of L+U, beyond the memory the CG needs.
+#: about 11 MB of L+U, where the CG needs the matrix and a few vectors.
 DIRECT_MAX_FREE = 8192
 
 
