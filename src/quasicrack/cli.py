@@ -105,8 +105,8 @@ def load_config(cfg: dict):
         mesh = cfg["mesh"]
         reject_unknown_keys(mesh, ("h_max", "h_tip"), "mesh")
         h_max, h_tip = (float(json_number(mesh[k], f"mesh {k}")) for k in ("h_max", "h_tip"))
-        if not (0.0 < h_tip <= h_max < math.inf):
-            raise ValueError(f"mesh sizes need 0 < h_tip <= h_max < inf, got {h_tip=}, {h_max=}")
+        if not 0.0 < h_tip <= h_max:
+            raise ValueError(f"mesh sizes need 0 < h_tip <= h_max, got {h_tip=}, {h_max=}")
         policy = CandidatePolicy.from_json(cfg.get("policy", {}))
         policy.step_lengths(h_tip)
         grid = TimeGrid(float(json_number(cfg["delta"], "delta")))

@@ -50,10 +50,10 @@ class GeometryViolation(Exception):
 
 
 def json_number(value, what: str, *, integer: bool = False):
-    """`value` if it is a JSON number (an integer where `integer`), else
-    raise ValueError; a JSON boolean is not a number."""
-    if type(value) not in ((int,) if integer else (int, float)):
-        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    """`value` if it is a finite JSON number (an integer where `integer`),
+    else raise ValueError; a JSON boolean is not a number."""
+    if type(value) not in ((int,) if integer else (int, float)) or not -math.inf < value < math.inf:
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
     return value
 
 

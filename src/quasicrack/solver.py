@@ -16,14 +16,14 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .mesh import CrackMesh
 
 CG_RTOL = 1e-10
 CG_MAXITER_FACTOR = 20
-#: Largest free block that `solve_many` factors; a larger one takes the block
-#: CG. A growth mesh's block (786 free nodes at refine 1) factors and solves
+#: Largest free block that `solve_many` factors; a larger one takes the CG.
+#: A growth mesh's block (786 free nodes at refine 1) factors and solves
 #: faster than the CG, but the factor of a 15.6k-node calibration block holds
 #: about 11 MB of L+U, where the CG needs the matrix and a few vectors.
 DIRECT_MAX_FREE = 8192
@@ -145,7 +145,7 @@ def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
     """`solve` for several data on one mesh: shared assembly, pinning and solve.
 
     A free block of at most DIRECT_MAX_FREE nodes is factored once and every
-    datum solved from the factor; a larger one takes the block CG. Each
+    datum solved from the factor; a larger one takes the CG. Each
     returned field is bitwise equal to `solve(mesh, g)` for its datum.
     """
     n = mesh.n_nodes
@@ -208,59 +208,23 @@ def _direct_solve(A: csr_matrix, rhs: np.ndarray) -> np.ndarray:
 
 
 def _cg_solve(A: csr_matrix, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve A x_k = rhs[k] for every row k by one block Jacobi-preconditioned CG.
+    """Solve A x_k = rhs[k] for every row k by Jacobi-preconditioned CG.
 
-    `rhs` and `x0` are (S, n), and so is the result. Each iteration does one
-    CSR multi-vector product and keeps per-row scalars rho, alpha and beta;
-    a row leaves the block at the iteration where it reaches relative
-    residual CG_RTOL. Every row takes the floating-point steps of scipy's
-    `cg(A, rhs[k], x0[k], rtol=CG_RTOL, atol=0, M=diag(A)^-1)` in its order,
-    so it is bitwise equal to that solve on its own (`tests/oracles.py`).
+    `rhs` and `x0` are (S, n), and so is the result. Each row is one scipy
+    `cg` from x0[k] (zero without x0) to relative residual CG_RTOL, so a
+    row's bits do not depend on the other rows.
     """
     diag = np.asarray(A.diagonal())
     if np.any(diag <= 0):
         raise SolveFailure("singular stiffness diagonal (beyond pinning rule)")
-    maxiter = CG_MAXITER_FACTOR * len(diag)
-    B = np.ascontiguousarray(rhs, dtype=float)
-    out = np.zeros_like(B) if x0 is None else np.array(x0, dtype=float)
-    # np.vecdot of C-contiguous rows is np.dot per row; a strided row is not
-    bnrm = np.sqrt(np.vecdot(B, B))
-    live = bnrm != 0
-    out[~live] = B[~live]  # a zero right-hand side returns itself
-    rows = np.flatnonzero(live)
-    x = out if live.all() else out[rows]
-    # b - A @ 0 == b bitwise, so a zero start needs no branch
-    r = B[rows] - _block_matmul(A, x)
-    tol = CG_RTOL * bnrm[rows]
-    p = rho_prev = None
-    for _ in range(maxiter):
-        done = np.sqrt(np.vecdot(r, r)) < tol
-        if done.any():
-            out[rows[done]] = x[done]
-            keep = ~done
-            rows, x, r, tol = rows[keep], x[keep], r[keep], tol[keep]
-            if p is not None:
-                p, rho_prev = p[keep], rho_prev[keep]
-        if not len(rows):
-            return out
-        z = r / diag
-        rho = np.vecdot(r, z)
-        p = z if p is None else p * (rho / rho_prev)[:, None] + z
-        q = _block_matmul(A, p)
-        alpha = (rho / np.vecdot(p, q))[:, None]
-        x += alpha * p
-        r -= alpha * q
-        rho_prev = rho
-    raise SolveFailure(f"conjugate gradient did not converge (info={maxiter})")
-
-
-def _block_matmul(A: csr_matrix, X: np.ndarray) -> np.ndarray:
-    """Rows A @ X[k] as a C-contiguous (S, n) array.
-
-    scipy's multi-vector CSR product sums each row's terms in the order of
-    its single-vector product, so every row is bitwise A @ X[k].
-    """
-    return np.ascontiguousarray((A @ X.T).T)
+    M = LinearOperator(A.shape, matvec=lambda v: v / diag)
+    X = []
+    for b, start in zip(rhs, [None] * len(rhs) if x0 is None else x0):
+        x, info = cg(A, b, x0=start, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER_FACTOR * len(b), M=M)
+        if info:
+            raise SolveFailure(f"conjugate gradient did not converge (info={info})")
+        X.append(x)
+    return np.array(X)
 
 
 def gram_matrix(fields) -> tuple[tuple[float, ...], ...]:

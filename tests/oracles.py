@@ -232,25 +232,6 @@ def best_joint_extension(domain, base, policy, h_tip, energy_fn):
     return best[1], best[0][0]
 
 
-def scipy_cg_solve(A, rhs, x0=None):
-    """One Jacobi-preconditioned `scipy.sparse.linalg.cg` solve of A x = rhs."""
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    from quasicrack.solver import CG_MAXITER_FACTOR, CG_RTOL, SolveFailure
-
-    diag = np.asarray(A.diagonal())
-    if np.any(diag <= 0):
-        raise SolveFailure("singular stiffness diagonal (beyond pinning rule)")
-    n = len(diag)
-    M = LinearOperator((n, n), matvec=lambda v: v / diag)
-    x, info = cg(
-        A, rhs, x0=x0, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER_FACTOR * n, M=M
-    )
-    if info != 0:
-        raise SolveFailure(f"conjugate gradient did not converge (info={info})")
-    return x
-
-
 def edge_owners_loop(triangles) -> dict:
     """{(lo, hi): [triangle ids]} in first-seen order, one Python loop per edge."""
     edge_tris: dict = {}

@@ -193,6 +193,16 @@ def sampled(cfg, sample=None, **extra):
         (False, lambda c: c.update(initial_crack=[[[False, 0.0], [0.7, 0.0]]])),
         (True, lambda c: c["domain"]["polygon"][0].__setitem__(0, True)),
         (1.7, lambda c: c["domain"].update(dirichlet_arcs=[[0, 1.7], [2, 3]])),
+        # NaN and Infinity, which Python's json reads and RFC 8259 has not
+        (math.inf, lambda c: c["policy"].update(length_max=math.inf)),
+        (math.inf, lambda c: c["loading"]["datum"].update(h0=math.inf)),
+        (
+            math.nan,
+            lambda c: c["loading"].update(
+                profile={"type": "affine_sqrt", "amp": math.nan, "c0": 1.0, "c1": 1.0}
+            ),
+        ),
+        (math.nan, lambda c: c["policy"].update(theta_max=math.nan)),
     ],
     ids=[
         "domain",
@@ -227,6 +237,10 @@ def sampled(cfg, sample=None, **extra):
         "crack_vertex_bool",
         "polygon_vertex_bool",
         "arc_index_float",
+        "length_max_infinity",
+        "datum_infinity",
+        "profile_nan",
+        "theta_max_nan",
     ],
 )
 def test_run_unknown_config_key_exits_2(quick_config, tmp_path, typo, edit):
