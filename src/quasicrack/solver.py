@@ -3,8 +3,8 @@
 The discrete displacement minimizes the Dirichlet energy over nodal
 fields matching the boundary datum on constrained Dirichlet nodes;
 crack faces carry natural (do-nothing) conditions through the node
-duplication done by the mesher. Floating components (no constrained
-node) are pinned at their lowest node index.
+duplication done by the mesher. A component of the triangle-edge graph
+with no constrained node is pinned to zero at its lowest node index.
 """
 
 from __future__ import annotations
@@ -120,67 +120,44 @@ def _dirichlet_mask(mesh: CrackMesh) -> np.ndarray:
     return constrained
 
 
-def _node_components(mesh: CrackMesh) -> np.ndarray:
-    t = mesh.triangles
-    n = mesh.n_nodes
-    rows = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
-    cols = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
-    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    _, labels = connected_components(adj, directed=False)
-    return labels
-
-
 def solve(mesh: CrackMesh, g: BoundaryDatum) -> ScalarField:
     """Discrete minimizer of the Dirichlet energy with u = g on constrained nodes.
 
     Constrained nodes are the Dirichlet-tagged ones minus those released
-    where the crack meets the Dirichlet boundary. Components whose
-    boundary misses the constrained set get one node pinned to zero (the
-    continuum solution there is an arbitrary constant).
+    where the crack meets the Dirichlet boundary. A component of the
+    mesh's node graph with no constrained node gets its lowest node pinned
+    to zero (the continuum solution there is an arbitrary constant).
     """
     return solve_many(mesh, (g,))[0]
 
 
 def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
-    """`solve` for several data on one mesh: shared assembly, pinning and solve.
+    """`solve` for S data on one mesh in one (S, n) array, a field per row.
 
-    A free block of at most DIRECT_MAX_FREE nodes is factored once and every
-    datum solved from the factor; a larger one takes the CG. Each
-    returned field is bitwise equal to `solve(mesh, g)` for its datum.
+    Components come from the pattern of the stiffness matrix, which is the
+    triangle-edge graph. A free block of at most DIRECT_MAX_FREE nodes is
+    factored once and every datum solved from the factor; a larger one
+    takes the CG. Each field is bitwise equal to `solve(mesh, g)`.
     """
-    n = mesh.n_nodes
-    samples = [np.asarray(g(mesh), dtype=float) for g in data]
+    G = np.array([g(mesh) for g in data], dtype=float).reshape(-1, mesh.n_nodes)
     constrained = _dirichlet_mask(mesh)
-
-    labels = _node_components(mesh)
-    columns = []
-    for gvals in samples:
-        values = np.zeros(n)
-        values[constrained] = gvals[constrained]
-        columns.append(values)
-    for comp in np.unique(labels):
-        members = labels == comp
-        if not np.any(constrained & members):
-            pin = int(np.flatnonzero(members).min())
-            constrained[pin] = True
-            for values in columns:
-                values[pin] = 0.0
+    K = stiffness_matrix(mesh)
+    n_comp, labels = connected_components(K, directed=False)
+    _, lowest = np.unique(labels, return_index=True)
+    floating = np.bincount(labels[constrained], minlength=n_comp) == 0
+    U = np.where(constrained, G, 0.0)  # a floating component's pin stays 0
+    constrained[lowest[floating]] = True
 
     free = ~constrained
-    if not np.any(free):
-        return [ScalarField(mesh, values) for values in columns]
-    K = stiffness_matrix(mesh)
-    Kf = K[free]
-    Kff = Kf[:, free]
-    Kfc = Kf[:, constrained]
-    rhs = np.array([-Kfc @ values[constrained] for values in columns])
-    if Kff.shape[0] <= DIRECT_MAX_FREE:
-        X = _direct_solve(Kff, rhs)
-    else:
-        X = _cg_solve(Kff, rhs, np.array([gvals[free] for gvals in samples]))
-    for values, x in zip(columns, X):
-        values[free] = x
-    return [ScalarField(mesh, values) for values in columns]
+    if np.any(free):
+        Kf = K[free]
+        Kff, Kfc = Kf[:, free], Kf[:, constrained]
+        rhs = np.array([-Kfc @ u[constrained] for u in U])
+        if Kff.shape[0] <= DIRECT_MAX_FREE:
+            U[:, free] = _direct_solve(Kff, rhs)
+        else:
+            U[:, free] = _cg_solve(Kff, rhs, G[:, free])
+    return [ScalarField(mesh, u) for u in U]
 
 
 def _direct_solve(A: csr_matrix, rhs: np.ndarray) -> np.ndarray:

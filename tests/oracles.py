@@ -24,8 +24,8 @@ The exact union table behind `length` and `contains` is checked
 against two direct scans: per-line interval merging for the length, and
 a per-segment cover walk over every segment of the larger set. The
 fit-window clearance is checked against explicit per-edge and
-per-segment loops. The solver's block CG is checked against scipy's
-`cg`, one right-hand side at a time. The whole mesher is checked against
+per-segment loops. The solver's node components come from a flood fill
+over the triangles' edges, not from the stiffness matrix. The whole mesher is checked against
 `triangulate_loops`: the same pipeline with a loop wherever the mesher
 works on arrays (recursive bisection, point-by-point dedupe, one lattice
 level at a time with a `seen` set for the points tip anchors share, a
@@ -240,6 +240,31 @@ def edge_owners_loop(triangles) -> dict:
             e = (min(tri[a], tri[b]), max(tri[a], tri[b]))
             edge_tris.setdefault(e, []).append(ti)
     return edge_tris
+
+
+def node_components_loop(mesh) -> list[list[int]]:
+    """Sorted node lists of the triangle-edge graph's components, ordered by
+    their lowest node, from a flood fill over `edge_owners_loop`'s edges."""
+    neighbours = [[] for _ in range(mesh.n_nodes)]
+    for i, j in edge_owners_loop(mesh.triangles):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    seen = [False] * mesh.n_nodes
+    components = []
+    for start in range(mesh.n_nodes):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, members = [start], []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in neighbours[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        components.append(sorted(members))
+    return components
 
 
 def tangential_jump_max_loop(u, *, away_from=None, clearance: float = 0.0) -> float:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from quasicrack import solver
 from quasicrack.cases import (
@@ -38,7 +39,7 @@ from quasicrack.solver import (
     solve_many,
 )
 
-from oracles import tangential_jump_max_loop
+from oracles import node_components_loop, tangential_jump_max_loop
 from verification import (
     RegionNotSimplyConnected,
     face_pairs,
@@ -151,6 +152,56 @@ def test_mode3_convergence():
     assert errs[2] < errs[1] * 0.9
 
 
+def _floating_data():
+    return (
+        pointwise(lambda x, y: 1.0 + x),
+        pointwise(lambda x, y: math.sin(3.0 * x)),
+    )
+
+
+def _three_strips():
+    """The unit square, Dirichlet on the bottom edge only, cut into three
+    strips by full-width slits at y = 1/3 and 2/3: the upper two float."""
+    dom = unit_square(dirichlet_arcs=((0, 1),))
+    crack = CrackSet(tuple(Polyline(((0.0, y), (1.0, y))) for y in (1 / 3, 2 / 3)), 2)
+    return triangulate(dom, crack, 0.1, 0.02)
+
+
+def test_each_floating_strip_is_pinned_at_its_lowest_node(monkeypatch):
+    mesh = _three_strips()
+    components = node_components_loop(mesh)
+    # the stiffness matrix's pattern, explicit zeros included, is the
+    # triangle-edge graph
+    n_comp, labels = connected_components(solver.stiffness_matrix(mesh), directed=False)
+    assert sorted(np.flatnonzero(labels == k).tolist() for k in range(n_comp)) == components
+    assert mesh.n_nodes == 179 and len(components) == 3
+    constrained = _dirichlet_mask(mesh)
+    floating = [c for c in components if not constrained[c].any()]
+    assert len(floating) == 2
+    for direct_max_free in (solver.DIRECT_MAX_FREE, 0):
+        monkeypatch.setattr(solver, "DIRECT_MAX_FREE", direct_max_free)
+        for u in solve_many(mesh, _floating_data()):
+            for nodes in floating:
+                assert u.nodal_values[nodes[0]] == 0.0
+                assert np.max(np.abs(u.nodal_values[nodes])) <= 1e-9
+
+
+def test_floating_strip_columns_keep_their_bits(monkeypatch):
+    # sha256 of both floating data's columns on the three strips, from the
+    # factor and from the CG, as the per-component pinning loop wrote them
+    expected = {
+        solver.DIRECT_MAX_FREE: "21433efd86b93c2857d2d1f136cb07b2a5a030610514928ee32808a024b2f298",
+        0: "62ae60e6e2ac294dee4afa01f03f5558e56ef7cecf1b5d774095463421277f51",
+    }
+    mesh = _three_strips()
+    for direct_max_free, hexdigest in expected.items():
+        monkeypatch.setattr(solver, "DIRECT_MAX_FREE", direct_max_free)
+        digest = hashlib.sha256()
+        for u in solve_many(mesh, _floating_data()):
+            digest.update(u.nodal_values.tobytes())
+        assert digest.hexdigest() == hexdigest
+
+
 def test_floating_component_pinned():
     # crack separating the square: the upper half sees no Dirichlet data
     dom = unit_square(dirichlet_arcs=((0, 1),))  # bottom only
@@ -199,11 +250,7 @@ def test_solve_many_columns_bitwise_equal_solve(monkeypatch):
     # mesh takes the factor, and then the CG under a zero DIRECT_MAX_FREE
     dom = unit_square(dirichlet_arcs=((0, 1),))
     crack = CrackSet((Polyline(((0.0, 0.5), (1.0, 0.5))),), 1)
-    floating = (
-        pointwise(lambda x, y: 1.0 + x),
-        pointwise(lambda x, y: math.sin(3.0 * x)),
-    )
-    systems = [(triangulate(dom, crack, 0.1, 0.02), floating)]
+    systems = [(triangulate(dom, crack, 0.1, 0.02), _floating_data())]
     systems += [(_taper_mesh(refine), _mixed_data()) for refine in (1, 2)]
     for mesh, data in systems:
         assert np.sum(~_dirichlet_mask(mesh)) <= solver.DIRECT_MAX_FREE
