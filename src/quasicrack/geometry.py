@@ -50,9 +50,13 @@ class GeometryViolation(Exception):
 
 
 def json_number(value, what: str, *, integer: bool = False):
-    """`value` if it is a finite JSON number (an integer where `integer`),
-    else raise ValueError; a JSON boolean is not a number."""
-    if type(value) not in ((int,) if integer else (int, float)) or not -math.inf < value < math.inf:
+    """`value` if it is a JSON number whose float is finite, or an integer
+    where `integer`; else raise ValueError. A JSON boolean is not a number."""
+    try:
+        ok = type(value) in ((int,) if integer else (int, float)) and (integer or math.isfinite(value))
+    except OverflowError:  # an integer with no finite float
+        ok = False
+    if not ok:
         raise ValueError(f"{what} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
     return value
 

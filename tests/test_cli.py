@@ -203,6 +203,12 @@ def sampled(cfg, sample=None, **extra):
             ),
         ),
         (math.nan, lambda c: c["policy"].update(theta_max=math.nan)),
+        # an integer that Python's json reads exactly and that has no finite float
+        (10**400, lambda c: c["mesh"].update(h_max=10**400)),
+        (10**400, lambda c: c.update(delta=10**400)),
+        (10**400, lambda c: c["policy"].update(length_max=10**400)),
+        (10**400, lambda c: c.update(initial_crack=[[[10**400, 0.0], [0.7, 0.0]]])),
+        (10**400, lambda c: c["loading"]["datum"].update(h0=10**400)),
     ],
     ids=[
         "domain",
@@ -241,6 +247,11 @@ def sampled(cfg, sample=None, **extra):
         "datum_infinity",
         "profile_nan",
         "theta_max_nan",
+        "h_max_huge_integer",
+        "delta_huge_integer",
+        "length_max_huge_integer",
+        "crack_vertex_huge_integer",
+        "datum_huge_integer",
     ],
 )
 def test_run_unknown_config_key_exits_2(quick_config, tmp_path, typo, edit):
