@@ -708,8 +708,9 @@ def audit_conditions(state: EvolutionState) -> dict:
     cracks = [s.crack for s in state.steps]
     ev = _evaluator_of(state)
 
-    ok_contain = all(contains(cracks[i + 1], cracks[i]) for i in range(n - 1))
-    ok_contain = ok_contain and contains(cracks[-1], cracks[0])
+    ok_contain = contains(cracks[0], state.initial_crack) and all(
+        contains(cracks[i + 1], cracks[i]) for i in range(n - 1)
+    )
     report["irreversibility"] = {"pass": bool(ok_contain)}
 
     surf = [r.surface for r in state.energies]

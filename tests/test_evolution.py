@@ -503,6 +503,19 @@ def test_audit_passes_on_benchmark(benchmark_state):
     assert audit["family_relative"] is True
 
 
+def test_irreversibility_audit_checks_the_initial_crack():
+    # K_0 must contain K_{-1}: with the initial crack swapped for a longer
+    # collinear one, every step still contains the step before it, and
+    # only the step-0 check can fail
+    from quasicrack.cli import _run_from_config
+
+    state = _run_from_config(growth_benchmark_config(delta=1 / 4))
+    assert state.audit["irreversibility"]["pass"]
+    longer = taper_crack(length(state.steps[-1].crack) + 1 / 8)
+    swapped = dataclasses.replace(state, initial_crack=longer)
+    assert not audit_conditions(swapped)["irreversibility"]["pass"]
+
+
 def test_monotone_loading_audit(benchmark_state):
     rows = audit_monotone_loading(benchmark_state, n_pairs=10, seed=3)
     assert len(rows) == 10
