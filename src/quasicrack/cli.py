@@ -185,7 +185,9 @@ def replay_state(path: str) -> EvolutionState:
     """Rebuild a saved state, with every step's energy re-solved.
 
     Everything else is restored as saved, so saving the result writes the
-    same bytes; fields are re-solved on request (`EvolutionState.field`).
+    same bytes, less the `lambda_diagnostic` key that older state files
+    carry and that is ignored; fields are re-solved on request
+    (`EvolutionState.field`).
     """
     payload = _read_json(path)
     with _config_errors():
@@ -194,7 +196,6 @@ def replay_state(path: str) -> EvolutionState:
             domain, grid, policy, loading, h_max, h_tip, k_init,
             events=payload.get("events", []),
             audit=payload.get("audit"),
-            lambda_diagnostic=payload.get("lambda_diagnostic"),
         )
         times = grid.times()
         snaps, recs = payload["snapshots"]["steps"], payload["steps"]

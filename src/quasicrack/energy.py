@@ -73,14 +73,12 @@ class Evaluator:
         self.h_tip = h_tip
         self._gram: dict[tuple, tuple] = {}
         self._fields: dict[tuple, list[ScalarField]] = {}
-        self.solves = 0
 
     def _solved(self, crack: CrackSet, need_fields: bool = False) -> tuple:
         key = crack.fingerprint()
         if key not in self._gram or (need_fields and key not in self._fields):
             mesh = triangulate(self.domain, crack, self.h_max, self.h_tip)
             fields = solve_many(mesh, self.basis)
-            self.solves += len(fields)
             self._gram[key] = gram_matrix(fields)
             self._fields[key] = fields
         return key

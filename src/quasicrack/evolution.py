@@ -373,7 +373,6 @@ class EvolutionState:
     steps: list[StepRecord] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
     audit: dict | None = None
-    lambda_diagnostic: dict | None = None
     # the run's memoized evaluator, reused by the audits; never serialized
     evaluator: Evaluator | None = field(default=None, repr=False, compare=False)
 
@@ -430,7 +429,6 @@ class EvolutionState:
             "snapshots": self.snapshots_json(),
             "events": self.events,
             "audit": self.audit,
-            "lambda_diagnostic": self.lambda_diagnostic,
         }
         with open(path, "w") as f:
             json.dump(payload, f, sort_keys=True, indent=1)
@@ -630,11 +628,6 @@ def run_evolution(
             )
         )
 
-    state.lambda_diagnostic = {
-        "max_grad_norm": max(math.sqrt(s.energy.bulk) for s in state.steps),
-        "max_surface": max(s.energy.surface for s in state.steps),
-        "solves": ev.solves,
-    }
     if with_audit:
         state.audit = audit_conditions(state)
     return state

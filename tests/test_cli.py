@@ -392,6 +392,23 @@ def test_audit_reads_retired_policy_keys_at_their_defaults(quick_config, tmp_pat
     assert audit_with("small_budget", budget=10, allow_all_tips=True) == 2
 
 
+def test_audit_ignores_the_retired_lambda_diagnostic(saved_state, tmp_path):
+    # state files written before the key was retired carry it, with these
+    # values for this run
+    assert "lambda_diagnostic" not in saved_state
+    old = dict(
+        saved_state,
+        lambda_diagnostic={"max_grad_norm": 0.7527081942631394, "max_surface": 0.7, "solves": 11},
+    )
+    reports = []
+    for name, payload in (("new", saved_state), ("old", old)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        assert main(["audit", str(path), "--out", str(tmp_path / f"{name}_report.json")]) == 0
+        reports.append((tmp_path / f"{name}_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize(
     "command", [["run"], ["sweep", "--delta-list", "1/2"], ["audit"]], ids=["run", "sweep", "audit"]
 )

@@ -108,17 +108,23 @@ def test_bulk_monotone_in_crack():
     assert bulks[2] <= bulks[1] + 1e-12
 
 
-def test_evaluator_meshes_each_crack_once(monkeypatch):
-    # energies at every time and the record of a crack share one mesh
+@pytest.fixture
+def built(monkeypatch):
+    """The cracks that `energy` meshes, in order."""
     import quasicrack.energy as energy
 
-    built = []
+    cracks = []
 
     def counting_triangulate(*args):
-        built.append(args[1])
+        cracks.append(args[1])
         return triangulate(*args)
 
     monkeypatch.setattr(energy, "triangulate", counting_triangulate)
+    return cracks
+
+
+def test_evaluator_meshes_each_crack_once(built):
+    # energies at every time and the record of a crack share one mesh
     cracks = [
         CrackSet((Polyline(((0.3, 0.5), (0.7, 0.5))),), 1),
         CrackSet((Polyline(((0.3, 0.5), (0.8, 0.5))),), 1),
@@ -137,18 +143,18 @@ def test_evaluator_meshes_each_crack_once(monkeypatch):
     assert ev.energy(cracks[0], 0.5) == e1
 
 
-def test_record_drops_the_fields_of_other_cracks():
+def test_record_drops_the_fields_of_other_cracks(built):
     # a record ends the step: after energy(B) and record(A), only A's basis
     # fields are kept, so record(B) meshes and solves B again
     a, b = (CrackSet((Polyline(((0.3, 0.5), (x, 0.5))),), 1) for x in (0.7, 0.8))
     ev = one_datum(SQUARE, linear_datum(1.0, 0.0), 0.1, 0.02)
     ev.energy(b, 0.0)
     ev.record(a, 0.0)
-    assert ev.solves == 2
+    assert built == [b, a]
     ev.record(a, 0.0)
-    assert ev.solves == 2
+    assert built == [b, a]
     ev.record(b, 0.0)
-    assert ev.solves == 3
+    assert built == [b, a, b]
 
 
 def test_local_energy_no_crack_linear():

@@ -34,6 +34,7 @@ from quasicrack.evolution import (
     run_evolution,
 )
 from quasicrack.geometry import CrackSet, Polyline, contains, length
+from quasicrack.mesh import triangulate
 
 from oracles import (
     best_joint_extension,
@@ -274,7 +275,7 @@ def test_tie_break_prefers_no_growth_then_short_then_straight():
     assert ang == 0.0  # straightest among equal-length candidates
 
 
-def test_joint_search_matches_exhaustive_oracle():
+def test_joint_search_matches_exhaustive_oracle(monkeypatch):
     # a centred slit under linear shear grows at both tips at t = 0.75 (phi
     # = 1.5): two tips with 7 moves each (none, 3 angles x 2 lengths) is
     # one joint round of 49 combinations
@@ -294,9 +295,15 @@ def test_joint_search_matches_exhaustive_oracle():
     out = _minimize_step(dom, k0, policy, 1 / 32, energy)
     assert out.n_candidates == 49 and not out.budget_exceeded
     assert sorted(key for key, _, _ in out.extensions) == [(0, "finish"), (0, "start")]
-    solves = ev.solves
+    built = []
+
+    def counting_triangulate(*args):
+        built.append(args[1])
+        return triangulate(*args)
+
+    monkeypatch.setattr("quasicrack.energy.triangulate", counting_triangulate)
     best, e_best = best_joint_extension(dom, k0, policy, 1 / 32, energy)
-    assert ev.solves == solves  # every crack the oracle scores, the search scored
+    assert built == []  # every crack the oracle scores, the search scored
     assert out.crack.fingerprint() == best.fingerprint()
     assert energy(out.crack) == e_best < energy(k0)
 
@@ -646,12 +653,6 @@ def test_state_jsonl_schema(benchmark_state):
 def test_step_record_json_roundtrip(benchmark_state):
     for r in benchmark_state.steps:
         assert StepRecord.from_json(r.to_json(), r.crack).to_json() == r.to_json()
-
-
-def test_lambda_diagnostic(benchmark_state):
-    diag = benchmark_state.lambda_diagnostic
-    assert diag["max_grad_norm"] > 0
-    assert diag["max_surface"] >= length(taper_crack(0.7))
 
 
 def test_audit_reports_energy_balance(benchmark_state):
