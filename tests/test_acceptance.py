@@ -292,7 +292,7 @@ PINNED_RUN = {
     "evolution.jsonl": "fcee858413b001bb72a702843cd25605002015a8e4baaf96fa942c2cf44246d3",
     "cracks.json": "85bffa6bdcd0f34df99abfbeebe66a41e7d8a4cd75b2c945da0d2b8fee8a4a3f",
     "audit.json": "4b117dde9d75491859988a388e3c24c721e44fc1b913d7de69d25b17d675d076",
-    "state.json": "e2255eefb251d4197881af6d38d14d72ebc2fc3eff5740eaa79678ebebe7f52c",
+    "state.json": "cd7959958cb64b56b6d404a9326d3f6817f4c38f4271ac3679d51a244dcdef0b",
 }
 
 
