@@ -139,7 +139,7 @@ def solve_many(mesh: CrackMesh, data) -> list[ScalarField]:
     factored once and every datum solved from the factor; a larger one
     takes the CG. Each field is bitwise equal to `solve(mesh, g)`.
     """
-    G = np.array([g(mesh) for g in data], dtype=float).reshape(-1, mesh.n_nodes)
+    G = np.array([g(mesh) for g in data], dtype=float)
     constrained = _dirichlet_mask(mesh)
     K = stiffness_matrix(mesh)
     n_comp, labels = connected_components(K, directed=False)
