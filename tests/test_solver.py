@@ -188,7 +188,9 @@ def test_each_floating_strip_is_pinned_at_its_lowest_node(monkeypatch):
 
 def test_floating_strip_columns_keep_their_bits(monkeypatch):
     # sha256 of both floating data's columns on the three strips, from the
-    # factor and from the CG, as the per-component pinning loop wrote them
+    # factor and from the CG; recorded with a per-component pinning loop, so
+    # they check that pinning through one array keeps the bits (numpy 2.4,
+    # scipy 1.17)
     expected = {
         solver.DIRECT_MAX_FREE: "21433efd86b93c2857d2d1f136cb07b2a5a030610514928ee32808a024b2f298",
         0: "62ae60e6e2ac294dee4afa01f03f5558e56ef7cecf1b5d774095463421277f51",
