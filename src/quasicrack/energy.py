@@ -4,17 +4,21 @@ The bulk term is the Dirichlet energy of the minimizer with u = g(t) on
 the Dirichlet boundary, the surface term the length of the crack.
 `Evaluator` is the one place that meshes and solves for it: the run, both
 audits, `replay_state` and the release rates of `sif` all go through one.
+A round is scored in one `Evaluator.energies` call; inside `Evaluator.helpers()`
+its uncached cracks are shared with forked helpers, which give the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import operator
+import os
 from dataclasses import dataclass
 
 from .domain import DomainSpec
 from .geometry import CrackSet, length
-from .mesh import triangulate
+from .mesh import MeshFailure, triangulate
 from .solver import ScalarField, gram_matrix, solve_many
 
 
@@ -73,20 +77,90 @@ class Evaluator:
         self.h_tip = h_tip
         self._gram: dict[tuple, tuple] = {}
         self._fields: dict[tuple, list[ScalarField]] = {}
+        self._helpers: list | None = None  # (pipe, process) per helper inside `helpers()`
+
+    def _solve(self, crack: CrackSet) -> tuple:
+        """(Gram matrix, basis fields) of one crack, meshed and solved anew."""
+        fields = solve_many(triangulate(self.domain, crack, self.h_max, self.h_tip), self.basis)
+        return gram_matrix(fields), fields
+
+    def _try_solve(self, crack: CrackSet):
+        """`_solve`, or the exception it raised."""
+        try:
+            return self._solve(crack)
+        except Exception as e:
+            return e
 
     def _solved(self, crack: CrackSet, need_fields: bool = False) -> tuple:
         key = crack.fingerprint()
         if key not in self._gram or (need_fields and key not in self._fields):
-            mesh = triangulate(self.domain, crack, self.h_max, self.h_tip)
-            fields = solve_many(mesh, self.basis)
-            self._gram[key] = gram_matrix(fields)
-            self._fields[key] = fields
+            self._gram[key], self._fields[key] = self._solve(crack)
         return key
 
     def energy(self, crack: CrackSet, t: float) -> float:
         G = self._gram[self._solved(crack)]
         c, _ = self.coeffs(t)
         return _quad(G, c, c) + length(crack)
+
+    def energies(self, cracks, t: float) -> list:
+        """`energy` of each crack, None where its mesh fails (any other failure,
+        the first in order, is raised); uncached [j::n] go to helper j of n - 1."""
+        keys = [crack.fingerprint() for crack in cracks]
+        todo = [(key, crack) for key, crack in zip(keys, cracks) if key not in self._gram]
+        pipes = self._pipes(len(todo))
+        n = len(pipes) + 1
+        for j, conn in enumerate(pipes, 1):
+            conn.send([crack for _, crack in todo[j::n]])
+        out = [self._try_solve(crack) if i % n == 0 else None for i, (_, crack) in enumerate(todo)]
+        for j, conn in enumerate(pipes, 1):
+            out[j::n] = conn.recv()
+        for (key, _), res in zip(todo, out):
+            if not isinstance(res, Exception):
+                self._gram[key], self._fields[key] = res
+            elif not isinstance(res, MeshFailure):
+                raise res
+        c, _ = self.coeffs(t)
+        return [None if key not in self._gram else _quad(self._gram[key], c, c) + length(crack)
+                for key, crack in zip(keys, cracks)]
+
+    def _pipes(self, n_cracks: int) -> list:
+        """Pipes to the helpers that share n_cracks with this process, forked as needed."""
+        if self._helpers is None or n_cracks < 2:
+            return []
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+            while len(self._helpers) < min(n_cracks, len(os.sched_getaffinity(0))) - 1:
+                conn, child = ctx.Pipe()
+                proc = ctx.Process(target=self._serve, args=(child,), daemon=True)
+                self._helpers.append((conn, proc))
+                proc.start()
+                child.close()
+        return [conn for conn, _ in self._helpers[: n_cracks - 1]]
+
+    def _serve(self, conn) -> None:
+        """A helper's loop: solve each batch received until the pipe closes."""
+        for parent_end, _ in self._helpers:  # inherited: the parent's alone
+            parent_end.close()
+        try:
+            while True:
+                conn.send([self._try_solve(crack) for crack in conn.recv()])
+        except (EOFError, ConnectionError):
+            pass
+
+    @contextlib.contextmanager
+    def helpers(self):
+        """Let `energies` share its uncached cracks for the block with helper
+        processes: forked at need ("fork"), up to one per CPU but this one,
+        and joined when the block ends; one whose parent dies finds its pipe closed."""
+        self._helpers = []
+        try:
+            yield
+        finally:
+            helpers, self._helpers = self._helpers, None
+            for conn, proc in helpers:
+                conn.close()
+                proc.join()
 
     def record(self, crack: CrackSet, t: float) -> tuple[EnergyRecord, ScalarField]:
         """Energy record at t, with the power, and u(t); keeps only this crack's fields."""

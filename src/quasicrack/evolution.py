@@ -15,6 +15,8 @@ comparison inequality.
 
 Energies come from one `energy.Evaluator` per state, over the loading's
 basis (`_evaluator_of`); the run, the audits and `cli.replay_state` share it.
+Each search round is one `Evaluator.energies` call, made inside the
+`Evaluator.helpers()` block of the run or of `audit_conditions`.
 Each step is one `StepRecord`, the only writer and reader of the per-step
 JSON format. The state keeps no displacement fields; `EvolutionState.field`
 re-solves one on request, bitwise equal to the run's.
@@ -512,16 +514,17 @@ def _moves(domain, base, tips, policy, h_tip, joint):
 def _best(base, candidates, energy_fn):
     """((crack, extensions), evaluated count) of the lowest-scored candidate.
 
-    The unextended crack is scored first; a candidate scores
-    (energy, added length, max |angle|, order), and one whose mesh fails
-    is dropped.
+    `energy_fn` scores the whole round in one call, the unextended crack
+    first; a candidate scores (energy, added length, max |angle|, order),
+    and one whose mesh fails (energy None) is dropped.
     """
-    best_key, best = (energy_fn(base), 0.0, 0.0, 0), (base, [])
+    e_base, *energies = energy_fn([base, *(cand for cand, _ in candidates)])
+    if e_base is None:
+        raise MeshFailure("the unextended crack does not mesh")
+    best_key, best = (e_base, 0.0, 0.0, 0), (base, [])
     n_eval = 1
-    for order, (cand, exts) in enumerate(candidates, 1):
-        try:
-            e = energy_fn(cand)
-        except MeshFailure:
+    for order, ((cand, exts), e) in enumerate(zip(candidates, energies), 1):
+        if e is None:
             continue
         n_eval += 1
         key = (e, length(cand) - length(base), max(abs(a) for _, a, _ in exts), order)
@@ -549,7 +552,7 @@ def _minimize_step(domain, base, policy, h_tip, energy_fn) -> _StepOutcome:
         if not work_tips:
             break
         (current, exts), n = _best(
-            current, _moves(domain, current, work_tips, policy, h_tip, joint), energy_fn
+            current, list(_moves(domain, current, work_tips, policy, h_tip, joint)), energy_fn
         )
         n_eval += n
         extensions += exts
@@ -596,37 +599,39 @@ def run_evolution(
         initial_crack=k0,
     )
     ev = _evaluator_of(state)
+    ev.energy(k0, grid.times()[0])  # an unmeshable k0 raises its MeshFailure here
     current = k0
     sigma = {(t.component_id, t.end): 0.0 for t in _active_tips(domain, k0)}
 
-    for i, t in enumerate(grid.times()):
-        out = _minimize_step(domain, current, policy, h_tip, lambda K: ev.energy(K, t))
-        if out.budget_exceeded:
-            state.events.append(f"step {i}: budget exceeded, greedy decomposition")
-        current = out.crack
-        for key, _, ell in out.extensions:
-            sigma[key] = sigma.get(key, 0.0) + ell
+    with ev.helpers():
+        for i, t in enumerate(grid.times()):
+            out = _minimize_step(domain, current, policy, h_tip, lambda Ks: ev.energies(Ks, t))
+            if out.budget_exceeded:
+                state.events.append(f"step {i}: budget exceeded, greedy decomposition")
+            current = out.crack
+            for key, _, ell in out.extensions:
+                sigma[key] = sigma.get(key, 0.0) + ell
 
-        rec, u = ev.record(current, t)
-        fits: dict = {}
-        for tip in _active_tips(domain, current):
-            try:
-                r1, r2 = safe_fit_window(domain, current, tip, h_tip)
-                est = fit_sif(u, tip, r1, r2)
-                fits[(tip.component_id, tip.end)] = (est.kappa, est.fit_residual)
-            except (AnnulusUnresolved, TipGeometryInvalid) as e:
-                state.events.append(f"step {i}: sif skipped ({e})")
-        state.steps.append(
-            StepRecord(
-                step=i,
-                crack=current,
-                energy=rec,
-                grew=out.grew,
-                candidates=out.n_candidates,
-                tips={k: (s, *fits.get(k, (None, None))) for k, s in sigma.items()},
-                kinked=any(abs(ang) > KINK_REPORT_RAD for _, ang, _ in out.extensions),
+            rec, u = ev.record(current, t)
+            fits: dict = {}
+            for tip in _active_tips(domain, current):
+                try:
+                    r1, r2 = safe_fit_window(domain, current, tip, h_tip)
+                    est = fit_sif(u, tip, r1, r2)
+                    fits[(tip.component_id, tip.end)] = (est.kappa, est.fit_residual)
+                except (AnnulusUnresolved, TipGeometryInvalid) as e:
+                    state.events.append(f"step {i}: sif skipped ({e})")
+            state.steps.append(
+                StepRecord(
+                    step=i,
+                    crack=current,
+                    energy=rec,
+                    grew=out.grew,
+                    candidates=out.n_candidates,
+                    tips={k: (s, *fits.get(k, (None, None))) for k, s in sigma.items()},
+                    kinked=any(abs(ang) > KINK_REPORT_RAD for _, ang, _ in out.extensions),
+                )
             )
-        )
 
     if with_audit:
         state.audit = audit_conditions(state)
@@ -641,7 +646,7 @@ def run_evolution(
 def _reminimized(state, ev, base, crack, t) -> tuple[float, float]:
     """(E(crack), E(best)) at frozen g(t), best re-minimized from `base`."""
     out = _minimize_step(
-        state.domain, base, state.policy, state.h_tip, lambda K: ev.energy(K, t)
+        state.domain, base, state.policy, state.h_tip, lambda Ks: ev.energies(Ks, t)
     )
     energies = ev.energy(crack, t), ev.energy(out.crack, t)
     ev.end_step()
@@ -712,33 +717,34 @@ def audit_conditions(state: EvolutionState) -> dict:
     }
     report["energy_balance"] = energy_balance(state)
 
-    # (b)/(c): sampled re-minimization at the recorded data
-    picks = np.linspace(0, n - 1, min(MINIMALITY_SAMPLES, n)).round()
-    checked = sorted({0, n - 1, *map(int, picks)})
-    min_ok = True
-    min_rows = []
-    for i in checked:
-        base = cracks[i - 1] if i > 0 else state.initial_crack
-        e_chosen, e_best = _reminimized(state, ev, base, cracks[i], times[i])
-        gap = e_chosen - e_best
-        tol = 1e-9 * max(1.0, abs(e_best))
-        min_rows.append({"step": i, "gap": gap})
-        if gap > tol:
-            min_ok = False
-    report["minimality"] = {"pass": min_ok, "rows": min_rows}
+    with ev.helpers():
+        # (b)/(c): sampled re-minimization at the recorded data
+        picks = np.linspace(0, n - 1, min(MINIMALITY_SAMPLES, n)).round()
+        checked = sorted({0, n - 1, *map(int, picks)})
+        min_ok = True
+        min_rows = []
+        for i in checked:
+            base = cracks[i - 1] if i > 0 else state.initial_crack
+            e_chosen, e_best = _reminimized(state, ev, base, cracks[i], times[i])
+            gap = e_chosen - e_best
+            tol = 1e-9 * max(1.0, abs(e_best))
+            min_rows.append({"step": i, "gap": gap})
+            if gap > tol:
+                min_ok = False
+        report["minimality"] = {"pass": min_ok, "rows": min_rows}
 
-    # (e): after growth, re-minimizing from K_i at frozen g_i gains nothing
-    stat_ok = True
-    stat_rows = []
-    for i in range(n):
-        if not state.steps[i].grew:
-            continue
-        e_here, e_best = _reminimized(state, ev, cracks[i], cracks[i], times[i])
-        gain = e_here - e_best
-        tol = 1e-6 * abs(e_here)
-        stat_rows.append({"step": i, "gain": gain, "tol": tol})
-        if gain > tol:
-            stat_ok = False
+        # (e): after growth, re-minimizing from K_i at frozen g_i gains nothing
+        stat_ok = True
+        stat_rows = []
+        for i in range(n):
+            if not state.steps[i].grew:
+                continue
+            e_here, e_best = _reminimized(state, ev, cracks[i], cracks[i], times[i])
+            gain = e_here - e_best
+            tol = 1e-6 * abs(e_here)
+            stat_rows.append({"step": i, "gain": gain, "tol": tol})
+            if gain > tol:
+                stat_ok = False
     report["stationarity"] = {"pass": stat_ok, "rows": stat_rows}
     report["pass"] = bool(
         ok_contain

@@ -223,7 +223,7 @@ def test_zero_datum_keeps_crack():
     )
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 4)
     ev = evaluator(dom, loading, 1 / 8, 1 / 32)
-    out = _minimize_step(dom, k0, policy, 1 / 32, lambda K: ev.energy(K, 0.0))
+    out = _minimize_step(dom, k0, policy, 1 / 32, lambda Ks: ev.energies(Ks, 0.0))
     assert out.crack.fingerprint() == k0.fingerprint()
 
 
@@ -253,7 +253,7 @@ def test_supercritical_extension_wins():
     )
     ev = evaluator(dom, loading, 1 / 8, 1 / 32)
     policy = CandidatePolicy(angles=(0.0,), ell0=1 / 16, length_max=1 / 2)
-    out = _minimize_step(dom, k0, policy, 1 / 32, lambda K: ev.energy(K, 0.0))
+    out = _minimize_step(dom, k0, policy, 1 / 32, lambda Ks: ev.energies(Ks, 0.0))
     assert out.grew
     assert length(out.crack) > length(k0)
 
@@ -263,11 +263,11 @@ def test_tie_break_prefers_no_growth_then_short_then_straight():
     policy = CandidatePolicy(
         angles=(-0.3, 0.0, 0.3), ell0=1 / 16, length_max=1 / 8, multi_segment=1
     )
-    out = _minimize_step(dom, k0, policy, 1 / 32, lambda K: 0.0)
+    out = _minimize_step(dom, k0, policy, 1 / 32, lambda Ks: [0.0] * len(Ks))
     assert not out.grew  # all-equal energies: smallest surface increment wins
     marked = _minimize_step(
         dom, k0, policy, 1 / 32,
-        lambda K: 0.0 if length(K) > length(k0) else 1.0,
+        lambda Ks: [0.0 if length(K) > length(k0) else 1.0 for K in Ks],
     )
     assert marked.grew
     (key, ang, ell), = marked.extensions
@@ -292,7 +292,7 @@ def test_joint_search_matches_exhaustive_oracle(monkeypatch):
     def energy(K):
         return ev.energy(K, 0.75)
 
-    out = _minimize_step(dom, k0, policy, 1 / 32, energy)
+    out = _minimize_step(dom, k0, policy, 1 / 32, lambda Ks: ev.energies(Ks, 0.75))
     assert out.n_candidates == 49 and not out.budget_exceeded
     assert sorted(key for key, _, _ in out.extensions) == [(0, "finish"), (0, "start")]
     built = []
@@ -332,7 +332,7 @@ def test_kink_selected_when_datum_is_rotated():
         length_max=1 / 8,
         multi_segment=1,
     )
-    out = _minimize_step(dom, k0, policy, 1 / 32, lambda K: evl.energy(K, 0.0))
+    out = _minimize_step(dom, k0, policy, 1 / 32, lambda Ks: evl.energies(Ks, 0.0))
     assert out.grew
     (_, ang, _), = out.extensions
     assert math.degrees(ang) in (20.0, 40.0)
@@ -678,10 +678,13 @@ def test_taper_search_constructs_no_fraction(monkeypatch):
     # floats, and each candidate's union table is its base's plus one
     # segment. Counted here: 14,596 Fraction constructions in `geometry`
     # and `domain` before the tables were derived, 0 after. `domain` has no
-    # `Fraction` of its own; patching it anyway counts one it gains.
+    # `Fraction` of its own; patching it anyway counts one it gains. One
+    # CPU keeps the mesher in this process, where the count sees it.
     from fractions import Fraction
 
-    from quasicrack import cli, domain, geometry
+    from quasicrack import cli, domain, energy, geometry
+
+    monkeypatch.setattr(energy.os, "sched_getaffinity", lambda pid: {0})
 
     count = 0
 
