@@ -313,15 +313,15 @@ def _oracle_release_rate(h_tip: float) -> list[tuple[str, bool]]:
         c = tuple(1.0 if j == t else 0.0 for j in range(len(kappas)))
         return c, (0.0,) * len(kappas)
 
-    # one evaluator meshes each of the three cracks once and solves all data on it
+    # one evaluator meshes each of the three cracks once and solves all data
+    # on it: the fits come first, while the base crack's fields are kept
     ev = Evaluator(domain, [mode3_datum(kap) for kap in kappas], one_hot, h_max, h_tip)
+    k_fits = [
+        fit_sif(ev.record(crack, j)[1], tip, 16.0 * h_tip, 64.0 * h_tip).kappa if kap else 0.0
+        for j, kap in enumerate(kappas)
+    ]
     out = []
-    for j, kap in enumerate(kappas):
-        if kap == 0.0:
-            k_fit = 0.0
-        else:
-            u = ev.record(crack, j)[1]
-            k_fit = fit_sif(u, tip, 16.0 * h_tip, 64.0 * h_tip).kappa
+    for j, (kap, k_fit) in enumerate(zip(kappas, k_fits)):
         fd = release_rate_richardson_at(ev, crack, tip, j)
         gap = abs(fd - (1.0 - k_fit**2))
         label = f"release-rate kappa={kap:g}: fd={fd:.4f} fit-law={1.0 - k_fit ** 2:.4f} gap={gap:.4f}"

@@ -5,7 +5,8 @@ the Dirichlet boundary, the surface term the length of the crack.
 `Evaluator` is the one place that meshes and solves for it: the run, both
 audits, `replay_state` and the release rates of `sif` all go through one.
 A round is scored in one `Evaluator.energies` call; inside `Evaluator.helpers()`
-its uncached cracks are shared with forked helpers, which give the same bits.
+its uncached cracks are shared with forked helpers, which send back each
+crack's Gram matrix with the same bits. Only `record` needs a field.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ class Evaluator:
     `basis` holds the data g_1..g_S and `coeffs(t)` returns (c(t), c'(t)).
     The solve is linear, so one mesh and S solves u_j per crack give, with
     G_jk = (grad u_j | grad u_k), bulk(t) = c^T G c, the exact discrete
-    power 2 c^T G c' and u(t) = sum_j c_j u_j. The Gram matrix is kept for
-    the evaluator's lifetime; the basis fields only until the step ends. A
-    `record` ends it and keeps its own crack's fields, `end_step` keeps
-    none: a winner meshed in its own step is not meshed twice, and memory
-    does not grow with a run.
+    power 2 c^T G c' and u(t) = sum_j c_j u_j. Every crack's Gram matrix is
+    kept for the evaluator's lifetime, but the basis fields of one crack
+    only: the last one that a single request (`energy`, `record`,
+    `balance_increment`) meshed. A round of `energies` keeps Gram matrices
+    alone, and `record` meshes its crack again unless the kept fields are
+    its own, so memory does not grow with a run.
     """
 
     def __init__(self, domain: DomainSpec, basis, coeffs, h_max: float, h_tip: float):
@@ -76,29 +78,31 @@ class Evaluator:
         self.h_max = h_max
         self.h_tip = h_tip
         self._gram: dict[tuple, tuple] = {}
-        self._fields: dict[tuple, list[ScalarField]] = {}
+        self._kept: tuple = (None, None)  # (fingerprint, basis fields) of one crack
         self._helpers: list | None = None  # (pipe, process) per helper inside `helpers()`
 
-    def _solve(self, crack: CrackSet) -> tuple:
-        """(Gram matrix, basis fields) of one crack, meshed and solved anew."""
-        fields = solve_many(triangulate(self.domain, crack, self.h_max, self.h_tip), self.basis)
-        return gram_matrix(fields), fields
+    def _solve(self, crack: CrackSet) -> list[ScalarField]:
+        """Basis fields of one crack, meshed and solved anew."""
+        return solve_many(triangulate(self.domain, crack, self.h_max, self.h_tip), self.basis)
 
-    def _try_solve(self, crack: CrackSet):
-        """`_solve`, or the exception it raised."""
+    def _gram_or_error(self, crack: CrackSet):
+        """The Gram matrix of one crack, meshed and solved anew, or the exception."""
         try:
-            return self._solve(crack)
+            return gram_matrix(self._solve(crack))
         except Exception as e:
             return e
 
     def _solved(self, crack: CrackSet, need_fields: bool = False) -> tuple:
+        """The Gram matrix of one crack, whose fields are kept if this meshes it;
+        with need_fields it is meshed again unless its fields are the kept ones."""
         key = crack.fingerprint()
-        if key not in self._gram or (need_fields and key not in self._fields):
-            self._gram[key], self._fields[key] = self._solve(crack)
-        return key
+        if key not in self._gram or (need_fields and self._kept[0] != key):
+            fields = self._solve(crack)
+            self._gram[key], self._kept = gram_matrix(fields), (key, fields)
+        return self._gram[key]
 
     def energy(self, crack: CrackSet, t: float) -> float:
-        G = self._gram[self._solved(crack)]
+        G = self._solved(crack)
         c, _ = self.coeffs(t)
         return _quad(G, c, c) + length(crack)
 
@@ -111,12 +115,12 @@ class Evaluator:
         n = len(pipes) + 1
         for j, conn in enumerate(pipes, 1):
             conn.send([crack for _, crack in todo[j::n]])
-        out = [self._try_solve(crack) if i % n == 0 else None for i, (_, crack) in enumerate(todo)]
+        out = [self._gram_or_error(crack) if i % n == 0 else None for i, (_, crack) in enumerate(todo)]
         for j, conn in enumerate(pipes, 1):
             out[j::n] = conn.recv()
         for (key, _), res in zip(todo, out):
             if not isinstance(res, Exception):
-                self._gram[key], self._fields[key] = res
+                self._gram[key] = res
             elif not isinstance(res, MeshFailure):
                 raise res
         c, _ = self.coeffs(t)
@@ -124,8 +128,9 @@ class Evaluator:
                 for key, crack in zip(keys, cracks)]
 
     def _pipes(self, n_cracks: int) -> list:
-        """Pipes to the helpers that share n_cracks with this process, forked as needed."""
-        if self._helpers is None or n_cracks < 2:
+        """Pipes to the helpers that share n_cracks with this process, forked as
+        needed; none where the CPU set cannot be read (macOS)."""
+        if self._helpers is None or n_cracks < 2 or not hasattr(os, "sched_getaffinity"):
             return []
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
@@ -144,7 +149,7 @@ class Evaluator:
             parent_end.close()
         try:
             while True:
-                conn.send([self._try_solve(crack) for crack in conn.recv()])
+                conn.send([self._gram_or_error(crack) for crack in conn.recv()])
         except (EOFError, ConnectionError):
             pass
 
@@ -163,10 +168,8 @@ class Evaluator:
                 proc.join()
 
     def record(self, crack: CrackSet, t: float) -> tuple[EnergyRecord, ScalarField]:
-        """Energy record at t, with the power, and u(t); keeps only this crack's fields."""
-        key = self._solved(crack, need_fields=True)
-        G, fields = self._gram[key], self._fields[key]
-        self._fields = {key: fields}
+        """Energy record at t, with the power, and u(t)."""
+        G, fields = self._solved(crack, need_fields=True), self._kept[1]
         c, cdot = self.coeffs(t)
         u = functools.reduce(
             operator.add, [cj * f.nodal_values for cj, f in zip(c, fields)]
@@ -181,11 +184,7 @@ class Evaluator:
 
     def balance_increment(self, crack: CrackSet, t0: float, t1: float) -> float:
         """2 (grad u(t0) | grad(u(t1) - u(t0))) on one crack."""
-        G = self._gram[self._solved(crack)]
+        G = self._solved(crack)
         c0, _ = self.coeffs(t0)
         c1, _ = self.coeffs(t1)
         return 2.0 * _quad(G, c0, [b - a for a, b in zip(c0, c1)])
-
-    def end_step(self) -> None:
-        """Drop the basis fields of every crack."""
-        self._fields = {}

@@ -16,7 +16,8 @@ comparison inequality.
 Energies come from one `energy.Evaluator` per state, over the loading's
 basis (`_evaluator_of`); the run, the audits and `cli.replay_state` share it.
 Each search round is one `Evaluator.energies` call, made inside the
-`Evaluator.helpers()` block of the run or of `audit_conditions`.
+`Evaluator.helpers()` block of the run or of `audit_conditions`; a search
+reads energies alone, and a step's displacement comes from `Evaluator.record`.
 Each step is one `StepRecord`, the only writer and reader of the per-step
 JSON format. The state keeps no displacement fields; `EvolutionState.field`
 re-solves one on request, bitwise equal to the run's.
@@ -648,9 +649,7 @@ def _reminimized(state, ev, base, crack, t) -> tuple[float, float]:
     out = _minimize_step(
         state.domain, base, state.policy, state.h_tip, lambda Ks: ev.energies(Ks, t)
     )
-    energies = ev.energy(crack, t), ev.energy(out.crack, t)
-    ev.end_step()
-    return energies
+    return ev.energy(crack, t), ev.energy(out.crack, t)
 
 
 def energy_balance(state: EvolutionState) -> dict:

@@ -144,8 +144,9 @@ def test_evaluator_meshes_each_crack_once(built):
 
 
 def test_record_drops_the_fields_of_other_cracks(built):
-    # a record ends the step: after energy(B) and record(A), only A's basis
-    # fields are kept, so record(B) meshes and solves B again
+    # one crack's basis fields are kept, the last one a single request
+    # meshed: after energy(B) and record(A), only A's are, so record(B)
+    # meshes and solves B again
     a, b = (CrackSet((Polyline(((0.3, 0.5), (x, 0.5))),), 1) for x in (0.7, 0.8))
     ev = one_datum(SQUARE, linear_datum(1.0, 0.0), 0.1, 0.02)
     ev.energy(b, 0.0)
@@ -155,6 +156,27 @@ def test_record_drops_the_fields_of_other_cracks(built):
     assert built == [b, a]
     ev.record(b, 0.0)
     assert built == [b, a, b]
+
+
+def test_a_round_keeps_no_fields(built):
+    # a round of `energies` keeps the Gram matrices of its misses alone
+    a, b = (CrackSet((Polyline(((0.3, 0.5), (x, 0.5))),), 1) for x in (0.7, 0.8))
+    ev = one_datum(SQUARE, linear_datum(1.0, 0.0), 0.1, 0.02)
+    ev.energies([a, b], 0.0)
+    assert built == [a, b]
+    ev.record(b, 0.0)
+    assert built == [a, b, b]
+
+
+def test_a_round_keeps_the_fields_of_a_single_request(built):
+    # the fields kept by energy(K) outlive a round that meshes other cracks
+    k, a, b = (CrackSet((Polyline(((0.3, 0.5), (x, 0.5))),), 1) for x in (0.6, 0.7, 0.8))
+    ev = one_datum(SQUARE, linear_datum(1.0, 0.0), 0.1, 0.02)
+    ev.energy(k, 0.0)
+    ev.energies([k, a, b], 0.0)
+    assert built == [k, a, b]
+    ev.record(k, 0.0)
+    assert built == [k, a, b]
 
 
 def test_local_energy_no_crack_linear():

@@ -1,9 +1,10 @@
 """A search round's uncached meshes built on helper processes.
 
 Each path is forced through `os.sched_getaffinity` as `quasicrack.energy`
-sees it: one CPU scores every round in process, two or three CPUs fork one
-or two helpers. Every path must write the same bytes, drop the same failed
-meshes, raise the same errors, and leave no process behind.
+sees it: one CPU, or no such call, scores every round in process, two or
+three CPUs fork one or two helpers. Every path must write the same bytes,
+drop the same failed meshes, raise the same errors, and leave no process
+behind.
 """
 
 import json
@@ -47,7 +48,10 @@ def on_cpus(monkeypatch, tmp_path):
 
     def run(n, fn):
         log.write_text("")
-        monkeypatch.setattr(energy.os, "sched_getaffinity", lambda pid: set(range(n)))
+        if n is None:  # no CPU-set call
+            monkeypatch.delattr(energy.os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(energy.os, "sched_getaffinity", lambda pid: set(range(n)))
         out = fn()
         assert multiprocessing.active_children() == []
         return out, set(log.read_text().split())
@@ -72,7 +76,9 @@ def assert_same_on_every_path(on_cpus, fn):
     return results[0]
 
 
-def test_audited_benchmark_run_writes_the_same_bytes(on_cpus, tmp_path):
+def audited_cli_run(tmp_path):
+    """A function that runs the audited δ=1/16 benchmark through the CLI and
+    returns the bytes of its files."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(growth_benchmark_config(delta=1 / 16)))
     names = ("evolution.jsonl", "cracks.json", "audit.json", "state.json")
@@ -82,8 +88,20 @@ def test_audited_benchmark_run_writes_the_same_bytes(on_cpus, tmp_path):
         assert main(["run", str(path), "--output-dir", str(out)]) == 0
         return {name: (out / name).read_bytes() for name in names}
 
-    files = assert_same_on_every_path(on_cpus, cli_run)
+    return cli_run
+
+
+def test_audited_benchmark_run_writes_the_same_bytes(on_cpus, tmp_path):
+    files = assert_same_on_every_path(on_cpus, audited_cli_run(tmp_path))
     assert json.loads(files["audit.json"])["pass"]
+
+
+def test_rounds_stay_in_process_where_the_cpu_set_cannot_be_read(on_cpus, tmp_path):
+    # macOS has the "fork" start method but no os.sched_getaffinity
+    cli_run = audited_cli_run(tmp_path)
+    want, _ = on_cpus(1, cli_run)
+    got, pids = on_cpus(None, cli_run)
+    assert got == want and pids == {str(os.getpid())}
 
 
 def test_sampled_loading_run_is_the_same(on_cpus):
